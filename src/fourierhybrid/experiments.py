@@ -259,13 +259,10 @@ def _write_grid_csv(path, cfg, record, grid, truth, filt, hyb, err_f, err_h, tag
         fh.write(f"# m={record.m} n={record.n} M={record.degree} "
                  f"N={record.fit_samples - 1} freq_hash={record.freq_hash}\n")
         fh.write("x,f_true,f_filter,f_hybrid,err_filter,err_hybrid,tag\n")
-        for i in range(len(grid)):
-            fh.write(
-                ",".join([
-                    _fmt(grid[i]), _fmt(truth[i]), _fmt(filt[i]), _fmt(hyb[i]),
-                    _fmt(err_f[i]), _fmt(err_h[i]), str(tags[i]),
-                ]) + "\n"
-            )
+        # "%.17e" formats exactly as _fmt does
+        columns = (grid, truth, filt, hyb, err_f, err_h, tags)
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+            fh.write("%.17e,%.17e,%.17e,%.17e,%.17e,%.17e,%s\n" % row)
 
 
 def _write_summary_csv(path, cfg, records):
@@ -318,12 +315,7 @@ def write_line_svg(path, x, series, title="", ylog=False, floor=1e-18):
     if ymax == ymin:
         ymax = ymin + 1.0
     xmin, xmax = float(np.min(x)), float(np.max(x))
-
-    def sx(v):
-        return _MARGIN + (v - xmin) / (xmax - xmin) * (_SVG_W - 2 * _MARGIN)
-
-    def sy(v):
-        return _SVG_H - _MARGIN - (v - ymin) / (ymax - ymin) * (_SVG_H - 2 * _MARGIN)
+    sx = (_MARGIN + (x - xmin) / (xmax - xmin) * (_SVG_W - 2 * _MARGIN)).tolist()
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
@@ -341,7 +333,8 @@ def write_line_svg(path, x, series, title="", ylog=False, floor=1e-18):
     )
     for k, (name, y) in enumerate(prepared):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]
-        pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y))
+        sy = _SVG_H - _MARGIN - (y - ymin) / (ymax - ymin) * (_SVG_H - 2 * _MARGIN)
+        pts = " ".join(map("{:.2f},{:.2f}".format, sx, sy.tolist()))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
         )

@@ -6,6 +6,13 @@ basis phi_l = exp(2 pi i l x) has the closed form
 integral_0^1 exp(2 pi i (lambda_j - l) x) dx.  Reconstruction applies the
 truncated-SVD pseudo-inverse of Omega to the filtered sample vector and
 sums the resulting 2n+1 Fourier modes.
+
+Because the filter weights are real and enter linearly, the pseudo-inverse
+is applied once per sample set: FilterReconstruction folds it with the
+samples into a real synthesis matrix at construction.  filter_reconstruct
+then streams the evaluation points through it in fixed-size blocks (filter
+weights, one real matrix product, a cosine/sine mode sum), so its memory is
+O(block x m) rather than O(points x m).
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .filters import FilterConfig, adaptive_params, sigma_weight_matrix
+from .piecewise import distance_to_set
 from .sampling import FourierSamples, FrequencySet
 
 __all__ = [
@@ -37,6 +45,10 @@ __all__ = [
 
 _SERIES_CUTOFF = 1e-9
 
+# size of one real (points x 2m+1) array in the streamed evaluation; it sets
+# how many points filter_reconstruct handles per block
+_BLOCK_BYTES = 1 << 20
+
 
 def inner_product_exp(lam: float, l: int) -> complex:
     """<psi, phi_l> = integral_0^1 exp(2 pi i (lam - l) x) dx in closed form."""
@@ -53,10 +65,11 @@ def _omega_matrix(lams: np.ndarray, modes: np.ndarray) -> np.ndarray:
     theta = 2.0 * np.pi * (lams[:, None] - modes[None, :])
     small = np.abs(theta) < 2.0 * np.pi * _SERIES_CUTOFF
     theta_safe = np.where(small, 1.0, theta)
-    exact = np.sin(theta_safe) / theta_safe + 1j * (1.0 - np.cos(theta_safe)) / theta_safe
-    u = 1j * theta
-    series = 1.0 + u / 2.0 + u**2 / 6.0 + u**3 / 24.0
-    return np.where(small, series, exact)
+    omega = np.sin(theta_safe) / theta_safe + 1j * (1.0 - np.cos(theta_safe)) / theta_safe
+    if small.any():
+        u = 1j * theta[small]
+        omega[small] = 1.0 + u / 2.0 + u**2 / 6.0 + u**3 / 24.0
+    return omega
 
 
 @dataclass(frozen=True)
@@ -157,13 +170,16 @@ class FilterReconstruction:
     """Everything needed to evaluate the filtered frame reconstruction.
 
     An empty jump set selects the no-filter diagnostic mode: all frequency
-    weights are 1.
+    weights are 1.  ``synthesis`` is derived at construction: the real
+    matrix that maps a point's filter weights to the cosine and sine
+    coefficients of its mode sum (see ``_folded_synthesis``).
     """
 
     operator: FrameOperator
     samples: FourierSamples
     filter_cfg: FilterConfig
     jumps: np.ndarray
+    synthesis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.array_equal(
@@ -173,19 +189,53 @@ class FilterReconstruction:
         jumps = np.sort(np.asarray(self.jumps, dtype=float))
         jumps.setflags(write=False)
         object.__setattr__(self, "jumps", jumps)
+        synthesis = _folded_synthesis(self.operator, self.samples.values)
+        synthesis.setflags(write=False)
+        object.__setattr__(self, "synthesis", synthesis)
+
+
+def _folded_synthesis(op: FrameOperator, values: np.ndarray) -> np.ndarray:
+    """Real (2m+1, 4(n+1)) matrix taking filter weights w to folded modes.
+
+    The synthesis matrix mapping mode coefficients to samples is the
+    entrywise conjugate of Omega, so the least-squares coefficients of the
+    filtered samples w * values are c = S w with
+    S = conj(Omega)^+ diag(values) = conj(V) diag(1/s) U^T diag(values).
+    Folding l with -l turns the mode sum into
+    sum_{l>=0} (c_l + c_{-l}) cos 2 pi l x + i (c_l - c_{-l}) sin 2 pi l x
+    (the l = 0 term counted once).  Columns [0, 2(n+1)) give the real part's
+    cosine then sine coefficients, the rest the imaginary part's.
+    """
+    r = op.effective_rank
+    synth = (op.vh[:r].T @ (op.u[:, :r].T / op.s[:r, None])) * values[None, :]
+    pos = synth[op.n:]  # modes 0..n
+    neg = synth[op.n::-1]  # modes 0..-n
+    plus = pos + neg
+    plus[0] = pos[0]
+    minus = pos - neg
+    folded = np.concatenate([plus.real, -minus.imag, plus.imag, minus.real])
+    return np.ascontiguousarray(folded.T)
 
 
 def _point_params(recon: FilterReconstruction, xs: np.ndarray):
-    """Arrays of (gamma, p) for each evaluation point."""
+    """Arrays of (gamma, p) for each evaluation point.
+
+    Vectorized adaptive_params with the same expressions, so the results
+    are bitwise equal.  An empty jump set (d = inf) gives gamma = 0 and
+    p = p_floor, as does a point on a jump (d = 0).
+    """
     cfg = recon.filter_cfg
     m = recon.operator.m
-    gammas = np.empty(xs.shape)
-    ps = np.empty(xs.shape, dtype=int)
-    for i, x in enumerate(xs):
-        params = adaptive_params(float(x), m, cfg, recon.jumps)
-        gammas[i] = params.gamma
-        ps[i] = params.p
+    d = distance_to_set(xs, recon.jumps)
+    d = np.where(np.isfinite(d), d, 0.0)
+    gammas = np.sqrt(cfg.alpha * d * m)
+    ps = np.maximum(cfg.p_floor, np.floor(cfg.kappa * d * m).astype(int))
     return gammas, ps
+
+
+def _block_points(nfreq: int) -> int:
+    """Evaluation points per block: one real (block x nfreq) array fills _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * nfreq))
 
 
 def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -193,28 +243,32 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
 
     Returns (values, imag_residual): the real part of the mode sum and the
     magnitude of its imaginary part as a numerical-health diagnostic.
-    Eta-vectors for all points are batched into one pseudo-inverse
-    application; equality with the per-point path is a tested invariant.
+    Points stream through recon.synthesis in blocks of _block_points; for
+    each block the filter weights, one real matrix product and the folded
+    cosine/sine sum.  Equality with the per-point path is a tested
+    invariant.
     """
     xs = np.asarray(xs, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("grid must lie within [0,1]")
     op = recon.operator
     lam = recon.samples.freqs.frequencies
     gammas, ps = _point_params(recon, xs)
-    weights = sigma_weight_matrix(ps, gammas, lam, op.m)
-    eta = weights * recon.samples.values[None, :]  # (npts, 2m+1)
-    # the synthesis matrix mapping mode coefficients to samples is the
-    # entrywise conjugate of Omega, so the least-squares coefficients are
-    # conj(Omega)^+ eta = conj(Omega^+ conj(eta))
-    coeffs = np.conj(op.pinv_apply(np.conj(eta.T)))  # (2n+1, npts)
-    modes = np.arange(-op.n, op.n + 1)
-    basis = np.exp(2j * np.pi * modes[:, None] * xs[None, :])
-    total = np.sum(coeffs * basis, axis=0)
-    values = total.real
-    imag_residual = np.abs(total.imag)
+    wavenumbers = 2.0 * np.pi * np.arange(op.n + 1)
+    half = 2 * (op.n + 1)
+    values = np.empty(xs.shape)
+    imag_residual = np.empty(xs.shape)
+    block = _block_points(lam.size)
+    for start in range(0, xs.size, block):
+        rows = slice(start, start + block)
+        weights = sigma_weight_matrix(ps[rows], gammas[rows], lam, op.m)
+        folded = weights @ recon.synthesis  # (block, 4(n+1))
+        phase = xs[rows, None] * wavenumbers
+        trig = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+        values[rows] = np.einsum("ij,ij->i", folded[:, :half], trig)
+        imag_residual[rows] = np.abs(np.einsum("ij,ij->i", folded[:, half:], trig))
     if scalar:
         return float(values[0]), float(imag_residual[0])
     return values, imag_residual

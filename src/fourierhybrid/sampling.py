@@ -83,6 +83,8 @@ class FourierSamples:
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (len(self.freqs),):
             raise ValueError("sample vector length must match the frequency set")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("samples must be finite (no NaN or inf)")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -211,11 +213,15 @@ def samples_from_csv(path, scheme: str = "custom") -> FourierSamples:
     rows = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV, expected a (j, lambda, re, im) table")
         if header[:4] != ["j", "lambda", "re", "im"]:
             raise ValueError(f"unexpected CSV header {header!r}")
         for row in reader:
             rows.append((int(row[0]), float(row[1]), float(row[2]), float(row[3])))
+    if not rows:
+        raise ValueError(f"{path}: no sample rows after the header")
     rows.sort(key=lambda r: r[0])
     m = rows[-1][0]
     if [r[0] for r in rows] != list(range(-m, m + 1)):

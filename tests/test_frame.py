@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import fourierhybrid as fh
-from fourierhybrid.frame import _omega_matrix
+from fourierhybrid.frame import _block_points, _omega_matrix, _point_params
 from helpers import GRID_1024, pipeline
 
 
@@ -36,6 +37,24 @@ class TestInnerProduct:
         outside = fh.inner_product_exp(3.0 + 2e-9, 3)
         assert abs(inside - outside) < 1e-8
         assert inside == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("freqs", [
+        fh.jittered_frequencies(64, seed=5),
+        fh.uniform_frequencies(48),
+        fh.log_frequencies(32),
+    ], ids=["jittered", "uniform", "log"])
+    def test_matrix_series_branch_bitwise(self, freqs):
+        # the series is evaluated only on the masked entries; the result must
+        # equal evaluating it everywhere and selecting with np.where
+        modes = np.arange(-40, 41, dtype=float)
+        theta = 2.0 * np.pi * (freqs.frequencies[:, None] - modes[None, :])
+        small = np.abs(theta) < 2.0 * np.pi * 1e-9
+        theta_safe = np.where(small, 1.0, theta)
+        exact = np.sin(theta_safe) / theta_safe + 1j * (1.0 - np.cos(theta_safe)) / theta_safe
+        u = 1j * theta
+        series = 1.0 + u / 2.0 + u**2 / 6.0 + u**3 / 24.0
+        expect = np.where(small, series, exact)
+        assert np.array_equal(_omega_matrix(freqs.frequencies, modes), expect)
 
     def test_matrix_matches_scalar_path(self):
         rng = np.random.default_rng(8)
@@ -158,6 +177,57 @@ class TestFilterReconstruct:
             v, r = fh.filter_reconstruct_point(pipe.recon, float(x))
             assert abs(values[k] - v) <= 1e-12
             assert abs(imag[k] - r) <= 1e-12
+
+    @pytest.mark.parametrize("p_floor", [0, 3])
+    def test_point_params_match_adaptive_params(self, p_floor):
+        # alpha != 1 and m = 48 (not a power of two) make every product
+        # round, so a reordered expression would show
+        pipe = pipeline("f2", "jittered", 48)
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([
+            np.linspace(0.0, 1.0, 257), rng.uniform(0.0, 1.0, 500), [0.3, 0.7, 0.30000001],
+        ])
+        for jumps in (pipe.jumps, np.array([])):
+            recon = fh.FilterReconstruction(
+                operator=pipe.operator, samples=pipe.samples,
+                filter_cfg=fh.FilterConfig(alpha=0.7, kappa=0.09, p_floor=p_floor),
+                jumps=jumps,
+            )
+            gammas, ps = _point_params(recon, xs)
+            for k, x in enumerate(xs):
+                ref = fh.adaptive_params(float(x), pipe.m, recon.filter_cfg, recon.jumps)
+                assert gammas[k] == ref.gamma  # bitwise, not approximately
+                assert ps[k] == ref.p
+
+    def test_streamed_blocks_match_per_point_path(self):
+        pipe = pipeline("f1", "jittered", 32)
+        block = _block_points(2 * pipe.m + 1)
+        xs = np.linspace(0.0, 1.0, 2 * block + block // 3)
+        assert xs.size % block != 0
+        values, imag = fh.filter_reconstruct(pipe.recon, xs)
+        for k in (0, block - 1, block, 2 * block - 1, 2 * block, xs.size - 1):
+            v, r = fh.filter_reconstruct_point(pipe.recon, float(xs[k]))
+            assert abs(values[k] - v) <= 1e-12
+            assert abs(imag[k] - r) <= 1e-12
+        split = block + 7
+        head, head_imag = fh.filter_reconstruct(pipe.recon, xs[:split])
+        tail, tail_imag = fh.filter_reconstruct(pipe.recon, xs[split:])
+        np.testing.assert_allclose(np.concatenate([head, tail]), values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            np.concatenate([head_imag, tail_imag]), imag, rtol=0, atol=1e-12
+        )
+
+    def test_memory_independent_of_point_count(self):
+        # one complex (points x 2m+1) matrix alone would take 128 MiB here
+        pipe = pipeline("f2", "uniform", 128)
+        xs = (np.arange(32768) + 0.5) / 32768
+        tracemalloc.start()
+        try:
+            fh.filter_reconstruct(pipe.recon, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_f1_midpoint_error_pinned(self):
         pipe = pipeline("f1", "jittered", 128)

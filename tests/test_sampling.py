@@ -184,6 +184,22 @@ def test_samples_from_csv_rejects_bad_header(tmp_path):
         samples_from_csv(bad)
 
 
+@pytest.mark.parametrize("contents", ["", "j,lambda,re,im\n"])
+def test_samples_from_csv_rejects_empty_table(tmp_path, contents):
+    path = tmp_path / "empty.csv"
+    path.write_text(contents)
+    with pytest.raises(ValueError, match="empty.csv"):
+        samples_from_csv(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_samples_rejected(bad):
+    values = np.ones(5, dtype=complex)
+    values[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        FourierSamples(freqs=uniform_frequencies(2), values=values)
+
+
 def test_sample_length_validation():
     freqs = uniform_frequencies(2)
     with pytest.raises(ValueError):
