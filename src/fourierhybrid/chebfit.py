@@ -8,10 +8,8 @@ the fit interval, which is the whole point.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -22,8 +20,6 @@ __all__ = [
     "extrapolation_params_practical",
     "extrapolation_params_theoretical",
     "extrapolation_error_bound",
-    "fit_to_csv",
-    "fit_from_csv",
 ]
 
 
@@ -121,35 +117,3 @@ def extrapolation_error_bound(rho: float, Q: float, eps: float, x: float, C: flo
     r = (x + math.sqrt(x * x - 1.0)) / rho
     alpha = -math.log(r) / math.log(rho)
     return C * Q ** (1.0 - alpha) * eps**alpha / (1.0 - r)
-
-
-def fit_to_csv(fit: ChebyshevFit, path, n_samples: int | None = None) -> None:
-    """Serialize as (k, a_k) rows with a domain/degree header comment."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write(
-            f"# a={fit.a:.17e} b={fit.b:.17e} M={fit.degree} "
-            f"N={n_samples if n_samples is not None else ''} "
-            f"residual_norm={fit.residual_norm:.17e}\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow(["k", "a_k"])
-        for k, ck in enumerate(fit.coefficients):
-            writer.writerow([k, f"{ck:.17e}"])
-
-
-def fit_from_csv(path) -> ChebyshevFit:
-    with Path(path).open(newline="") as fh:
-        header = fh.readline()
-        meta = dict(
-            item.split("=", 1) for item in header.lstrip("# ").split() if "=" in item
-        )
-        reader = csv.reader(fh)
-        next(reader)  # column names
-        coeffs = [float(row[1]) for row in reader]
-    return ChebyshevFit(
-        degree=len(coeffs) - 1,
-        coefficients=np.array(coeffs),
-        a=float(meta["a"]),
-        b=float(meta["b"]),
-        residual_norm=float(meta["residual_norm"]),
-    )

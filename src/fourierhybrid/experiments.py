@@ -74,8 +74,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.m_list:
             raise ValueError("m_list must be non-empty")
-        if list(self.m_list) != sorted(self.m_list):
-            raise ValueError("m_list must be ascending")
+        if any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
+            raise ValueError("m_list must be strictly ascending (no repeated m)")
         if self.grid_size < 64:
             raise ValueError("grid_size must be at least 64")
         unknown = set(self.formats) - {"csv", "svg"}
@@ -177,10 +177,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         recon = FilterReconstruction(
             operator=operator, samples=samples, filter_cfg=filter_cfg, jumps=jumps
         )
-        hybrid_cfg = HybridConfig(
-            delta=cfg.delta, filter_cfg=filter_cfg, n=n, svd_tol=cfg.svd_tol
-        )
-        hyb = hybrid_reconstruct(samples, jumps, hybrid_cfg, grid, filter_recon=recon)
+        hyb = hybrid_reconstruct(recon, HybridConfig(delta=cfg.delta), grid)
 
         err_filter = ground_truth_error(grid, hyb.filter_values, f, jumps, cfg.delta)
         err_hybrid = ground_truth_error(grid, hyb.values, f, jumps, cfg.delta)

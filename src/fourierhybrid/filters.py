@@ -6,6 +6,13 @@ frequency lambda are sigma_{p,gamma}(lambda / m).  The per-point
 parameters (gamma_x, p_x) grow with the distance d(x) to the nearest
 jump: gamma_x = sqrt(alpha d m), p_x = floor(kappa d m).
 
+The response is the regularized upper incomplete gamma function
+Q(p + 1, z) (DLMF 8.4.10), and one kernel, _sigma, evaluates it for every
+caller.  For z <= 700 it sums the series directly: every partial sum is at
+most e^z < 1e305 and e^-z is a normal float, so the sum is exact to
+roundoff and cheap.  Above 700, where z^l / l! overflows while e^-z
+underflows, it switches to scipy.special.gammaincc.
+
 The physical-space kernel and its periodization are diagnostics only;
 tail-bound evaluators for the projection error are provided with all
 constants caller-supplied.
@@ -18,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .piecewise import distance_to_set
 from .sampling import FrequencySet
@@ -103,41 +111,40 @@ def hdaf_kernel(p: int, gamma: float, x: float) -> float:
     return math.exp(-(t**2)) * total / gamma
 
 
-def _sigma_from_z(p: int, z: float) -> float:
-    if z == 0.0:
-        return 1.0
-    if z > _LOG_SPACE_Z:
-        # log-sum-exp over l*log z - log l!, then subtract z
-        logs = [l * math.log(z) - math.lgamma(l + 1) for l in range(p + 1)]
-        top = max(logs)
-        s = sum(math.exp(lg - top) for lg in logs)
-        return math.exp(top + math.log(s) - z)
-    term = 1.0
-    acc = 1.0
-    for l in range(1, p + 1):
-        term *= z / l
-        acc += term
-    return math.exp(-z) * acc
+def _sigma(p, z) -> np.ndarray:
+    """exp(-z) sum_{l<=p} z^l / l! = Q(p + 1, z); p broadcasts against z.
+
+    z carries the result's shape.  Entries with z <= _LOG_SPACE_Z use the
+    direct series; the others are zeroed before it, so it cannot overflow,
+    and then taken from gammaincc.
+    """
+    p = np.asarray(p, dtype=int)
+    z = np.asarray(z, dtype=float)
+    far = None
+    if np.max(z, initial=0.0) > _LOG_SPACE_Z:
+        far = z > _LOG_SPACE_Z
+        far_sigma = gammaincc(np.broadcast_to(p, z.shape)[far] + 1, z[far])
+        z = np.where(far, 0.0, z)
+    term = np.ones_like(z)
+    acc = np.ones_like(z)
+    for l in range(1, int(p.max(initial=0)) + 1):
+        term = term * z / l
+        acc = acc + np.where(p >= l, term, 0.0)
+    # out= keeps sigma a writable array for 0-d z too (filter_sigma)
+    sigma = np.exp(-z, out=np.empty(z.shape))
+    sigma *= acc
+    if far is not None:
+        sigma[far] = far_sigma
+    return sigma
 
 
 def filter_sigma(p: int, gamma: float, w: float) -> float:
-    """sigma_{p,gamma}(w) in (0,1]; gamma = 0 gives the identity filter."""
+    """sigma_{p,gamma}(w) in [0,1] up to roundoff; gamma = 0 gives the identity filter."""
     if p < 0:
         raise ValueError("p must be non-negative")
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
-    z = 0.5 * (w * gamma) ** 2
-    return _sigma_from_z(p, z)
-
-
-def _sigma_array(p: int, z: np.ndarray) -> np.ndarray:
-    """Vectorized truncated-exponential sum exp(-z) sum_{l<=p} z^l/l!."""
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    for l in range(1, p + 1):
-        term = term * z / l
-        acc = acc + term
-    return np.exp(-z) * acc
+    return float(_sigma(p, 0.5 * (w * gamma) ** 2))
 
 
 def sigma_weight_matrix(
@@ -146,14 +153,7 @@ def sigma_weight_matrix(
     """Weights sigma_{p_i, gamma_i}(lambda_j / m) as an (npoints, nfreq) matrix."""
     p = np.asarray(p, dtype=int)
     gamma = np.asarray(gamma, dtype=float)
-    z = 0.5 * (lam[None, :] / m * gamma[:, None]) ** 2
-    p_max = int(p.max()) if p.size else 0
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    for l in range(1, p_max + 1):
-        term = term * z / l
-        acc = acc + np.where(p[:, None] >= l, term, 0.0)
-    return np.exp(-z) * acc
+    return _sigma(p[:, None], 0.5 * (lam[None, :] / m * gamma[:, None]) ** 2)
 
 
 def adaptive_params(x: float, m: int, cfg: FilterConfig, jumps) -> AdaptiveParams:
@@ -175,9 +175,8 @@ def adaptive_params(x: float, m: int, cfg: FilterConfig, jumps) -> AdaptiveParam
 
 
 def frequency_weights(freqs: FrequencySet, params: AdaptiveParams) -> np.ndarray:
-    """Per-frequency weights sigma_{p,gamma}(lambda_j / m), all in (0,1]."""
-    z = 0.5 * (freqs.frequencies / freqs.m * params.gamma) ** 2
-    return _sigma_array(params.p, z)
+    """Per-frequency weights sigma_{p,gamma}(lambda_j / m), in [0,1] up to roundoff."""
+    return _sigma(params.p, 0.5 * (freqs.frequencies / freqs.m * params.gamma) ** 2)
 
 
 def _tail_bound_log(n: int, m: int, p: int, gamma: float) -> float:

@@ -17,11 +17,9 @@ O(block x m) rather than O(points x m).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -39,8 +37,6 @@ __all__ = [
     "choose_n_theoretical",
     "filter_reconstruct",
     "filter_reconstruct_point",
-    "omega_to_csv",
-    "singular_values_to_csv",
 ]
 
 _SERIES_CUTOFF = 1e-9
@@ -286,22 +282,3 @@ def filter_reconstruct_point(recon: FilterReconstruction, x: float) -> tuple[flo
     modes = np.arange(-op.n, op.n + 1)
     total = np.sum(c * np.exp(2j * np.pi * modes * x))
     return float(total.real), float(abs(total.imag))
-
-
-def omega_to_csv(op: FrameOperator, path) -> None:
-    """Export Omega entries as (row, col, re, im) for conditioning studies."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "re", "im"])
-        for j in range(op.omega.shape[0]):
-            for l in range(op.omega.shape[1]):
-                v = op.omega[j, l]
-                writer.writerow([j - op.m, l - op.n, f"{v.real:.17e}", f"{v.imag:.17e}"])
-
-
-def singular_values_to_csv(op: FrameOperator, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "sigma_k"])
-        for k, s in enumerate(op.s):
-            writer.writerow([k, f"{s:.17e}"])

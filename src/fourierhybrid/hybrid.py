@@ -1,7 +1,10 @@
 """Hybrid reconstruction: filtered frame values away from jumps, Chebyshev
 extrapolation inside delta-buffer zones around them.
 
-Each subinterval [xi_l, xi_{l+1}] gets one Chebyshev fit on
+hybrid_reconstruct takes a FilterReconstruction, which already fixes the
+samples, the jump set, the mode count n, the SVD tolerance and the filter
+constants; HybridConfig holds only the extrapolation knobs.  Each
+subinterval [xi_l, xi_{l+1}] gets one Chebyshev fit on
 [xi_l + delta, xi_{l+1} - delta] that serves both of its buffer zones.
 Buffer zones are open: a grid point at distance exactly delta from its
 bounding jumps keeps the filter value.
@@ -10,14 +13,12 @@ bounding jumps keeps the filter value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chebfit import ChebyshevFit, chebyshev_fit, evaluate_fit, extrapolation_params_practical
-from .filters import FilterConfig
-from .frame import FilterReconstruction, assemble_omega, choose_n, filter_reconstruct
-from .sampling import FourierSamples
+from .frame import FilterReconstruction, filter_reconstruct
 
 __all__ = [
     "HybridConfig",
@@ -30,19 +31,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Knobs for the hybrid pipeline.
+    """Extrapolation knobs for the hybrid assembly.
 
-    ``n`` and ``degree`` default to the scheme rule and the practical rule
-    M = round(4 + m delta) respectively when left as None; the number of
-    fit samples is N + 1 with N = 4 M^2 unless overridden.
+    ``degree`` defaults to the practical rule M = round(4 + m delta) when
+    left as None; the number of fit samples is N + 1 with N = 4 M^2 unless
+    overridden.
     """
 
     delta: float = 1.0 / 40.0
-    filter_cfg: FilterConfig = field(default_factory=FilterConfig)
-    n: int | None = None
     degree: int | None = None
     fit_sample_count: int | None = None
-    svd_tol: float = 1e-12
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -69,19 +67,14 @@ class HybridReconstruction:
 
 
 def hybrid_reconstruct(
-    samples: FourierSamples,
-    jumps,
-    cfg: HybridConfig,
-    grid,
-    filter_recon: FilterReconstruction | None = None,
+    filter_recon: FilterReconstruction, cfg: HybridConfig, grid
 ) -> HybridReconstruction:
     """Assemble the hybrid reconstruction on the given grid.
 
-    ``jumps`` must be sorted and include 0 and 1; every subinterval must be
-    wider than 2 delta.  A prebuilt FilterReconstruction with matching
-    samples may be passed to reuse its operator.
+    The jump set of ``filter_recon`` must include 0 and 1, and every
+    subinterval must be wider than 2 delta.
     """
-    jumps = np.sort(np.asarray(jumps, dtype=float))
+    jumps = filter_recon.jumps
     if jumps.size < 2 or jumps[0] != 0.0 or jumps[-1] != 1.0:
         raise ValueError("jump set must include the endpoints 0 and 1")
     delta = cfg.delta
@@ -95,18 +88,10 @@ def hybrid_reconstruct(
         )
     grid = np.asarray(grid, dtype=float)
 
-    m = samples.freqs.m
-    if filter_recon is None:
-        n = cfg.n if cfg.n is not None else choose_n(samples.freqs.scheme, m)
-        operator = assemble_omega(samples.freqs, n, cfg.svd_tol)
-        filter_recon = FilterReconstruction(
-            operator=operator, samples=samples, filter_cfg=cfg.filter_cfg, jumps=jumps
-        )
-    n = filter_recon.operator.n
     if cfg.degree is not None:
         degree = cfg.degree
     else:
-        degree, _ = extrapolation_params_practical(m, delta)
+        degree, _ = extrapolation_params_practical(filter_recon.operator.m, delta)
     n_fit = cfg.fit_sample_count if cfg.fit_sample_count is not None else 4 * degree**2 + 1
 
     filter_values, imag_residual = filter_reconstruct(filter_recon, grid)
@@ -131,7 +116,7 @@ def hybrid_reconstruct(
         fits=tuple(fits),
         filter_values=filter_values,
         imag_residual=imag_residual,
-        n=n,
+        n=filter_recon.operator.n,
         degree=degree,
         fit_sample_count=n_fit,
     )

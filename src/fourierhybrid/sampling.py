@@ -219,7 +219,13 @@ def samples_from_csv(path, scheme: str = "custom") -> FourierSamples:
         if header[:4] != ["j", "lambda", "re", "im"]:
             raise ValueError(f"unexpected CSV header {header!r}")
         for row in reader:
-            rows.append((int(row[0]), float(row[1]), float(row[2]), float(row[3])))
+            try:
+                rows.append((int(row[0]), float(row[1]), float(row[2]), float(row[3])))
+            except (IndexError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected a (j, lambda, re, im) "
+                    f"row, got {row!r}"
+                ) from exc
     if not rows:
         raise ValueError(f"{path}: no sample rows after the header")
     rows.sort(key=lambda r: r[0])

@@ -46,10 +46,7 @@ def hybrid_run(function: str = "f1", scheme: str = "jittered", m: int = 128,
                seed: int = 42):
     """Hybrid reconstruction on the standard 1024-point grid, memoized."""
     pipe = pipeline(function, scheme, m, seed)
-    hyb = fh.hybrid_reconstruct(
-        pipe.samples, pipe.jumps, fh.HybridConfig(), GRID_1024,
-        filter_recon=pipe.recon,
-    )
+    hyb = fh.hybrid_reconstruct(pipe.recon, fh.HybridConfig(), GRID_1024)
     truth = fh.evaluate(pipe.f, GRID_1024)
     return SimpleNamespace(
         pipe=pipe,

@@ -11,7 +11,6 @@ from fourierhybrid import (
     extrapolation_params_practical,
     extrapolation_params_theoretical,
 )
-from fourierhybrid.chebfit import fit_from_csv, fit_to_csv
 
 
 class TestFit:
@@ -164,16 +163,3 @@ class TestErrorBound:
         near = extrapolation_error_bound(2.0, 1.0, 1e-4, 1.2499, 1.0)
         mid = extrapolation_error_bound(2.0, 1.0, 1e-4, 1.1, 1.0)
         assert near > 100 * mid
-
-
-def test_csv_round_trip(tmp_path):
-    xs = np.linspace(0.2, 0.8, 100)
-    fit = chebyshev_fit(xs, np.sin(xs), 6)
-    path = tmp_path / "fit.csv"
-    fit_to_csv(fit, path, n_samples=99)
-    back = fit_from_csv(path)
-    assert back.degree == fit.degree
-    assert back.a == pytest.approx(fit.a, abs=0)
-    assert back.b == pytest.approx(fit.b, abs=0)
-    np.testing.assert_array_equal(back.coefficients, fit.coefficients)
-    assert back.residual_norm == fit.residual_norm

@@ -41,6 +41,8 @@ class TestConfigValidation:
             small_config(m_list=()).validate()
         with pytest.raises(ValueError, match="ascending"):
             small_config(m_list=(256, 128)).validate()
+        with pytest.raises(ValueError, match="ascending"):
+            small_config(m_list=(128, 128)).validate()
 
     def test_grid_floor(self):
         with pytest.raises(ValueError, match="grid_size"):
@@ -178,6 +180,12 @@ class TestCli:
         ])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_repeated_m_exits_two(self, tmp_path, capsys):
+        code = main(["--m", "128,128", "--out", str(tmp_path)])
+        assert code == 2
+        assert "ascending" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_function_exits_two(self, tmp_path):
         assert main(["--function", "f9", "--out", str(tmp_path)]) == 2

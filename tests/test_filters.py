@@ -19,6 +19,7 @@ from fourierhybrid import (
     uniform_frequencies,
 )
 from fourierhybrid.filters import ALPHA_KAPPA_LIMIT, sigma_weight_matrix
+from fourierhybrid.oracles import sigma_reference
 
 
 def sigma_mpmath(p: int, gamma: float, w: float) -> float:
@@ -198,11 +199,21 @@ class TestFrequencyWeights:
         direct = np.array(
             [filter_sigma(params.p, params.gamma, lam / 32) for lam in freqs.frequencies]
         )
-        np.testing.assert_allclose(w, direct, rtol=1e-14)
+        np.testing.assert_array_equal(w, direct)
         sym = np.array(
             [filter_sigma(params.p, params.gamma, -lam / 32) for lam in freqs.frequencies]
         )
         np.testing.assert_array_equal(direct, sym)
+        # at m = 4096 the band edge has z > 700: scalar and vector paths
+        # still share one kernel there (every 128th frequency)
+        m = 4096
+        freqs = jittered_frequencies(m, seed=4)
+        params = adaptive_params(0.4, m, FilterConfig(), [0.0, 1.0])
+        lams = freqs.frequencies[::128]
+        w = frequency_weights(freqs, params)[::128]
+        assert np.all(w >= 0) and np.all(w <= 1 + 1e-12)
+        direct = np.array([filter_sigma(params.p, params.gamma, lam / m) for lam in lams])
+        np.testing.assert_array_equal(w, direct)
 
 
 def test_sigma_weight_matrix_matches_per_point_path():
@@ -213,6 +224,32 @@ def test_sigma_weight_matrix_matches_per_point_path():
     for i in range(len(ps)):
         row = frequency_weights(freqs, AdaptiveParams(gamma=gammas[i], p=ps[i], d=0.0))
         np.testing.assert_allclose(matrix[i], row, rtol=1e-14)
+
+
+@pytest.mark.parametrize("m, rtol", [(8192, 1e-12), (65536, 1e-11)])
+def test_large_m_weights_finite_and_match_reference(m, rtol):
+    # d = 0.5 puts z = (lambda/m)^2 gamma^2 / 2 up to m/4, far above 700,
+    # where the direct series overflows while exp(-z) underflows
+    d = 0.5
+    freqs = jittered_frequencies(m, seed=11)
+    params = adaptive_params(d, m, FilterConfig(), [0.0, 1.0])
+    assert params.p == m // 30
+    matrix = sigma_weight_matrix(
+        np.array([params.p]), np.array([params.gamma]), freqs.frequencies, m
+    )[0]
+    w = frequency_weights(freqs, params)
+    np.testing.assert_array_equal(matrix, w)
+    assert np.all(np.isfinite(w))
+    assert np.all(w >= 0) and np.all(w <= 1 + 1e-12)
+    stride = -(-len(freqs) // 200)
+    lams = freqs.frequencies[::stride]
+    ref = np.array([sigma_reference(params.p, params.gamma, lam / m) for lam in lams])
+    resolved = ref > 1e-280
+    assert resolved.sum() > 50
+    # at p = 2184 the series' log-terms reach ~4e4, so both the fsum oracle
+    # and gammaincc carry a few 1e-12 relative error in the far tail (each
+    # measured against mpmath); hence the wider tolerance at m = 65536
+    np.testing.assert_allclose(w[::stride][resolved], ref[resolved], rtol=rtol, atol=0)
 
 
 class TestTailBounds:

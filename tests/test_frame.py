@@ -280,21 +280,3 @@ class TestFilterReconstruct:
         pipe = pipeline("f1", "jittered", 32)
         with pytest.raises(ValueError):
             fh.filter_reconstruct(pipe.recon, np.array([-0.1, 0.5]))
-
-
-def test_csv_exports(tmp_path):
-    op = pipeline("f1", "jittered", 32, n=19).operator
-    from fourierhybrid.frame import omega_to_csv, singular_values_to_csv
-
-    omega_path = tmp_path / "omega.csv"
-    omega_to_csv(op, omega_path)
-    lines = omega_path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 1 + 65 * 39
-    sv_path = tmp_path / "sv.csv"
-    singular_values_to_csv(op, sv_path)
-    sv_lines = sv_path.read_text().strip().splitlines()
-    assert sv_lines[0] == "k,sigma_k"
-    assert len(sv_lines) == 1 + 39
-    values = [float(row.split(",")[1]) for row in sv_lines[1:]]
-    assert values == sorted(values, reverse=True)

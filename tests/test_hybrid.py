@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,20 +67,10 @@ class TestAssembly:
         for k in switches:
             assert abs(run.hyb.values[k + 1] - run.hyb.values[k]) < 0.05
 
-    def test_prebuilt_filter_reconstruction_matches_fresh(self):
-        pipe = pipeline("f1", "jittered", 32)
-        grid = np.linspace(0.0, 1.0, 129)
-        with_recon = fh.hybrid_reconstruct(
-            pipe.samples, pipe.jumps, fh.HybridConfig(), grid, filter_recon=pipe.recon
-        )
-        fresh = fh.hybrid_reconstruct(pipe.samples, pipe.jumps, fh.HybridConfig(), grid)
-        np.testing.assert_array_equal(with_recon.values, fresh.values)
-        assert fresh.n == pipe.n
-
     def test_config_overrides(self):
-        pipe = pipeline("f1", "jittered", 32)
-        cfg = fh.HybridConfig(n=10, degree=5, fit_sample_count=50)
-        hyb = fh.hybrid_reconstruct(pipe.samples, pipe.jumps, cfg, GRID_1024[:128])
+        pipe = pipeline("f1", "jittered", 32, n=10)
+        cfg = fh.HybridConfig(degree=5, fit_sample_count=50)
+        hyb = fh.hybrid_reconstruct(pipe.recon, cfg, GRID_1024[:128])
         assert hyb.n == 10
         assert hyb.degree == 5
         assert hyb.fit_sample_count == 50
@@ -90,17 +81,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             fh.HybridConfig(delta=0.0)
 
+    @staticmethod
+    def recon_with_jumps(jumps):
+        return replace(pipeline("f1", "jittered", 32).recon, jumps=jumps)
+
     def test_jumps_must_include_endpoints(self):
-        pipe = pipeline("f1", "jittered", 32)
+        recon = self.recon_with_jumps([0.5])
         with pytest.raises(ValueError, match="endpoints"):
-            fh.hybrid_reconstruct(pipe.samples, [0.5], fh.HybridConfig(), GRID_1024)
+            fh.hybrid_reconstruct(recon, fh.HybridConfig(), GRID_1024)
 
     def test_narrow_subinterval_named_in_error(self):
-        pipe = pipeline("f1", "jittered", 32)
+        recon = self.recon_with_jumps([0.0, 0.48, 0.5, 1.0])
         with pytest.raises(ValueError, match=r"\[0\.48, 0\.5\]"):
-            fh.hybrid_reconstruct(
-                pipe.samples, [0.0, 0.48, 0.5, 1.0], fh.HybridConfig(), GRID_1024
-            )
+            fh.hybrid_reconstruct(recon, fh.HybridConfig(), GRID_1024)
 
 
 class TestDeltaObjective:

@@ -192,6 +192,21 @@ def test_samples_from_csv_rejects_empty_table(tmp_path, contents):
         samples_from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "contents, line",
+    [
+        ("j,lambda,re,im\n0,0.0,1.0\n", 2),
+        ("j,lambda,re,im\n-1,-1.0,0.0,0.0\n\n0,0.0,1.0,0.0\n", 3),
+    ],
+    ids=["short-row", "blank-line"],
+)
+def test_samples_from_csv_rejects_short_or_blank_row(tmp_path, contents, line):
+    path = tmp_path / "short.csv"
+    path.write_text(contents)
+    with pytest.raises(ValueError, match=rf"short\.csv: line {line}:"):
+        samples_from_csv(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_non_finite_samples_rejected(bad):
     values = np.ones(5, dtype=complex)
