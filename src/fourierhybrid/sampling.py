@@ -2,7 +2,15 @@
 
 Samples hat f(lambda) = integral_0^1 f(x) exp(-2 pi i lambda x) dx are
 computed per piece by adaptive composite Gauss-Legendre quadrature, so
-arbitrary expression-defined pieces are supported uniformly.
+arbitrary expression-defined pieces are supported uniformly. The quadrature
+is batched over all frequencies of a set: for each piece, panel counts P run
+upward over powers of two; the piece is evaluated once on each P-panel grid,
+and every frequency still pending at P takes its value from that grid through
+the factorization exp(-2 pi i lambda (mid_k + h t_q)) = exp(-2 pi i lambda
+mid_k) exp(-2 pi i lambda h t_q), i.e. one (frequencies x P) @ (P x 16)
+product in blocks of bounded size. Each frequency still starts at its own
+panel count and stops by its own doubling rule, so the result is the
+per-frequency quadrature up to rounding.
 
 The jittered scheme uses numpy's default generator (PCG64): the output
 stream is fixed by the seed, so frequency sets are reproducible across
@@ -36,6 +44,8 @@ __all__ = [
 DEFAULT_TOL = 1e-13
 POINTS_PER_PANEL = 16
 MAX_PANELS = 2**14
+# bytes of the complex (frequencies x panels) phase matrix per block
+_BLOCK_BYTES = 1 << 20
 
 
 class QuadratureError(RuntimeError):
@@ -60,6 +70,12 @@ class FrequencySet:
         freqs = np.asarray(self.frequencies, dtype=float)
         if freqs.shape != (2 * self.m + 1,):
             raise ValueError(f"expected {2*self.m+1} frequencies, got {freqs.shape}")
+        bad = np.flatnonzero(~np.isfinite(freqs))
+        if bad.size:
+            raise ValueError(
+                f"frequencies must be finite: frequency index {bad[0] - self.m} "
+                f"has lambda={freqs[bad[0]]}"
+            )
         freqs.setflags(write=False)
         object.__setattr__(self, "frequencies", freqs)
 
@@ -130,68 +146,104 @@ def _gauss_legendre(npts: int):
     return nodes, weights
 
 
-@lru_cache(maxsize=None)
-def _panel_grid(a: float, b: float, panels: int, npts: int):
-    """Composite Gauss-Legendre nodes/weights for [a,b] split into panels."""
-    nodes, weights = _gauss_legendre(npts)
-    edges = np.linspace(a, b, panels + 1)
+def _start_panels(lams: np.ndarray, width: float) -> np.ndarray:
+    """Smallest power of two >= |lambda| width / 4, capped at MAX_PANELS.
+
+    Resolves the oscillation before the panel-doubling stop rule is trusted:
+    roughly 4 integrand cycles per 16-point panel to start.
+    """
+    quarter_cycles = np.abs(lams) * width / 4
+    panels = np.ones(lams.shape, dtype=np.int64)
+    while True:
+        grow = (panels < quarter_cycles) & (panels < MAX_PANELS)
+        if not grow.any():
+            return panels
+        panels[grow] *= 2
+
+
+def _panel_integrals(piece, lams: np.ndarray, panels: int) -> np.ndarray:
+    """P-panel Gauss-Legendre values of integral_a^b g(x) exp(-2 pi i lam x) dx.
+
+    With x = mid_k + h t_q the kernel factors into exp(-2 pi i lam mid_k)
+    exp(-2 pi i lam h t_q), so the piece is evaluated once on the (P, 16)
+    grid and each block of frequencies costs one (F, P) @ (P, 16) product and
+    a row-dot with the (F, 16) node phases. Blocks keep the (F, P) phase
+    matrix near _BLOCK_BYTES; no (F, 16 P) matrix is formed.
+    """
+    nodes, weights = _gauss_legendre(POINTS_PER_PANEL)
+    edges = np.linspace(piece.a, piece.b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return x, w
+    g = half[:, None] * weights * piece(mid[:, None] + half[:, None] * nodes)
+    h = 0.5 * (piece.b - piece.a) / panels
+    out = np.empty(lams.shape, dtype=complex)
+    block = max(1, _BLOCK_BYTES // (16 * panels))
+    for lo in range(0, lams.size, block):
+        rate = -2j * np.pi * lams[lo:lo + block, None]
+        out[lo:lo + block] = np.einsum(
+            "fq,fq->f", np.exp(rate * mid) @ g, np.exp(rate * (h * nodes))
+        )
+    return out
 
 
-def _start_panels(lam: float, width: float) -> int:
-    # resolve the oscillation before trusting the panel-doubling stop rule:
-    # roughly 4 integrand cycles per 16-point panel to start
-    cycles = abs(lam) * width
-    p = 1
-    while p < cycles / 4 and p < MAX_PANELS:
-        p *= 2
-    return p
+def _piece_fourier_integrals(piece, freqs: FrequencySet, tol: float) -> np.ndarray:
+    """integral_a^b g(x) exp(-2 pi i lam x) dx for every lam in the set.
 
-
-def _piece_fourier_integral(piece, lam: float, tol: float) -> complex:
-    """integral_a^b g(x) exp(-2 pi i lam x) dx by panel-doubled Gauss-Legendre."""
-    a, b = piece.a, piece.b
-    panels = _start_panels(lam, b - a)
-    prev = None
+    Each frequency keeps its own panel-doubling rule: it joins at its
+    starting panel count, stops at the first P with |Q(2P) - Q(P)| <= tol and
+    returns Q(2P). Panel counts run upward once per piece, so each P-panel
+    grid serves every frequency still pending at P.
+    """
+    lams = freqs.frequencies
+    start = _start_panels(lams, piece.b - piece.a)
+    values = np.empty(lams.shape, dtype=complex)
+    # NaN until a frequency's first pass, so that pass never meets the stop rule
+    prev = np.full(lams.shape, np.nan, dtype=complex)
+    change = np.full(lams.shape, np.nan)
+    pending = np.ones(lams.shape, dtype=bool)
+    panels = int(start.min())
     while panels <= MAX_PANELS:
-        x, w = _panel_grid(a, b, panels, POINTS_PER_PANEL)
-        value = np.dot(w * piece(x), np.exp(-2j * np.pi * lam * x))
-        if prev is not None and abs(value - prev) <= tol:
-            return value
-        prev = value
+        rows = np.flatnonzero(pending & (start <= panels))
+        if rows.size:
+            q = _panel_integrals(piece, lams[rows], panels)
+            change[rows] = np.abs(q - prev[rows])
+            done = change[rows] <= tol
+            values[rows[done]] = q[done]
+            pending[rows[done]] = False
+            prev[rows] = q
+        if not pending.any():
+            return values
         panels *= 2
+    k = int(np.flatnonzero(pending)[0])
     raise QuadratureError(
-        f"quadrature did not reach tol={tol} for lambda={lam} on "
-        f"[{a},{b}] within {MAX_PANELS} panels",
-        achieved=abs(value - prev) if prev is not None else None,
+        f"quadrature failed at frequency index {k - freqs.m} (lambda={lams[k]}): "
+        f"did not reach tol={tol} on [{piece.a},{piece.b}] within "
+        f"{MAX_PANELS} panels",
+        achieved=None if np.isnan(change[k]) else float(change[k]),
     )
 
 
 def fourier_sample(f: PiecewiseFunction, lam: float, tol: float = DEFAULT_TOL) -> complex:
-    """hat f(lam) = sum over pieces of the oscillatory piece integral."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return complex(sum(_piece_fourier_integral(p, float(lam), tol) for p in f.pieces))
+    """hat f(lam): fourier_samples on the one-frequency set {lam}."""
+    one = FrequencySet(m=0, frequencies=np.array([float(lam)]), scheme="custom")
+    return complex(fourier_samples(f, one, tol).values[0])
 
 
 def fourier_samples(
     f: PiecewiseFunction, freqs: FrequencySet, tol: float = DEFAULT_TOL
 ) -> FourierSamples:
-    """Vector of hat f(lambda_j); each frequency is computed independently."""
-    values = np.empty(len(freqs), dtype=complex)
-    for k, lam in enumerate(freqs.frequencies):
-        try:
-            values[k] = fourier_sample(f, lam, tol)
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"quadrature failed at frequency index {k - freqs.m} "
-                f"(lambda={lam}): {exc}",
-                achieved=exc.achieved,
-            ) from exc
+    """Vector of hat f(lambda_j), summed piece by piece over all frequencies.
+
+    Every frequency meets its own stop rule (see _piece_fourier_integrals);
+    only the panel grids and their piece evaluations are shared. A frequency
+    that needs more than MAX_PANELS panels raises QuadratureError naming its
+    index j and lambda (the lowest such j of the first piece that fails).
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    values = np.zeros(len(freqs), dtype=complex)
+    for piece in f.pieces:
+        values += _piece_fourier_integrals(piece, freqs, tol)
     return FourierSamples(freqs=freqs, values=values, quadrature_tolerance=tol)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fourierhybrid import (
     FrequencySet,
     QuadratureError,
     builtin_f1,
+    builtin_f2,
     fourier_sample,
     fourier_samples,
     jittered_frequencies,
@@ -116,6 +118,23 @@ def test_frequency_set_length_validation():
         FrequencySet(m=3, frequencies=np.zeros(5), scheme="uniform")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_frequencies_rejected(bad):
+    freqs = np.arange(-3.0, 4.0)
+    freqs[4] = bad
+    with pytest.raises(ValueError, match=r"finite: frequency index 1 has lambda=-?(nan|inf)"):
+        FrequencySet(m=3, frequencies=freqs, scheme="custom")
+    with pytest.raises(ValueError, match="finite"):
+        fourier_sample(builtin_f1(), bad)
+
+
+def test_samples_from_csv_rejects_nan_frequency(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("j,lambda,re,im\n-1,-1.0,0.0,0.0\n0,nan,1.0,0.0\n1,1.0,0.0,0.0\n")
+    with pytest.raises(ValueError, match="frequency index 0 has lambda=nan"):
+        samples_from_csv(path)
+
+
 def test_fourier_sample_orthonormality():
     assert mode_sample(3, 3.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -134,6 +153,44 @@ def test_quadrature_matches_closed_form_over_random_pairs():
         lam = float(rng.uniform(-2 * m, 2 * m))
         got = mode_sample(k, lam)
         assert abs(got - closed_form_mode_integral(k, lam)) <= 1e-12
+
+
+def f1_closed_form(lam: np.ndarray) -> np.ndarray:
+    """hat f1(lam) from the sine pieces: e^{2 pi i delta x} over [a, b] in sinc form."""
+    def segment(delta, a, b):
+        return np.exp(1j * np.pi * delta * (a + b)) * (b - a) * np.sinc(delta * (b - a))
+
+    return sum(
+        (segment(k - lam, a, b) - segment(-k - lam, a, b)) / 2j
+        for k, a, b in ((2, 0.0, 0.5), (1, 0.5, 1.0))
+    )
+
+
+@pytest.mark.parametrize(
+    "freqs",
+    [jittered_frequencies(512, seed=42), log_frequencies(512)],
+    ids=["jittered", "log"],
+)
+def test_samples_match_closed_form_at_m512(freqs):
+    samples = fourier_samples(builtin_f1(), freqs)
+    assert np.max(np.abs(samples.values - f1_closed_form(freqs.frequencies))) <= 1e-12
+
+
+def test_start_panels_match_scalar_doubling_rule(monkeypatch):
+    def reference(lam, width):
+        p = 1
+        while p < abs(lam) * width / 4 and p < sampling.MAX_PANELS:
+            p *= 2
+        return p
+
+    monkeypatch.setattr(sampling, "MAX_PANELS", 64)
+    # at width 0.5 these put the quarter-cycle count at, and one ulp either
+    # side of, each power of two up to past the cap
+    powers = 8.0 * 2.0 ** np.arange(8)
+    lams = np.concatenate([powers, np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf), [0.0, -3.0, 1e9]])
+    got = sampling._start_panels(lams, 0.5)
+    assert got.tolist() == [reference(lam, 0.5) for lam in lams]
 
 
 def test_samples_conjugate_symmetric_for_log_scheme():
@@ -163,6 +220,27 @@ def test_frozen_fixture_f1_jittered_m32():
     )
     recomputed = fourier_samples(builtin_f1(), freqs)
     assert np.max(np.abs(recomputed.values - fixture.values)) <= 1e-13
+
+
+def test_frozen_fixture_f2_log_m512():
+    fixture = samples_from_csv(DATA_DIR / "f2_log_m512.csv")
+    freqs = log_frequencies(512)
+    np.testing.assert_array_equal(fixture.freqs.frequencies, freqs.frequencies)
+    recomputed = fourier_samples(builtin_f2(), freqs)
+    assert np.max(np.abs(recomputed.values - fixture.values)) <= 1e-13
+
+
+def test_batched_quadrature_memory_is_bounded():
+    freqs = jittered_frequencies(512, seed=42)
+    fourier_samples(builtin_f2(), freqs)  # warm the Gauss-Legendre cache
+    tracemalloc.start()
+    try:
+        fourier_samples(builtin_f2(), freqs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a complex (frequencies x 16 P) phase matrix would be about 33 MB here
+    assert peak < 16 * 2**20
 
 
 def test_csv_round_trip_preserves_doubles():
@@ -230,3 +308,18 @@ def test_quadrature_failure_raises_with_context(monkeypatch):
     monkeypatch.setattr(sampling, "MAX_PANELS", 2)
     with pytest.raises(QuadratureError, match="frequency index"):
         fourier_samples(builtin_f1(), uniform_frequencies(40), tol=1e-16)
+
+
+def test_quadrature_failure_inside_batch_names_frequency(monkeypatch):
+    monkeypatch.setattr(sampling, "MAX_PANELS", 8)
+    freqs = FrequencySet(
+        m=2, frequencies=np.array([-3.5, 0.5, 30.3, 2.5, -1.5]), scheme="custom"
+    )
+    with pytest.raises(QuadratureError, match=r"frequency index 0 \(lambda=30\.3\)") as info:
+        fourier_samples(builtin_f1(), freqs)
+    assert info.value.achieved > sampling.DEFAULT_TOL
+    # the same batch without the fast frequency converges under the same cap
+    easy = FrequencySet(
+        m=2, frequencies=np.array([-3.5, 0.5, 0.0, 2.5, -1.5]), scheme="custom"
+    )
+    assert np.all(np.isfinite(fourier_samples(builtin_f1(), easy).values))
