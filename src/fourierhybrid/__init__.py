@@ -8,32 +8,25 @@ from .chebfit import (
     ChebyshevFit,
     chebyshev_fit,
     evaluate_fit,
-    extrapolation_error_bound,
     extrapolation_params_practical,
     extrapolation_params_theoretical,
 )
 from .filters import (
     AdaptiveParams,
     FilterConfig,
+    adaptive_param_arrays,
     adaptive_params,
     filter_sigma,
     frequency_weights,
-    hdaf_kernel,
-    hermite_polynomial,
-    mollifier_periodized,
     tail_bound_l2,
-    tail_bound_linf,
 )
 from .frame import (
     FilterReconstruction,
     FrameOperator,
-    admissibility_constant,
     assemble_omega,
     choose_n,
-    choose_n_theoretical,
     filter_reconstruct,
     filter_reconstruct_point,
-    inner_product_exp,
 )
 from .hybrid import (
     HybridConfig,
@@ -48,7 +41,6 @@ from .piecewise import (
     builtin_f1,
     builtin_f2,
     builtin_function,
-    distance_to_jump,
     distance_to_set,
     evaluate,
     jump_set,

@@ -19,7 +19,6 @@ __all__ = [
     "evaluate_fit",
     "extrapolation_params_practical",
     "extrapolation_params_theoretical",
-    "extrapolation_error_bound",
 ]
 
 
@@ -103,17 +102,3 @@ def extrapolation_params_theoretical(Q: float, eps: float, rho: float) -> tuple[
     big_m = math.ceil(math.log(Q / eps) / math.log(rho))
     return big_m, 4 * big_m**2
 
-
-def extrapolation_error_bound(rho: float, Q: float, eps: float, x: float, C: float) -> float:
-    """Extrapolation error bound C Q^(1-a(x)) eps^a(x) / (1 - r(x)).
-
-    r(x) = (x + sqrt(x^2 - 1)) / rho and a(x) = -log r(x) / log rho; valid
-    for x in [1, (rho + 1/rho)/2).  The prefactor C is caller-supplied.
-    """
-    if rho <= 1.0:
-        raise ValueError("rho must exceed 1")
-    if x < 1.0 or x >= 0.5 * (rho + 1.0 / rho):
-        raise ValueError("x must lie in [1, (rho + 1/rho)/2)")
-    r = (x + math.sqrt(x * x - 1.0)) / rho
-    alpha = -math.log(r) / math.log(rho)
-    return C * Q ** (1.0 - alpha) * eps**alpha / (1.0 - r)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -78,14 +79,20 @@ class ExperimentConfig:
             raise ValueError("m_list must be strictly ascending (no repeated m)")
         if self.grid_size < 64:
             raise ValueError("grid_size must be at least 64")
+        for key in ("delta", "alpha", "kappa", "svd_tol"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+        if not 0.0 <= self.svd_tol < 1.0:
+            raise ValueError(f"svd_tol must lie in [0, 1), got {self.svd_tol!r}")
         unknown = set(self.formats) - {"csv", "svg"}
         if unknown:
             raise ValueError(f"unknown output formats {sorted(unknown)}")
         f = self.resolve_function()
-        widths = np.diff(jump_set(f, include_endpoints=True))
+        widths = np.diff(jump_set(f))
         if self.delta <= 0 or np.any(widths <= 2 * self.delta):
             k = int(np.argmin(widths))
-            breaks = jump_set(f, include_endpoints=True)
+            breaks = jump_set(f)
             raise ValueError(
                 f"delta = {self.delta} must lie in (0, half the narrowest "
                 f"subinterval); [{breaks[k]}, {breaks[k + 1]}] is too narrow"
@@ -158,7 +165,7 @@ def midpoint_grid(size: int) -> np.ndarray:
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     cfg.validate()
     f = cfg.resolve_function()
-    jumps = jump_set(f, include_endpoints=True)
+    jumps = jump_set(f)
     grid = midpoint_grid(cfg.grid_size)
     truth = evaluate(f, grid)
     filter_cfg = FilterConfig(alpha=cfg.alpha, kappa=cfg.kappa)
@@ -233,12 +240,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def convergence_table(report: RunReport, field_name: str = "sup_err_hybrid_global"):
-    """Rows (m, sup_err, ratio_to_previous); first ratio is empty."""
+def convergence_table(report: RunReport):
+    """Rows (m, sup_err_hybrid_global, ratio_to_previous); first ratio is empty."""
     rows = []
     prev = None
     for rec in report.records:
-        err = getattr(rec, field_name)
+        err = rec.sup_err_hybrid_global
         ratio = "" if prev is None or prev == 0 else err / prev
         rows.append((rec.m, err, ratio))
         prev = err
@@ -296,16 +303,18 @@ def _write_convergence_csv(path, cfg, report):
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
 _SVG_W, _SVG_H = 800, 500
 _MARGIN = 60
+# log-scale plots clip |y| below this
+_LOG_FLOOR = 1e-18
 
 
-def write_line_svg(path, x, series, title="", ylog=False, floor=1e-18):
+def write_line_svg(path, x, series, title="", ylog=False):
     """Write a line plot; log-scale transforms the data before writing."""
     x = np.asarray(x, dtype=float)
     prepared = []
     for name, y in series:
         y = np.asarray(y, dtype=float)
         if ylog:
-            y = np.log10(np.maximum(np.abs(y), floor))
+            y = np.log10(np.maximum(np.abs(y), _LOG_FLOOR))
         prepared.append((name, y))
     ymin = min(float(np.min(y)) for _, y in prepared)
     ymax = max(float(np.max(y)) for _, y in prepared)

@@ -23,18 +23,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import FilterConfig, adaptive_params, sigma_weight_matrix
-from .piecewise import distance_to_set
+from .filters import (
+    FilterConfig,
+    adaptive_param_arrays,
+    adaptive_params,
+    frequency_weights,
+    sigma_weight_matrix,
+)
 from .sampling import FourierSamples, FrequencySet
 
 __all__ = [
     "FrameOperator",
     "FilterReconstruction",
-    "inner_product_exp",
     "assemble_omega",
-    "admissibility_constant",
     "choose_n",
-    "choose_n_theoretical",
     "filter_reconstruct",
     "filter_reconstruct_point",
 ]
@@ -46,18 +48,12 @@ _SERIES_CUTOFF = 1e-9
 _BLOCK_BYTES = 1 << 20
 
 
-def inner_product_exp(lam: float, l: int) -> complex:
-    """<psi, phi_l> = integral_0^1 exp(2 pi i (lam - l) x) dx in closed form."""
-    delta = lam - l
-    if abs(delta) < _SERIES_CUTOFF:
-        # few-term series of (e^u - 1)/u, u = 2 pi i delta, to dodge cancellation
-        u = 2j * np.pi * delta
-        return complex(1.0 + u / 2.0 + u**2 / 6.0 + u**3 / 24.0)
-    theta = 2.0 * np.pi * delta
-    return complex(math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta)
-
-
 def _omega_matrix(lams: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """Omega[j, l] = integral_0^1 exp(2 pi i (lams_j - modes_l) x) dx in closed form.
+
+    Offsets below _SERIES_CUTOFF use a few-term series of (e^u - 1)/u,
+    u = 2 pi i (lams_j - modes_l), to dodge cancellation.
+    """
     theta = 2.0 * np.pi * (lams[:, None] - modes[None, :])
     small = np.abs(theta) < 2.0 * np.pi * _SERIES_CUTOFF
     theta_safe = np.where(small, 1.0, theta)
@@ -130,15 +126,6 @@ def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> Frame
     )
 
 
-def admissibility_constant(freqs: FrequencySet, n: int) -> float:
-    """Smallest c0 with |Omega(j,l)| <= c0 (1 + |j - l|)^(-1) on the section."""
-    modes = np.arange(-n, n + 1)
-    omega = _omega_matrix(freqs.frequencies, modes.astype(float))
-    j = freqs.indices
-    weight = 1.0 + np.abs(j[:, None] - modes[None, :])
-    return float(np.max(np.abs(omega) * weight))
-
-
 def choose_n(scheme: str, m: int) -> int:
     """Empirical mode-count rules: 0.6 m (jittered), 2 m^0.6 (log), m (uniform)."""
     if m < 2:
@@ -152,13 +139,6 @@ def choose_n(scheme: str, m: int) -> int:
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return max(1, n)
-
-
-def choose_n_theoretical(A: float, c0: float, m: int) -> int:
-    """n = A m / (A + 2 c0^2), floored, minimum 1."""
-    if A <= 0 or c0 <= 0:
-        raise ValueError("A and c0 must be positive")
-    return max(1, math.floor(A * m / (A + 2.0 * c0**2)))
 
 
 @dataclass(frozen=True)
@@ -213,22 +193,6 @@ def _folded_synthesis(op: FrameOperator, values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(folded.T)
 
 
-def _point_params(recon: FilterReconstruction, xs: np.ndarray):
-    """Arrays of (gamma, p) for each evaluation point.
-
-    Vectorized adaptive_params with the same expressions, so the results
-    are bitwise equal.  An empty jump set (d = inf) gives gamma = 0 and
-    p = p_floor, as does a point on a jump (d = 0).
-    """
-    cfg = recon.filter_cfg
-    m = recon.operator.m
-    d = distance_to_set(xs, recon.jumps)
-    d = np.where(np.isfinite(d), d, 0.0)
-    gammas = np.sqrt(cfg.alpha * d * m)
-    ps = np.maximum(cfg.p_floor, np.floor(cfg.kappa * d * m).astype(int))
-    return gammas, ps
-
-
 def _block_points(nfreq: int) -> int:
     """Evaluation points per block: one real (block x nfreq) array fills _BLOCK_BYTES."""
     return max(1, _BLOCK_BYTES // (8 * nfreq))
@@ -251,7 +215,7 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
         raise ValueError("grid must lie within [0,1]")
     op = recon.operator
     lam = recon.samples.freqs.frequencies
-    gammas, ps = _point_params(recon, xs)
+    gammas, ps, _ = adaptive_param_arrays(xs, op.m, recon.filter_cfg, recon.jumps)
     wavenumbers = 2.0 * np.pi * np.arange(op.n + 1)
     half = 2 * (op.n + 1)
     values = np.empty(xs.shape)
@@ -274,8 +238,6 @@ def filter_reconstruct_point(recon: FilterReconstruction, x: float) -> tuple[flo
     """Naive per-point path: one weight vector, one solve, one mode sum."""
     op = recon.operator
     params = adaptive_params(float(x), op.m, recon.filter_cfg, recon.jumps)
-    from .filters import frequency_weights
-
     w = frequency_weights(recon.samples.freqs, params)
     eta = w * recon.samples.values
     c = np.conj(op.pinv_apply(np.conj(eta)))

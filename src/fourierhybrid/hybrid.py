@@ -43,8 +43,8 @@ class HybridConfig:
     fit_sample_count: int | None = None
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not self.delta > 0:  # NaN fails too
+            raise ValueError(f"delta must be positive, got {self.delta!r}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .piecewise import PiecewiseFunction, distance_to_set, evaluate
 
@@ -36,6 +35,9 @@ def projection_coefficient(f: PiecewiseFunction, l: int) -> complex:
 
     Uses scipy's oscillatory-weight rules so large |l| stays accurate.
     """
+    # imported here: the pipeline uses only ground_truth_error from this module
+    from scipy.integrate import quad
+
     re = 0.0
     im = 0.0
     for piece in f.pieces:

@@ -21,7 +21,6 @@ __all__ = [
     "PiecewiseFunction",
     "evaluate",
     "jump_set",
-    "distance_to_jump",
     "distance_to_set",
     "builtin_f1",
     "builtin_f2",
@@ -105,23 +104,13 @@ def evaluate(f: PiecewiseFunction, x):
     return out
 
 
-def jump_set(f: PiecewiseFunction, include_endpoints: bool = True) -> np.ndarray:
-    """Sorted breakpoints; endpoints 0 and 1 are included by default.
+def jump_set(f: PiecewiseFunction) -> np.ndarray:
+    """Sorted breakpoints, the endpoints 0 and 1 included.
 
     The periodic extension of a compactly supported function is generally
-    discontinuous at the seam, so 0 and 1 count as jumps unless disabled
-    for diagnostics.
+    discontinuous at the seam, so 0 and 1 count as jumps.
     """
-    interior = f.breakpoints[1:-1]
-    if include_endpoints:
-        return np.concatenate(([0.0], interior, [1.0]))
-    return interior.copy()
-
-
-def distance_to_jump(f: PiecewiseFunction, x, include_endpoints: bool = True):
-    """Distance from x to the nearest jump; +inf if the jump set is empty."""
-    jumps = jump_set(f, include_endpoints)
-    return distance_to_set(x, jumps)
+    return np.concatenate(([0.0], f.breakpoints[1:-1], [1.0]))
 
 
 def distance_to_set(x, jumps) -> np.ndarray | float:

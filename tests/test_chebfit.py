@@ -7,7 +7,6 @@ from fourierhybrid import (
     ChebyshevFit,
     chebyshev_fit,
     evaluate_fit,
-    extrapolation_error_bound,
     extrapolation_params_practical,
     extrapolation_params_theoretical,
 )
@@ -133,33 +132,3 @@ class TestParameterRules:
         with pytest.raises(ValueError):
             extrapolation_params_theoretical(1.0, 1e-3, 1.0)
 
-
-class TestErrorBound:
-    def test_at_left_edge(self):
-        # x = 1: r = 1/rho, alpha = 1
-        for rho, eps, C in ((2.0, 1e-4, 1.0), (4.0, 1e-7, 3.0)):
-            expect = C * eps / (1.0 - 1.0 / rho)
-            assert extrapolation_error_bound(rho, 1.0, eps, 1.0, C) == pytest.approx(
-                expect, rel=1e-13
-            )
-
-    def test_interior_spot_value(self):
-        r = (1.1 + math.sqrt(1.1**2 - 1.0)) / 2.0
-        alpha = -math.log(r) / math.log(2.0)
-        expect = (1e-4) ** alpha / (1.0 - r)
-        got = extrapolation_error_bound(2.0, 1.0, 1e-4, 1.1, 1.0)
-        assert got == pytest.approx(expect, rel=1e-13)
-        assert got == pytest.approx(0.1637, rel=5e-3)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            extrapolation_error_bound(2.0, 1.0, 1e-4, 1.25, 1.0)  # x at (rho+1/rho)/2
-        with pytest.raises(ValueError):
-            extrapolation_error_bound(2.0, 1.0, 1e-4, 0.99, 1.0)
-        with pytest.raises(ValueError):
-            extrapolation_error_bound(1.0, 1.0, 1e-4, 1.0, 1.0)
-
-    def test_blows_up_near_right_edge(self):
-        near = extrapolation_error_bound(2.0, 1.0, 1e-4, 1.2499, 1.0)
-        mid = extrapolation_error_bound(2.0, 1.0, 1e-4, 1.1, 1.0)
-        assert near > 100 * mid

@@ -1,8 +1,14 @@
+import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fourierhybrid
 from fourierhybrid.experiments import (
     ExperimentConfig,
     RunRecord,
@@ -47,6 +53,18 @@ class TestConfigValidation:
     def test_grid_floor(self):
         with pytest.raises(ValueError, match="grid_size"):
             small_config(grid_size=32).validate()
+
+    @pytest.mark.parametrize("key", ["delta", "alpha", "kappa", "svd_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_names_key(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            small_config(**{key: value}).validate()
+
+    def test_svd_tol_range(self):
+        for tol in (-1e-12, 1.0, 2.0):
+            with pytest.raises(ValueError, match=r"svd_tol must lie in \[0, 1\)"):
+                small_config(svd_tol=tol).validate()
+        small_config(svd_tol=0.0).validate()
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="formats"):
@@ -164,6 +182,23 @@ def test_write_line_svg_log_scale(tmp_path):
     assert "log10|y|" in text
 
 
+def test_import_leaves_scipy_special_and_integrate_unloaded():
+    # scipy.special is needed only for filter weights with z > 700 and
+    # scipy.integrate only by the quadrature oracles; importing either at
+    # module level would add about 0.6 s and 40 MiB to every run
+    src = str(Path(fourierhybrid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import sys, fourierhybrid.experiments; "
+        "print(sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 class TestCli:
     def test_small_run_exits_zero(self, tmp_path, capsys):
         code = main([
@@ -175,11 +210,23 @@ class TestCli:
         assert "m=16" in out and "m=24" in out
 
     def test_configuration_error_exits_two(self, tmp_path, capsys):
-        code = main([
-            "--function", "f2", "--delta", "0.4", "--out", str(tmp_path),
-        ])
-        assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+        cases = [
+            (["--function", "f2", "--delta", "0.4"], "delta"),
+            # non-finite numbers are named, not passed on as NaN output
+            (["--alpha", "nan"], "alpha must be finite"),
+            (["--svd-tol", "nan"], "svd_tol must be finite"),
+            (["--kappa", "inf"], "kappa must be finite"),
+            (["--delta", "nan"], "delta must be finite"),
+        ]
+        for args, message in cases:
+            code = main([
+                "--function", "f1", "--m", "32", "--grid", "64",
+                "--out", str(tmp_path), *args,
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "configuration error" in err and message in err
+            assert not any(tmp_path.iterdir())
 
     def test_repeated_m_exits_two(self, tmp_path, capsys):
         code = main(["--m", "128,128", "--out", str(tmp_path)])

@@ -7,15 +7,12 @@ import pytest
 from fourierhybrid import (
     AdaptiveParams,
     FilterConfig,
+    adaptive_param_arrays,
     adaptive_params,
     filter_sigma,
     frequency_weights,
-    hdaf_kernel,
-    hermite_polynomial,
     jittered_frequencies,
-    mollifier_periodized,
     tail_bound_l2,
-    tail_bound_linf,
     uniform_frequencies,
 )
 from fourierhybrid.filters import ALPHA_KAPPA_LIMIT, sigma_weight_matrix
@@ -28,43 +25,6 @@ def sigma_mpmath(p: int, gamma: float, w: float) -> float:
         z = mpmath.mpf(w) ** 2 * mpmath.mpf(gamma) ** 2 / 2
         total = mpmath.fsum(z**l / mpmath.factorial(l) for l in range(p + 1))
         return float(mpmath.e**-z * total)
-
-
-class TestHermite:
-    def test_low_orders(self):
-        assert hermite_polynomial(0, 17.3) == 1.0
-        assert hermite_polynomial(2, 3.0) == 34.0
-        assert hermite_polynomial(4, 1.0) == -20.0
-
-    def test_matches_numpy_basis(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            order = int(rng.integers(0, 31))
-            t = float(rng.uniform(-3, 3))
-            expect = np.polynomial.hermite.hermval(t, np.eye(order + 1)[order])
-            assert hermite_polynomial(order, t) == pytest.approx(expect, rel=1e-10)
-
-    def test_order_guard(self):
-        with pytest.raises(ValueError):
-            hermite_polynomial(401, 0.0)
-        with pytest.raises(ValueError):
-            hermite_polynomial(-1, 0.0)
-
-
-class TestKernel:
-    def test_p0_is_scaled_gaussian(self):
-        for x, gamma in ((0.0, 1.0), (0.7, 2.0), (-1.3, 0.5)):
-            expect = math.exp(-(x**2) / (2 * gamma**2)) / gamma
-            assert hdaf_kernel(0, gamma, x) == pytest.approx(expect, rel=1e-14)
-
-    def test_center_values(self):
-        # H_2(0) = -2 and H_4(0) = 12 give 1 + 1/2 and 1 + 1/2 + 3/8
-        assert hdaf_kernel(1, 1.0, 0.0) == pytest.approx(1.5, rel=1e-14)
-        assert hdaf_kernel(2, 2.0, 0.0) == pytest.approx(15.0 / 16.0, rel=1e-14)
-
-    def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            hdaf_kernel(1, 0.0, 0.5)
 
 
 class TestSigma:
@@ -143,17 +103,38 @@ class TestAdaptiveParams:
         params = adaptive_params(0.5, 512, cfg, np.array([0.0, 1.0]))
         assert params.gamma == 16.0
         assert params.p == 17
+        # on a jump and with no jumps the rule degenerates to the identity filter
+        params = adaptive_params(0.5, 128, cfg, f1_jumps)
+        assert params == AdaptiveParams(gamma=0.0, p=0, d=0.0)
+        params = adaptive_params(0.25, 128, cfg, np.array([]))
+        assert params == AdaptiveParams(gamma=0.0, p=0, d=math.inf)
 
     def test_at_jump_degenerates(self):
-        params = adaptive_params(0.5, 256, FilterConfig(p_floor=1), [0.0, 0.5, 1.0])
+        params = adaptive_params(0.5, 256, FilterConfig(), [0.0, 0.5, 1.0])
         assert params.gamma == 0.0
-        assert params.p == 1
+        assert params.p == 0
         assert params.d == 0.0
 
     def test_empty_jump_set_is_no_filter_mode(self):
         params = adaptive_params(0.3, 128, FilterConfig(), np.array([]))
         assert params.gamma == 0.0
+        assert params.p == 0
         assert math.isinf(params.d)
+
+    def test_arrays_match_scalar_path(self):
+        # alpha != 1 and m = 48 (not a power of two) make every product
+        # round; the points include the jumps of f2 and a point next to one
+        cfg = FilterConfig(alpha=0.7, kappa=0.09)
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([
+            np.linspace(0.0, 1.0, 257), rng.uniform(0.0, 1.0, 500), [0.3, 0.7, 0.30000001],
+        ])
+        for jumps in (np.array([0.0, 0.3, 0.7, 1.0]), np.array([])):
+            gammas, ps, ds = adaptive_param_arrays(xs, 48, cfg, jumps)
+            assert ps.dtype.kind == "i"
+            for k, x in enumerate(xs):
+                ref = adaptive_params(float(x), 48, cfg, jumps)
+                assert (gammas[k], ps[k], ds[k]) == (ref.gamma, ref.p, ref.d)  # bitwise
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -166,8 +147,11 @@ class TestFilterConfig:
             FilterConfig(alpha=0.0)
         with pytest.raises(ValueError):
             FilterConfig(kappa=-1.0)
-        with pytest.raises(ValueError):
-            FilterConfig(p_floor=-1)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                FilterConfig(alpha=value)
+            with pytest.raises(ValueError, match="finite"):
+                FilterConfig(kappa=value)
 
     def test_warns_outside_accuracy_regime(self):
         with pytest.warns(UserWarning, match="exponential-accuracy"):
@@ -253,16 +237,11 @@ def test_large_m_weights_finite_and_match_reference(m, rtol):
 
 
 class TestTailBounds:
-    def test_linf_spot_value(self):
-        # z = 1 >= p = 1: bound = 2 * 10 * e^{-1} * 1
-        value = tail_bound_linf(10, 10, 1, math.sqrt(2.0), 1.0)
-        assert value == pytest.approx(20.0 / math.e, rel=1e-14)
-
     def test_p_zero_closed_form(self):
         n, m, gamma = 12, 10, 1.5
         z = (n * gamma) ** 2 / (2 * m**2)
-        assert tail_bound_linf(n, m, 0, gamma, 2.0) == pytest.approx(
-            4.0 * n * math.exp(-z), rel=1e-14
+        assert tail_bound_l2(n, m, 0, gamma, 2.0) == pytest.approx(
+            2.0 * math.sqrt(2 * n) * math.exp(-z), rel=1e-14
         )
 
     def test_l2_formula(self):
@@ -276,38 +255,7 @@ class TestTailBounds:
 
     def test_hypothesis_violation_raises(self):
         with pytest.raises(ValueError, match="hypothesis"):
-            tail_bound_linf(10, 100, 5, 1.0, 1.0)
+            tail_bound_l2(10, 100, 5, 1.0, 1.0)
         with pytest.raises(ValueError):
             tail_bound_l2(10, 10, 1, 0.0, 1.0)
 
-
-class TestMollifier:
-    def test_central_image_dominates(self):
-        # width gamma/m tiny versus the period: images negligible
-        value = mollifier_periodized(0, 2.0, 256, 0.0)
-        assert value == pytest.approx(0.5, rel=1e-12)
-
-    def test_periodicity(self):
-        for x in (0.0, 0.123, 0.77):
-            a = mollifier_periodized(2, 3.0, 64, x, period=1.0, j_truncation=40)
-            b = mollifier_periodized(2, 3.0, 64, x + 1.0, period=1.0, j_truncation=40)
-            assert a == pytest.approx(b, rel=1e-12)
-
-    def test_period_integral_against_quadrature(self):
-        from scipy.integrate import quad
-
-        p, gamma, m = 1, 2.0, 32
-        total, _ = quad(
-            lambda x: mollifier_periodized(p, gamma, m, x), 0.0, 1.0,
-            epsabs=1e-12, limit=200,
-        )
-        # integral over one period equals the full-line kernel integral
-        direct, _ = quad(
-            lambda u: hdaf_kernel(p, gamma, m * u), -0.5, 0.5,
-            epsabs=1e-12, limit=200,
-        )
-        assert total == pytest.approx(direct, abs=1e-10)
-
-    def test_period_validation(self):
-        with pytest.raises(ValueError):
-            mollifier_periodized(0, 1.0, 8, 0.0, period=0.0)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import fourierhybrid as fh
-from fourierhybrid.frame import _block_points, _omega_matrix, _point_params
+from fourierhybrid.frame import _block_points, _omega_matrix
 from helpers import GRID_1024, pipeline
 
 
@@ -18,23 +19,38 @@ def omega_entry_by_quadrature(lam: float, l: int) -> complex:
     return complex(re, im)
 
 
+def omega_entry(lam: float, l: float) -> complex:
+    return complex(_omega_matrix(np.array([lam]), np.array([l]))[0, 0])
+
+
 class TestInnerProduct:
     def test_diagonal_is_one(self):
-        assert fh.inner_product_exp(5.0, 5) == 1.0
+        assert omega_entry(5.0, 5.0) == 1.0
+        # uniform frequencies hit every mode exactly: Omega is [0; I; 0]
+        op = fh.assemble_omega(fh.uniform_frequencies(6), 4)
+        assert np.all(np.diag(op.omega[2:11]) == 1.0)
 
     def test_integer_offsets_vanish(self):
         for k in (1, -3, 17):
-            assert abs(fh.inner_product_exp(2.0 + k, 2)) < 1e-15
+            assert abs(omega_entry(2.0 + k, 2.0)) < 1e-15
+        op = fh.assemble_omega(fh.uniform_frequencies(6), 4)
+        off_diagonal = ~np.eye(13, 9, k=-2, dtype=bool)
+        assert np.max(np.abs(op.omega[off_diagonal])) < 1e-15
 
     def test_half_integer_offset(self):
-        value = fh.inner_product_exp(2.5, 2)
+        value = omega_entry(2.5, 2.0)
         assert value == pytest.approx(2j / math.pi, abs=1e-15)
         assert abs(value) == pytest.approx(2.0 / math.pi, abs=1e-15)
+        # the same entry inside an assembled Omega
+        freqs = fh.FrequencySet(
+            m=1, frequencies=np.array([-1.0, 0.5, 1.0]), scheme="uniform"
+        )
+        op = fh.assemble_omega(freqs, 1)
+        assert op.omega[1, 1] == pytest.approx(2j / math.pi, abs=1e-15)
 
     def test_series_branch_is_continuous(self):
-        # values just inside and outside the series cutoff agree smoothly
-        inside = fh.inner_product_exp(3.0 + 5e-10, 3)
-        outside = fh.inner_product_exp(3.0 + 2e-9, 3)
+        # values just inside and outside the series cutoff (1e-9) agree smoothly
+        inside, outside = _omega_matrix(np.array([3.0 + 5e-10, 3.0 + 2e-9]), np.array([3.0]))[:, 0]
         assert abs(inside - outside) < 1e-8
         assert inside == pytest.approx(1.0, abs=1e-8)
 
@@ -57,13 +73,15 @@ class TestInnerProduct:
         assert np.array_equal(_omega_matrix(freqs.frequencies, modes), expect)
 
     def test_matrix_matches_scalar_path(self):
+        # scalar closed form (e^{i theta} - 1) / (i theta), theta = 2 pi (lambda - l)
         rng = np.random.default_rng(8)
         lams = rng.uniform(-20, 20, 50)
         modes = np.arange(-10, 11)
         matrix = _omega_matrix(lams, modes.astype(float))
         for i in (0, 13, 29, 49):
             for j in (0, 7, 20):
-                expect = fh.inner_product_exp(float(lams[i]), int(modes[j]))
+                theta = 2.0 * math.pi * (float(lams[i]) - int(modes[j]))
+                expect = (cmath.exp(1j * theta) - 1.0) / (1j * theta)
                 assert matrix[i, j] == pytest.approx(expect, abs=1e-15)
 
 
@@ -112,13 +130,20 @@ class TestAssembleOmega:
 
 
 class TestAdmissibility:
+    @staticmethod
+    def decay_constant(freqs, n):
+        """Smallest c0 with |Omega(j,l)| <= c0 (1 + |j - l|)^(-1) on the section."""
+        omega = fh.assemble_omega(freqs, n).omega
+        offsets = freqs.indices[:, None] - np.arange(-n, n + 1)[None, :]
+        return float(np.max(np.abs(omega) * (1.0 + np.abs(offsets))))
+
     def test_uniform_constant_is_one(self):
-        assert fh.admissibility_constant(fh.uniform_frequencies(8), 5) == pytest.approx(
+        assert self.decay_constant(fh.uniform_frequencies(8), 5) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_jittered_pinned_value(self):
-        c0 = fh.admissibility_constant(fh.jittered_frequencies(32, 42), 19)
+        c0 = self.decay_constant(fh.jittered_frequencies(32, 42), 19)
         assert c0 == pytest.approx(0.9997572868409014, rel=1e-12)
         # sinc decay keeps the constant near 4/pi at worst
         assert c0 < 4.0 / math.pi
@@ -130,16 +155,11 @@ class TestChooseN:
         assert fh.choose_n("log", 256) == 55
         assert fh.choose_n("uniform", 256) == 256
 
-    def test_theoretical_rule(self):
-        assert fh.choose_n_theoretical(1.0, 1.0, 300) == 100
-
     def test_validation(self):
         with pytest.raises(ValueError):
             fh.choose_n("chebyshev", 64)
         with pytest.raises(ValueError):
             fh.choose_n("jittered", 1)
-        with pytest.raises(ValueError):
-            fh.choose_n_theoretical(0.0, 1.0, 64)
 
 
 class TestFilterReconstruct:
@@ -177,27 +197,6 @@ class TestFilterReconstruct:
             v, r = fh.filter_reconstruct_point(pipe.recon, float(x))
             assert abs(values[k] - v) <= 1e-12
             assert abs(imag[k] - r) <= 1e-12
-
-    @pytest.mark.parametrize("p_floor", [0, 3])
-    def test_point_params_match_adaptive_params(self, p_floor):
-        # alpha != 1 and m = 48 (not a power of two) make every product
-        # round, so a reordered expression would show
-        pipe = pipeline("f2", "jittered", 48)
-        rng = np.random.default_rng(3)
-        xs = np.concatenate([
-            np.linspace(0.0, 1.0, 257), rng.uniform(0.0, 1.0, 500), [0.3, 0.7, 0.30000001],
-        ])
-        for jumps in (pipe.jumps, np.array([])):
-            recon = fh.FilterReconstruction(
-                operator=pipe.operator, samples=pipe.samples,
-                filter_cfg=fh.FilterConfig(alpha=0.7, kappa=0.09, p_floor=p_floor),
-                jumps=jumps,
-            )
-            gammas, ps = _point_params(recon, xs)
-            for k, x in enumerate(xs):
-                ref = fh.adaptive_params(float(x), pipe.m, recon.filter_cfg, recon.jumps)
-                assert gammas[k] == ref.gamma  # bitwise, not approximately
-                assert ps[k] == ref.p
 
     def test_streamed_blocks_match_per_point_path(self):
         pipe = pipeline("f1", "jittered", 32)

@@ -78,14 +78,15 @@ class TestAssembly:
 
 class TestValidation:
     def test_delta_must_be_positive(self):
-        with pytest.raises(ValueError):
-            fh.HybridConfig(delta=0.0)
+        for delta in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="delta"):
+                fh.HybridConfig(delta=delta)
 
     @staticmethod
     def recon_with_jumps(jumps):
         return replace(pipeline("f1", "jittered", 32).recon, jumps=jumps)
 
-    def test_jumps_must_include_endpoints(self):
+    def test_jumps_must_contain_endpoints(self):
         recon = self.recon_with_jumps([0.5])
         with pytest.raises(ValueError, match="endpoints"):
             fh.hybrid_reconstruct(recon, fh.HybridConfig(), GRID_1024)

@@ -9,7 +9,6 @@ from fourierhybrid import (
     builtin_f1,
     builtin_f2,
     builtin_function,
-    distance_to_jump,
     evaluate,
     jump_set,
     parse_expression,
@@ -59,7 +58,6 @@ def test_evaluate_array_matches_scalars():
 
 def test_jump_set_f1():
     f1 = builtin_f1()
-    assert jump_set(f1, include_endpoints=False).tolist() == [0.5]
     assert jump_set(f1).tolist() == [0.0, 0.5, 1.0]
 
 
@@ -67,11 +65,11 @@ def test_jump_set_f2_uses_displayed_boundaries():
     assert jump_set(builtin_f2()).tolist() == [0.0, 0.3, 0.7, 1.0]
 
 
-def test_distance_to_jump_values():
-    f1 = builtin_f1()
-    assert distance_to_jump(f1, 0.25) == 0.25
-    assert distance_to_jump(f1, 0.5) == 0.0
-    assert distance_to_jump(builtin_f2(), 0.55) == pytest.approx(0.15)
+def test_distance_to_set_values():
+    f1_jumps = jump_set(builtin_f1())
+    assert distance_to_set(0.25, f1_jumps) == 0.25
+    assert distance_to_set(0.5, f1_jumps) == 0.0
+    assert distance_to_set(0.55, jump_set(builtin_f2())) == pytest.approx(0.15)
 
 
 def test_distance_to_empty_set_is_infinite():
@@ -83,8 +81,8 @@ def test_distance_is_one_lipschitz():
     rng = np.random.default_rng(7)
     xs = rng.uniform(0.0, 1.0, 200)
     ys = rng.uniform(0.0, 1.0, 200)
-    dx = distance_to_jump(f2, xs)
-    dy = distance_to_jump(f2, ys)
+    dx = distance_to_set(xs, jump_set(f2))
+    dy = distance_to_set(ys, jump_set(f2))
     assert np.all(np.abs(dx - dy) <= np.abs(xs - ys) + 1e-15)
 
 
