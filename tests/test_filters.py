@@ -7,7 +7,6 @@ import pytest
 from fourierhybrid import (
     AdaptiveParams,
     FilterConfig,
-    adaptive_param_arrays,
     adaptive_params,
     filter_sigma,
     frequency_weights,
@@ -120,21 +119,6 @@ class TestAdaptiveParams:
         assert params.gamma == 0.0
         assert params.p == 0
         assert math.isinf(params.d)
-
-    def test_arrays_match_scalar_path(self):
-        # alpha != 1 and m = 48 (not a power of two) make every product
-        # round; the points include the jumps of f2 and a point next to one
-        cfg = FilterConfig(alpha=0.7, kappa=0.09)
-        rng = np.random.default_rng(3)
-        xs = np.concatenate([
-            np.linspace(0.0, 1.0, 257), rng.uniform(0.0, 1.0, 500), [0.3, 0.7, 0.30000001],
-        ])
-        for jumps in (np.array([0.0, 0.3, 0.7, 1.0]), np.array([])):
-            gammas, ps, ds = adaptive_param_arrays(xs, 48, cfg, jumps)
-            assert ps.dtype.kind == "i"
-            for k, x in enumerate(xs):
-                ref = adaptive_params(float(x), 48, cfg, jumps)
-                assert (gammas[k], ps[k], ds[k]) == (ref.gamma, ref.p, ref.d)  # bitwise
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):

@@ -198,6 +198,28 @@ class TestFilterReconstruct:
             assert abs(values[k] - v) <= 1e-12
             assert abs(imag[k] - r) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_point_params_match_adaptive_params(self, seed):
+        # the streamed path takes (gamma, p) from adaptive_param_arrays, the
+        # per-point path from adaptive_params; alpha != 1 and m = 48 (not a
+        # power of two) make every product round, so a reordered expression
+        # would show.  The points include the jumps of f2 and a point next to one
+        pipe = pipeline("f2", "jittered", 48)
+        rng = np.random.default_rng(seed)
+        xs = np.concatenate([
+            np.linspace(0.0, 1.0, 257), rng.uniform(0.0, 1.0, 500), [0.3, 0.7, 0.30000001],
+        ])
+        for jumps in (pipe.jumps, np.array([])):
+            recon = fh.FilterReconstruction(
+                operator=pipe.operator, samples=pipe.samples,
+                filter_cfg=fh.FilterConfig(alpha=0.7, kappa=0.09), jumps=jumps,
+            )
+            gammas, ps, ds = fh.adaptive_param_arrays(xs, pipe.m, recon.filter_cfg, recon.jumps)
+            assert ps.dtype.kind == "i"
+            for k, x in enumerate(xs):
+                ref = fh.adaptive_params(float(x), pipe.m, recon.filter_cfg, recon.jumps)
+                assert (gammas[k], ps[k], ds[k]) == (ref.gamma, ref.p, ref.d)  # bitwise
+
     def test_streamed_blocks_match_per_point_path(self):
         pipe = pipeline("f1", "jittered", 32)
         block = _block_points(2 * pipe.m + 1)
