@@ -18,7 +18,7 @@ import hashlib
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -374,33 +374,22 @@ def _parse_pieces(text: str) -> tuple[tuple[float, float, str], ...]:
     return tuple(pieces)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line without '=': {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reconstruct",
         description="Reconstruct a piecewise-smooth function from "
         "non-uniform Fourier samples and write CSV/SVG reports.",
+        exit_on_error=False,
     )
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--function", help="f1, f2, or custom (with --pieces)")
     parser.add_argument(
-        "--pieces",
+        "--pieces", type=_parse_pieces,
         help="custom pieces as 'a:b:expr; a:b:expr' using sin/cos/exp, x, pi",
     )
     parser.add_argument("--scheme", choices=["jittered", "log", "uniform"])
-    parser.add_argument("--m", dest="m_list", help="comma-separated m values")
+    parser.add_argument("--m", dest="m_list", type=_parse_m_list,
+                        help="comma-separated m values")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--delta", type=float)
     parser.add_argument("--alpha", type=float)
@@ -409,66 +398,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid", dest="grid_size", type=int)
     parser.add_argument("--svd-tol", dest="svd_tol", type=float)
     parser.add_argument("--out", dest="output_dir")
-    parser.add_argument("--formats", help="subset of csv,svg (comma-separated)")
+    parser.add_argument("--formats", type=_parse_formats,
+                        help="subset of csv,svg (comma-separated)")
     return parser
 
 
-_CONFIG_PARSERS = {
-    "function": str,
-    "pieces": _parse_pieces,
-    "scheme": str,
-    "m_list": _parse_m_list,
-    "m": _parse_m_list,
-    "seed": int,
-    "delta": float,
-    "alpha": float,
-    "kappa": float,
-    "n_override": int,
-    "grid": int,
-    "grid_size": int,
-    "svd_tol": float,
-    "out": str,
-    "output_dir": str,
-    "formats": _parse_formats,
-}
-
-_CONFIG_ALIASES = {"m": "m_list", "grid": "grid_size", "out": "output_dir"}
+def _config_file_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """Turn each key=value line into --flag=value; a key is a flag or its field name."""
+    keys = {f.name for f in fields(ExperimentConfig)}
+    flags = {}
+    for action in parser._actions:
+        if action.dest in keys:
+            for name in (action.dest, *action.option_strings):
+                flags[name.lstrip("-").replace("-", "_")] = action.option_strings[0]
+    args = []
+    for raw in Path(path).read_text().splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line without '=': {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in flags:
+            raise ValueError(f"unknown config key {key!r}")
+        args.append(f"{flags[key]}={value.strip()}")
+    return args
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    settings: dict = {}
+    """ExperimentConfig from parsed flags, over the --config file's values if any."""
+    namespaces = [args]
     if args.config:
-        for key, raw in _read_config_file(args.config).items():
-            if key not in _CONFIG_PARSERS:
-                raise ValueError(f"unknown config key {key!r}")
-            settings[_CONFIG_ALIASES.get(key, key)] = _CONFIG_PARSERS[key](raw)
-    for key in (
-        "function", "scheme", "seed", "delta", "alpha", "kappa",
-        "n_override", "grid_size", "svd_tol", "output_dir",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    if args.m_list is not None:
-        settings["m_list"] = _parse_m_list(args.m_list)
-    if args.formats is not None:
-        settings["formats"] = _parse_formats(args.formats)
-    if args.pieces is not None:
-        settings["pieces"] = _parse_pieces(args.pieces)
+        parser = build_parser()
+        namespaces.insert(0, parser.parse_args(_config_file_flags(args.config, parser)))
+    settings = {
+        f.name: getattr(ns, f.name)
+        for ns in namespaces
+        for f in fields(ExperimentConfig)
+        if getattr(ns, f.name) is not None
+    }
     return ExperimentConfig(**settings)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        cfg.validate()
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run_experiment(cfg)
-    except ValueError as exc:
+        report = run_experiment(config_from_args(build_parser().parse_args(argv)))
+    except (argparse.ArgumentError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:

@@ -132,9 +132,19 @@ def adaptive_param_arrays(xs, m: int, cfg: FilterConfig, jumps):
     (d = +inf, reported as such) is the no-filter diagnostic mode: gamma = 0
     and p = 0, so all weights degenerate to 1.  d = 0 likewise yields
     identity weights; the hybrid never uses filter values at a jump.
+    A constant so large that gamma^2 overflows or p leaves the int64 range
+    raises ValueError naming it.
     """
     d = distance_to_set(xs, jumps)
     d_rule = np.where(np.isfinite(d), d, 0.0)
+    # Python floats overflow to inf silently, so this runs before numpy warns
+    d_max = float(np.max(d_rule, initial=0.0))
+    if not math.isfinite(cfg.alpha * d_max * m):
+        raise ValueError(f"alpha = {cfg.alpha!r} overflows gamma^2 = alpha*d*m at m = {m}")
+    if not cfg.kappa * d_max * m < 2.0**63:
+        raise ValueError(
+            f"kappa = {cfg.kappa!r} puts p = floor(kappa*d*m) outside int64 at m = {m}"
+        )
     gamma = np.sqrt(cfg.alpha * d_rule * m)
     p = np.floor(cfg.kappa * d_rule * m).astype(int)
     return gamma, p, d

@@ -41,27 +41,19 @@ __all__ = [
     "filter_reconstruct_point",
 ]
 
-_SERIES_CUTOFF = 1e-9
-
 # size of one real (points x 2m+1) array in the streamed evaluation; it sets
 # how many points filter_reconstruct handles per block
 _BLOCK_BYTES = 1 << 20
 
 
 def _omega_matrix(lams: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Omega[j, l] = integral_0^1 exp(2 pi i (lams_j - modes_l) x) dx in closed form.
+    """Omega[j, l] = integral_0^1 exp(2 pi i t x) dx = e^{i pi t} sinc(t), t = lams_j - modes_l.
 
-    Offsets below _SERIES_CUTOFF use a few-term series of (e^u - 1)/u,
-    u = 2 pi i (lams_j - modes_l), to dodge cancellation.
+    The sinc form has no cancellation at small t, unlike
+    (sin 2 pi t + i (1 - cos 2 pi t)) / (2 pi t).
     """
-    theta = 2.0 * np.pi * (lams[:, None] - modes[None, :])
-    small = np.abs(theta) < 2.0 * np.pi * _SERIES_CUTOFF
-    theta_safe = np.where(small, 1.0, theta)
-    omega = np.sin(theta_safe) / theta_safe + 1j * (1.0 - np.cos(theta_safe)) / theta_safe
-    if small.any():
-        u = 1j * theta[small]
-        omega[small] = 1.0 + u / 2.0 + u**2 / 6.0 + u**3 / 24.0
-    return omega
+    t = lams[:, None] - modes[None, :]
+    return np.exp(1j * np.pi * t) * np.sinc(t)
 
 
 @dataclass(frozen=True)
@@ -101,6 +93,8 @@ def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> Frame
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not 0.0 <= rel_tol < 1.0:  # NaN fails too
+        raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol!r}")
     if 2 * n + 1 > 2 * freqs.m + 1:
         warnings.warn(
             f"2n+1 = {2*n+1} exceeds the sample count {2*freqs.m+1}; the "
@@ -199,7 +193,7 @@ def _block_points(nfreq: int) -> int:
 
 
 def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the filtered reconstruction on a grid.
+    """Evaluate the filtered reconstruction on a 1-d grid xs.
 
     Returns (values, imag_residual): the real part of the mode sum and the
     magnitude of its imaginary part as a numerical-health diagnostic.
@@ -209,8 +203,6 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     invariant.
     """
     xs = np.asarray(xs, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("grid must lie within [0,1]")
     op = recon.operator
@@ -229,8 +221,6 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
         trig = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
         values[rows] = np.einsum("ij,ij->i", folded[:, :half], trig)
         imag_residual[rows] = np.abs(np.einsum("ij,ij->i", folded[:, half:], trig))
-    if scalar:
-        return float(values[0]), float(imag_residual[0])
     return values, imag_residual
 
 

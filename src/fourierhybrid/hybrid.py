@@ -138,9 +138,6 @@ def delta_objective(delta: float, xi: float, m: int, rho: float, eta: float, C: 
     return alpha_star * log_eps
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def optimize_delta(
     xi: float,
     m: int,
@@ -152,9 +149,12 @@ def optimize_delta(
 ) -> float:
     """Minimize the buffer-width objective over (delta_min, xi - delta_min).
 
-    Coarse grid scan followed by golden-section refinement; the analytic
-    constants eta and C must be supplied by the caller.
+    Coarse grid scan, then Brent's bounded method on the best grid cell;
+    the analytic constants eta and C must be supplied by the caller.
     """
+    # imported here so that importing the package does not load scipy.optimize
+    from scipy.optimize import minimize_scalar
+
     if not (0.0 < xi < 1.0):
         raise ValueError("xi must lie in (0,1)")
     if eta <= 0 or C <= 0:
@@ -167,20 +167,9 @@ def optimize_delta(
     if not np.any(np.isfinite(vals)):
         raise ValueError("objective undefined over the whole range (r* >= 1)")
     k = int(np.argmin(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-    # golden-section refinement of the bracketing cell
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = delta_objective(c, xi, m, rho, eta, C)
-    fd = delta_objective(d, xi, m, rho, eta, C)
-    while b - a > search_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = delta_objective(c, xi, m, rho, eta, C)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = delta_objective(d, xi, m, rho, eta, C)
-    return 0.5 * (a + b)
+    cell = (grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
+    result = minimize_scalar(
+        delta_objective, bounds=cell, args=(xi, m, rho, eta, C),
+        method="bounded", options={"xatol": search_tol},
+    )
+    return float(result.x)

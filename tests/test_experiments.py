@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from fourierhybrid.experiments import (
     ExperimentConfig,
     RunRecord,
     RunReport,
+    build_parser,
     convergence_table,
     main,
     midpoint_grid,
@@ -183,15 +185,17 @@ def test_write_line_svg_log_scale(tmp_path):
 
 
 def test_import_leaves_scipy_special_and_integrate_unloaded():
-    # scipy.special is needed only for filter weights with z > 700 and
-    # scipy.integrate only by the quadrature oracles; importing either at
-    # module level would add about 0.6 s and 40 MiB to every run
+    # scipy.special is needed only for filter weights with z > 700,
+    # scipy.integrate only by the quadrature oracles and scipy.optimize only
+    # by optimize_delta; importing them at module level would add about
+    # 0.6 s and 40 MiB to every run
     src = str(Path(fourierhybrid.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = (
         "import sys, fourierhybrid.experiments; "
-        "print(sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.special', 'scipy.integrate', 'scipy.optimize') "
+        "if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -217,6 +221,12 @@ class TestCli:
             (["--svd-tol", "nan"], "svd_tol must be finite"),
             (["--kappa", "inf"], "kappa must be finite"),
             (["--delta", "nan"], "delta must be finite"),
+            # constants whose filter parameters overflow; the alpha*kappa
+            # warning also prints both names, so match the error's start
+            (["--alpha", "1e308"], "configuration error: alpha = 1e+308"),
+            (["--kappa", "1e308"], "configuration error: kappa = 1e+308"),
+            # a value the flag's type rejects
+            (["--seed", "abc"], "--seed"),
         ]
         for args, message in cases:
             code = main([
@@ -246,6 +256,9 @@ class TestCli:
         ])
         assert code == 4
         assert "I/O failure" in capsys.readouterr().err
+        # an unreadable config file is an I/O failure, not a traceback
+        assert main(["--config", str(tmp_path / "missing.cfg")]) == 4
+        assert "I/O failure" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -258,10 +271,31 @@ class TestCli:
         assert (tmp_path / "cli_wins" / "summary.csv").exists()
         assert not (tmp_path / "from_file").exists()
 
-    def test_config_file_unknown_key(self, tmp_path):
+    def test_config_file_unknown_key(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("functions=f1\n")
+        for line in ("functions=f1", "func=f1"):
+            config.write_text(line + "\n")
+            assert main(["--config", str(config)]) == 2
+            assert "unknown config key" in capsys.readouterr().err
+
+    def test_config_file_keys_by_field_name(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"m_list=16\ngrid_size=64\noutput_dir={tmp_path / 'out'}\n"
+            "n-override=8\nformats=csv\n"
+        )
+        assert main(["--config", str(config)]) == 0
+        summary = (tmp_path / "out" / "summary.csv").read_text()
+        assert "# grid_size=64" in summary and "\n16,8," in summary
+        # a value the flag's type rejects is a configuration error here too
+        config.write_text("seed=abc\n")
         assert main(["--config", str(config)]) == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+    def test_every_config_field_has_a_flag(self):
+        # config files and flags share one schema: build_parser
+        dests = {action.dest for action in build_parser()._actions}
+        assert {f.name for f in fields(ExperimentConfig)} <= dests
 
     def test_custom_pieces_via_cli(self, tmp_path):
         code = main([

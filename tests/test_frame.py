@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -49,28 +50,19 @@ class TestInnerProduct:
         assert op.omega[1, 1] == pytest.approx(2j / math.pi, abs=1e-15)
 
     def test_series_branch_is_continuous(self):
-        # values just inside and outside the series cutoff (1e-9) agree smoothly
+        # offsets either side of 1e-9 agree smoothly and stay close to 1
         inside, outside = _omega_matrix(np.array([3.0 + 5e-10, 3.0 + 2e-9]), np.array([3.0]))[:, 0]
         assert abs(inside - outside) < 1e-8
         assert inside == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("freqs", [
-        fh.jittered_frequencies(64, seed=5),
-        fh.uniform_frequencies(48),
-        fh.log_frequencies(32),
-    ], ids=["jittered", "uniform", "log"])
-    def test_matrix_series_branch_bitwise(self, freqs):
-        # the series is evaluated only on the masked entries; the result must
-        # equal evaluating it everywhere and selecting with np.where
-        modes = np.arange(-40, 41, dtype=float)
-        theta = 2.0 * np.pi * (freqs.frequencies[:, None] - modes[None, :])
-        small = np.abs(theta) < 2.0 * np.pi * 1e-9
-        theta_safe = np.where(small, 1.0, theta)
-        exact = np.sin(theta_safe) / theta_safe + 1j * (1.0 - np.cos(theta_safe)) / theta_safe
-        u = 1j * theta
-        series = 1.0 + u / 2.0 + u**2 / 6.0 + u**3 / 24.0
-        expect = np.where(small, series, exact)
-        assert np.array_equal(_omega_matrix(freqs.frequencies, modes), expect)
+    def test_small_offsets_match_mpmath(self):
+        # the sin/cos form (sin 2 pi t + i (1 - cos 2 pi t)) / (2 pi t) cancels here
+        lams = 3.0 + np.array([2e-9, 1e-8, 1e-7, 1e-6])
+        values = _omega_matrix(lams, np.array([3.0]))[:, 0]
+        with mpmath.workdps(40):
+            for lam, value in zip(lams, values):
+                u = 2j * mpmath.pi * (mpmath.mpf(float(lam)) - 3)
+                assert abs(value - complex(mpmath.expm1(u) / u)) <= 1e-15
 
     def test_matrix_matches_scalar_path(self):
         # scalar closed form (e^{i theta} - 1) / (i theta), theta = 2 pi (lambda - l)
@@ -127,6 +119,14 @@ class TestAssembleOmega:
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError):
             fh.assemble_omega(fh.uniform_frequencies(4), 0)
+
+    def test_rel_tol_outside_unit_interval_rejected(self):
+        # these would drop every singular value: rank 0, an all-zero result
+        freqs = fh.jittered_frequencies(32, seed=1)
+        for tol in (math.nan, 1.0, 2.0, -1e-12):
+            with pytest.raises(ValueError, match=r"rel_tol must lie in \[0, 1\)"):
+                fh.assemble_omega(freqs, 19, tol)
+        assert fh.assemble_omega(freqs, 19, 0.0).effective_rank == 39
 
 
 class TestAdmissibility:
