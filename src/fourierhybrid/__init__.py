@@ -26,7 +26,6 @@ from .frame import (
     assemble_omega,
     choose_n,
     filter_reconstruct,
-    filter_reconstruct_point,
 )
 from .hybrid import (
     HybridConfig,

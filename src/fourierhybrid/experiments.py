@@ -170,7 +170,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     truth = evaluate(f, grid)
     filter_cfg = FilterConfig(alpha=cfg.alpha, kappa=cfg.kappa)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     records = []
     files = []
@@ -206,6 +205,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         )
         records.append(record)
 
+        # made only now, so an error that surfaces at the first m leaves no directory
+        out_dir.mkdir(parents=True, exist_ok=True)
         base = _base_name(cfg, m)
         if "csv" in cfg.formats:
             path = out_dir / f"{base}.csv"
@@ -356,7 +357,12 @@ def write_line_svg(path, x, series, title="", ylog=False):
 # CLI
 
 def _parse_m_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers such as 128,256, got {text!r}"
+        ) from None
 
 
 def _parse_formats(text: str) -> tuple[str, ...]:
@@ -369,8 +375,13 @@ def _parse_pieces(text: str) -> tuple[tuple[float, float, str], ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        a, b, expr = chunk.split(":", 2)
-        pieces.append((float(a), float(b), expr.strip()))
+        try:
+            a, b, expr = chunk.split(":", 2)
+            pieces.append((float(a), float(b), expr.strip()))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected 'a:b:expr' pieces separated by ';', got {chunk!r}"
+            ) from None
     return tuple(pieces)
 
 

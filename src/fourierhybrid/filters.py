@@ -44,6 +44,8 @@ __all__ = [
 ALPHA_KAPPA_LIMIT = 1.0 / (2.0 * math.log(1.0 + math.sqrt(2.0)))
 
 _LOG_SPACE_Z = 700.0
+# below half an ulp of 1, so adding it to a sum >= 1 rounds back
+_NEGLIGIBLE_TERM = 2.0**-54
 
 
 @dataclass(frozen=True)
@@ -83,12 +85,15 @@ def _sigma(p, z) -> np.ndarray:
 
     z carries the result's shape.  Entries with z <= _LOG_SPACE_Z use the
     direct series; the others are zeroed before it, so it cannot overflow,
-    and then taken from gammaincc.
+    and then taken from gammaincc.  Once l exceeds every z the terms only
+    shrink, and once all are below 2^-54 adding them to acc >= 1 cannot
+    change a bit, so the series stops there however large p is.
     """
     p = np.asarray(p, dtype=int)
     z = np.asarray(z, dtype=float)
+    z_max = float(np.max(z, initial=0.0))
     far = None
-    if np.max(z, initial=0.0) > _LOG_SPACE_Z:
+    if z_max > _LOG_SPACE_Z:
         from scipy.special import gammaincc
 
         far = z > _LOG_SPACE_Z
@@ -99,6 +104,8 @@ def _sigma(p, z) -> np.ndarray:
     for l in range(1, int(p.max(initial=0)) + 1):
         term = term * z / l
         acc = acc + np.where(p >= l, term, 0.0)
+        if l > z_max and np.max(term, initial=0.0) < _NEGLIGIBLE_TERM:
+            break
     # out= keeps sigma a writable array for 0-d z too (filter_sigma)
     sigma = np.exp(-z, out=np.empty(z.shape))
     sigma *= acc

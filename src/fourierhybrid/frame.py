@@ -9,8 +9,9 @@ sums the resulting 2n+1 Fourier modes.
 
 Because the filter weights are real and enter linearly, the pseudo-inverse
 is applied once per sample set: FilterReconstruction folds it with the
-samples into a real synthesis matrix at construction.  filter_reconstruct
-then streams the evaluation points through it in fixed-size blocks (filter
+samples into a real synthesis matrix at construction, and that is the only
+use of the SVD factors.  filter_reconstruct, the one evaluation path,
+streams the evaluation points through it in fixed-size blocks (filter
 weights, one real matrix product, a cosine/sine mode sum), so its memory is
 O(block x m) rather than O(points x m).
 """
@@ -26,8 +27,6 @@ import numpy as np
 from .filters import (
     FilterConfig,
     adaptive_param_arrays,
-    adaptive_params,
-    frequency_weights,
     sigma_weight_matrix,
 )
 from .sampling import FourierSamples, FrequencySet
@@ -38,7 +37,6 @@ __all__ = [
     "assemble_omega",
     "choose_n",
     "filter_reconstruct",
-    "filter_reconstruct_point",
 ]
 
 # size of one real (points x 2m+1) array in the streamed evaluation; it sets
@@ -69,19 +67,6 @@ class FrameOperator:
     vh: np.ndarray = field(repr=False)
     rel_tol: float
     effective_rank: int
-
-    def pinv_apply(self, eta: np.ndarray) -> np.ndarray:
-        """Apply the Moore-Penrose pseudo-inverse (truncated SVD) to eta.
-
-        eta has shape (2m+1,) or (2m+1, k); the result has 2n+1 rows.
-        """
-        r = self.effective_rank
-        proj = self.u[:, :r].conj().T @ eta
-        if proj.ndim > 1:
-            proj = proj / self.s[:r, None]
-        else:
-            proj = proj / self.s[:r]
-        return self.vh[:r].conj().T @ proj
 
 
 def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> FrameOperator:
@@ -199,8 +184,8 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     magnitude of its imaginary part as a numerical-health diagnostic.
     Points stream through recon.synthesis in blocks of _block_points; for
     each block the filter weights, one real matrix product and the folded
-    cosine/sine sum.  Equality with the per-point path is a tested
-    invariant.
+    cosine/sine sum.  The tests check it against
+    oracles.frame_filtered_sum, which shares none of this code.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
@@ -222,15 +207,3 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
         values[rows] = np.einsum("ij,ij->i", folded[:, :half], trig)
         imag_residual[rows] = np.abs(np.einsum("ij,ij->i", folded[:, half:], trig))
     return values, imag_residual
-
-
-def filter_reconstruct_point(recon: FilterReconstruction, x: float) -> tuple[float, float]:
-    """Naive per-point path: one weight vector, one solve, one mode sum."""
-    op = recon.operator
-    params = adaptive_params(float(x), op.m, recon.filter_cfg, recon.jumps)
-    w = frequency_weights(recon.samples.freqs, params)
-    eta = w * recon.samples.values
-    c = np.conj(op.pinv_apply(np.conj(eta)))
-    modes = np.arange(-op.n, op.n + 1)
-    total = np.sum(c * np.exp(2j * np.pi * modes * x))
-    return float(total.real), float(abs(total.imag))

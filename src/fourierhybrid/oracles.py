@@ -2,9 +2,10 @@
 
 Everything here uses code paths separate from the main pipeline: scipy's
 adaptive quadrature (with oscillatory weights) instead of the in-house
-Gauss-Legendre sampler, and fsum-based series instead of the vectorized
-filter evaluation.  These routines exist to falsify the pipeline, not to
-be fast.
+Gauss-Legendre sampler, fsum-based series instead of the vectorized
+filter evaluation, and numpy's least-squares solver with a direct mode sum
+instead of the frame's folded synthesis.  Of the package, only piecewise is
+imported.  These routines exist to falsify the pipeline, not to be fast.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "projection_coefficient",
     "projection_coefficients",
     "classical_filtered_sum",
+    "frame_filtered_sum",
     "mollified_tail_energy",
     "ground_truth_error",
     "ErrorSummary",
@@ -106,6 +108,29 @@ def classical_filtered_sum(
                                                 math.sin(2 * math.pi * l * x))
         terms.append(val.real)
     return math.fsum(terms)
+
+
+def frame_filtered_sum(
+    omega: np.ndarray, lams: np.ndarray, values: np.ndarray, m: int,
+    p: int, gamma: float, x: float, rel_tol: float = 1e-12,
+) -> complex:
+    """sum_{|l|<=n} c_l exp(2 pi i l x) of the filtered frame reconstruction.
+
+    The weights are w_j = sigma_{p,gamma}(lams_j / m) by sigma_reference,
+    the coefficients c the least-squares solution of conj(omega) c = w * values
+    by numpy's SVD-based lstsq (singular values below rel_tol times the
+    largest dropped), and the mode sum is taken term by term.  ``omega`` is
+    the (2m+1, 2n+1) cross-correlation matrix.  The real part is the
+    reconstructed value, the imaginary part its residual.
+    """
+    w = np.array([sigma_reference(p, gamma, lam / m) for lam in lams])
+    c = np.linalg.lstsq(np.conj(omega), w * values, rcond=rel_tol)[0]
+    n = (len(c) - 1) // 2
+    terms = [
+        c[n + l] * complex(math.cos(2 * math.pi * l * x), math.sin(2 * math.pi * l * x))
+        for l in range(-n, n + 1)
+    ]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def mollified_tail_energy(

@@ -225,13 +225,20 @@ class TestCli:
             # warning also prints both names, so match the error's start
             (["--alpha", "1e308"], "configuration error: alpha = 1e+308"),
             (["--kappa", "1e308"], "configuration error: kappa = 1e+308"),
-            # a value the flag's type rejects
+            # a value the flag's type rejects; the message names the format
             (["--seed", "abc"], "--seed"),
+            (["--m", "abc"], "argument --m: expected comma-separated integers"),
+            (["--pieces", "0:1"], "argument --pieces: expected 'a:b:expr' pieces"),
+            # these surface at the first m, not in validate(), and must still
+            # leave no output directory
+            (["--m", "1"], "m must be at least 2"),
+            (["--n-override", "0"], "n must be at least 1"),
+            (["--seed", "-1"], "non-negative"),
         ]
         for args, message in cases:
             code = main([
                 "--function", "f1", "--m", "32", "--grid", "64",
-                "--out", str(tmp_path), *args,
+                "--out", str(tmp_path / "out"), *args,
             ])
             assert code == 2
             err = capsys.readouterr().err

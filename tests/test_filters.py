@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import mpmath
 import numpy as np
@@ -14,7 +16,7 @@ from fourierhybrid import (
     tail_bound_l2,
     uniform_frequencies,
 )
-from fourierhybrid.filters import ALPHA_KAPPA_LIMIT, sigma_weight_matrix
+from fourierhybrid.filters import ALPHA_KAPPA_LIMIT, _sigma, sigma_weight_matrix
 from fourierhybrid.oracles import sigma_reference
 
 
@@ -24,6 +26,21 @@ def sigma_mpmath(p: int, gamma: float, w: float) -> float:
         z = mpmath.mpf(w) ** 2 * mpmath.mpf(gamma) ** 2 / 2
         total = mpmath.fsum(z**l / mpmath.factorial(l) for l in range(p + 1))
         return float(mpmath.e**-z * total)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSigma:
@@ -66,6 +83,19 @@ class TestSigma:
         # -exp(-z) z^p / p! is large enough to be representable
         zs = np.linspace(0.5 * p + 0.25, p + 15.0, 100)
         return np.sqrt(2.0 * zs) / gamma
+
+    def test_huge_p_stops_once_terms_cannot_change_a_bit(self):
+        # past l > max z the terms only shrink, and once all are below 2^-54
+        # the series stops: p = 10^12 gives the bits of p = 3000 at its cost.
+        # A full series would take 10^12 passes; the limit turns that into a
+        # failure after 5 s instead of a hang
+        z = np.array([0.0, 1e-3, 3.0, 50.0, 100.0, 650.0])
+        with time_limit(5.0):
+            sigma = _sigma(np.array([[10**12], [3000], [40]]), np.tile(z, (3, 1)))
+        np.testing.assert_array_equal(sigma[0], sigma[1])
+        np.testing.assert_allclose(sigma[0], 1.0, rtol=1e-13)
+        # a row with small p in the same block still ends at its own p
+        np.testing.assert_array_equal(sigma[2], _sigma(40, z))
 
     def test_strictly_decreasing_in_frequency(self):
         for p in range(20):

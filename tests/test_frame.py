@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import fourierhybrid as fh
 from fourierhybrid.frame import _block_points, _omega_matrix
+from fourierhybrid.oracles import frame_filtered_sum
 from helpers import GRID_1024, pipeline
 
 
@@ -22,6 +23,22 @@ def omega_entry_by_quadrature(lam: float, l: int) -> complex:
 
 def omega_entry(lam: float, l: float) -> complex:
     return complex(_omega_matrix(np.array([lam]), np.array([l]))[0, 0])
+
+
+def oracle_value(recon, x: float, p: int | None = None, gamma: float | None = None):
+    """(value, imaginary residual) of recon at x by the least-squares oracle.
+
+    p and gamma default to the adaptive rule's parameters at x.
+    """
+    op = recon.operator
+    if p is None:
+        params = fh.adaptive_params(x, op.m, recon.filter_cfg, recon.jumps)
+        p, gamma = params.p, params.gamma
+    total = frame_filtered_sum(
+        op.omega, recon.samples.freqs.frequencies, recon.samples.values, op.m,
+        p, gamma, x, op.rel_tol,
+    )
+    return total.real, abs(total.imag)
 
 
 class TestInnerProduct:
@@ -108,7 +125,9 @@ class TestAssembleOmega:
 
     def test_pseudo_inverse_consistency(self):
         op = pipeline("f1", "jittered", 32, n=19).operator
-        recon = op.omega @ op.pinv_apply(op.omega)
+        r = op.effective_rank
+        pinv = op.vh[:r].conj().T @ (op.u[:, :r].conj().T / op.s[:r, None])
+        recon = op.omega @ pinv @ op.omega
         defect = np.linalg.norm(recon - op.omega)
         assert defect <= 10 * op.rel_tol * op.s[0] * math.sqrt(op.effective_rank)
 
@@ -194,14 +213,14 @@ class TestFilterReconstruct:
         xs = np.array([0.1, 0.25, 0.499, 0.75, 0.9])
         values, imag = fh.filter_reconstruct(pipe.recon, xs)
         for k, x in enumerate(xs):
-            v, r = fh.filter_reconstruct_point(pipe.recon, float(x))
+            v, r = oracle_value(pipe.recon, float(x))
             assert abs(values[k] - v) <= 1e-12
             assert abs(imag[k] - r) <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_point_params_match_adaptive_params(self, seed):
         # the streamed path takes (gamma, p) from adaptive_param_arrays, the
-        # per-point path from adaptive_params; alpha != 1 and m = 48 (not a
+        # oracle checks take them from adaptive_params; alpha != 1 and m = 48 (not a
         # power of two) make every product round, so a reordered expression
         # would show.  The points include the jumps of f2 and a point next to one
         pipe = pipeline("f2", "jittered", 48)
@@ -227,7 +246,7 @@ class TestFilterReconstruct:
         assert xs.size % block != 0
         values, imag = fh.filter_reconstruct(pipe.recon, xs)
         for k in (0, block - 1, block, 2 * block - 1, 2 * block, xs.size - 1):
-            v, r = fh.filter_reconstruct_point(pipe.recon, float(xs[k]))
+            v, r = oracle_value(pipe.recon, float(xs[k]))
             assert abs(values[k] - v) <= 1e-12
             assert abs(imag[k] - r) <= 1e-12
         split = block + 7
@@ -252,8 +271,8 @@ class TestFilterReconstruct:
 
     def test_f1_midpoint_error_pinned(self):
         pipe = pipeline("f1", "jittered", 128)
-        value, _ = fh.filter_reconstruct_point(pipe.recon, 0.25)
-        err = abs(value - fh.evaluate(pipe.f, 0.25))
+        values, _ = fh.filter_reconstruct(pipe.recon, np.array([0.25]))
+        err = abs(values[0] - fh.evaluate(pipe.f, 0.25))
         assert err <= 1e-3
         assert err == pytest.approx(0.0005621037412140266, rel=1e-6)
 
@@ -265,12 +284,9 @@ class TestFilterReconstruct:
         )
         xs = np.linspace(0.05, 0.95, 7)
         a, _ = fh.filter_reconstruct(no_jump, xs)
-        # per-point solve with explicit identity weights
+        # the oracle with explicit identity weights
         for k, x in enumerate(xs):
-            eta = pipe.samples.values.copy()
-            c = np.conj(pipe.operator.pinv_apply(np.conj(eta)))
-            modes = np.arange(-pipe.n, pipe.n + 1)
-            direct = float(np.sum(c * np.exp(2j * np.pi * modes * x)).real)
+            direct, _ = oracle_value(pipe.recon, float(x), p=0, gamma=0.0)
             assert abs(a[k] - direct) <= 1e-12
 
     def test_filtering_changes_the_result(self):

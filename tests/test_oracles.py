@@ -1,12 +1,16 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fourierhybrid as fh
+from fourierhybrid import oracles
 from fourierhybrid.oracles import (
     ErrorSummary,
     classical_filtered_sum,
+    frame_filtered_sum,
     ground_truth_error,
     mollified_tail_energy,
     projection_coefficient,
@@ -82,6 +86,50 @@ class TestClassicalFilteredSum:
     def test_requires_enough_coefficients(self):
         with pytest.raises(ValueError, match="l"):
             classical_filtered_sum(np.zeros(5, dtype=complex), 1, 1.0, 8, 4, 0.5)
+
+
+class TestFrameFilteredSum:
+    def test_uniform_frame_is_classical_sum(self):
+        # on integer frequencies Omega is [0; I; 0], so the least-squares
+        # coefficients are the filtered samples of modes |l| <= n
+        m, n = 8, 5
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1)
+        omega = np.eye(2 * m + 1, 2 * n + 1, k=-(m - n))
+        lams = np.arange(-m, m + 1, dtype=float)
+        for p, gamma, x in ((0, 0.0, 0.3), (2, 3.0, 0.71), (5, 1.5, 0.05)):
+            total = frame_filtered_sum(omega, lams, values, m, p, gamma, x)
+            expect = classical_filtered_sum(values, p, gamma, m, n, x)
+            assert total.real == pytest.approx(expect, abs=1e-14)
+
+    def test_drops_singular_values_below_rel_tol(self):
+        # a repeated column has a zero singular value: the minimum-norm
+        # solution splits the weight evenly between its two modes
+        omega = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        lams = np.array([-1.0, 0.0, 1.0])
+        total = frame_filtered_sum(omega, lams, np.array([2.0, 2.0, 1.0]), 1, 0, 0.0, 0.0)
+        assert total == pytest.approx(3.0, abs=1e-14)
+
+
+def test_oracles_import_only_piecewise_from_the_package():
+    # an oracle that shared code with the pipeline would pass with its bugs
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif (node.module or "").split(".")[0] == "fourierhybrid":
+                names = [node.module.partition(".")[2] or a.name for a in node.names]
+            else:
+                names = []
+        elif isinstance(node, ast.Import):
+            names = [a.name.partition(".")[2] or a.name for a in node.names
+                     if a.name.split(".")[0] == "fourierhybrid"]
+        else:
+            names = []
+        package.update(names)
+    assert package == {"piecewise"}
 
 
 class TestMollifiedTailEnergy:
