@@ -67,7 +67,7 @@ class FilterConfig:
                 f"alpha*kappa = {self.alpha * self.kappa:.6g} >= "
                 f"{ALPHA_KAPPA_LIMIT:.6g}; exponential-accuracy regime not "
                 "guaranteed",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
 
 
@@ -102,8 +102,11 @@ def _sigma(p, z) -> np.ndarray:
     term = np.ones_like(z)
     acc = np.ones_like(z)
     for l in range(1, int(p.max(initial=0)) + 1):
-        term = term * z / l
-        acc = acc + np.where(p >= l, term, 0.0)
+        # in place, in the order (term * z) / l; where= leaves acc as it is
+        # for p < l, as adding 0.0 would
+        np.multiply(term, z, out=term)
+        term /= l
+        np.add(acc, term, out=acc, where=p >= l)
         if l > z_max and np.max(term, initial=0.0) < _NEGLIGIBLE_TERM:
             break
     # out= keeps sigma a writable array for 0-d z too (filter_sigma)

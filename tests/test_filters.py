@@ -168,8 +168,10 @@ class TestFilterConfig:
                 FilterConfig(kappa=value)
 
     def test_warns_outside_accuracy_regime(self):
-        with pytest.warns(UserWarning, match="exponential-accuracy"):
+        with pytest.warns(UserWarning, match="exponential-accuracy") as record:
             FilterConfig(alpha=1.0, kappa=ALPHA_KAPPA_LIMIT)
+        # the line that built the config, not the dataclass-generated __init__ ("<string>")
+        assert record[0].filename == __file__
 
     def test_paper_constants_satisfy_regime(self):
         assert 1.0 * (1.0 / 15.0) < ALPHA_KAPPA_LIMIT

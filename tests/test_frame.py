@@ -10,7 +10,7 @@ from scipy.integrate import quad
 import fourierhybrid as fh
 from fourierhybrid.frame import _block_points, _omega_matrix
 from fourierhybrid.oracles import frame_filtered_sum
-from helpers import GRID_1024, pipeline
+from helpers import GRID_1024, frequency_set, pipeline
 
 
 def omega_entry_by_quadrature(lam: float, l: int) -> complex:
@@ -123,13 +123,49 @@ class TestAssembleOmega:
         assert ratio > 1e-6
         assert ratio == pytest.approx(0.4979458490074062, rel=1e-9)
 
+    @pytest.mark.parametrize("scheme, m", [
+        ("jittered", 32), ("jittered", 512), ("log", 128), ("uniform", 16),
+    ])
+    def test_omega_factors_through_real_kernel(self, scheme, m):
+        op = fh.assemble_omega(frequency_set(scheme, m), fh.choose_n(scheme, m))
+        assert op.u.dtype == np.float64 and op.vh.dtype == np.float64
+        sign = (-1.0) ** np.arange(-op.n, op.n + 1)
+        kernel = (op.u * op.s) @ op.vh
+        assert np.max(np.abs(op.phase[:, None] * sign[None, :] * kernel - op.omega)) <= 1e-14
+
     def test_pseudo_inverse_consistency(self):
+        # Omega = diag(phase) K diag(sign), so Omega^+ = diag(sign) K^+ diag(conj phase)
         op = pipeline("f1", "jittered", 32, n=19).operator
         r = op.effective_rank
-        pinv = op.vh[:r].conj().T @ (op.u[:, :r].conj().T / op.s[:r, None])
+        sign = (-1.0) ** np.arange(-op.n, op.n + 1)
+        kernel_pinv = op.vh[:r].T @ (op.u[:, :r].T / op.s[:r, None])
+        pinv = sign[:, None] * kernel_pinv * np.conj(op.phase)[None, :]
         recon = op.omega @ pinv @ op.omega
         defect = np.linalg.norm(recon - op.omega)
         assert defect <= 10 * op.rel_tol * op.s[0] * math.sqrt(op.effective_rank)
+
+    def test_operator_arrays_are_read_only(self):
+        op = pipeline("f1", "jittered", 32, n=19).operator
+        for name in ("omega", "phase", "u", "s", "vh"):
+            array = getattr(op, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_peak_memory_of_operator_and_synthesis(self):
+        # real SVD factors and a real pseudo-inverse; complex ones take 63.5 MiB here
+        pipe = pipeline("f1", "jittered", 512)
+        assert pipe.n == 307
+        tracemalloc.start()
+        try:
+            op = fh.assemble_omega(pipe.freqs, pipe.n)
+            fh.FilterReconstruction(
+                operator=op, samples=pipe.samples, filter_cfg=fh.FilterConfig(),
+                jumps=pipe.jumps,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 52 * 2**20
 
     def test_underdetermined_warns(self):
         with pytest.warns(UserWarning, match="underdetermined"):
