@@ -8,10 +8,11 @@ jump: gamma_x = sqrt(alpha d m), p_x = floor(kappa d m).
 
 The response is the regularized upper incomplete gamma function
 Q(p + 1, z) (DLMF 8.4.10), and one kernel, _sigma, evaluates it for every
-caller.  For z <= 700 it sums the series directly: every partial sum is at
-most e^z < 1e305 and e^-z is a normal float, so the sum is exact to
-roundoff and cheap.  Above 700, where z^l / l! overflows while e^-z
-underflows, it switches to scipy.special.gammaincc, imported only then.
+caller.  For z <= 700 it sums the series directly, by Horner's rule: every
+intermediate sum is at most e^z < 1e305, z times it stays finite, and e^-z
+is a normal float, so the sum is exact to roundoff and cheap.  Above 700,
+where z^l / l! overflows while e^-z underflows, it switches to
+scipy.special.gammaincc, imported only then.
 
 tail_bound_l2 evaluates the L2 bound on the mollified projection error,
 with all constants caller-supplied.
@@ -80,14 +81,30 @@ class AdaptiveParams:
     d: float
 
 
-def _sigma(p, z) -> np.ndarray:
+def _series_terms(p_max: int, z_max: float) -> int:
+    """Number of series terms _sigma sums: p_max, or fewer where the rest cannot change a bit.
+
+    Once l exceeds z_max the terms z^l / l! only shrink, and once the largest
+    of them, z_max^l / l!, is below 2^-54, adding it to a sum >= 1 cannot
+    change a bit; the series stops after that term however large p is.
+    """
+    term = 1.0
+    for l in range(1, p_max + 1):
+        term = term * z_max / l
+        if l > z_max and term < _NEGLIGIBLE_TERM:
+            return l
+    return p_max
+
+
+def _sigma(p, z, out=None) -> np.ndarray:
     """exp(-z) sum_{l<=p} z^l / l! = Q(p + 1, z); p broadcasts against z.
 
-    z carries the result's shape.  Entries with z <= _LOG_SPACE_Z use the
-    direct series; the others are zeroed before it, so it cannot overflow,
-    and then taken from gammaincc.  Once l exceeds every z the terms only
-    shrink, and once all are below 2^-54 adding them to acc >= 1 cannot
-    change a bit, so the series stops there however large p is.
+    z carries the result's shape; the result goes to out if given, which may
+    be z itself.  Entries with z <= _LOG_SPACE_Z use the direct series; the
+    others are zeroed before it, so it cannot overflow, and then taken from
+    gammaincc.  The series runs by Horner's rule from its last term,
+    acc <- 1 + acc * z * [l <= p] / l, so an entry with p < l restarts at 1
+    and ends at its own p; _series_terms sets where it starts.
     """
     p = np.asarray(p, dtype=int)
     z = np.asarray(z, dtype=float)
@@ -99,18 +116,15 @@ def _sigma(p, z) -> np.ndarray:
         far = z > _LOG_SPACE_Z
         far_sigma = gammaincc(np.broadcast_to(p, z.shape)[far] + 1, z[far])
         z = np.where(far, 0.0, z)
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    for l in range(1, int(p.max(initial=0)) + 1):
-        # in place, in the order (term * z) / l; where= leaves acc as it is
-        # for p < l, as adding 0.0 would
-        np.multiply(term, z, out=term)
-        term /= l
-        np.add(acc, term, out=acc, where=p >= l)
-        if l > z_max and np.max(term, initial=0.0) < _NEGLIGIBLE_TERM:
-            break
+        z_max = float(np.max(z))
+    acc = np.ones(z.shape)
+    for l in range(_series_terms(int(p.max(initial=0)), z_max), 0, -1):
+        acc *= z
+        acc *= np.where(p >= l, 1.0 / l, 0.0)
+        acc += 1.0
     # out= keeps sigma a writable array for 0-d z too (filter_sigma)
-    sigma = np.exp(-z, out=np.empty(z.shape))
+    sigma = np.negative(z, out=np.empty(z.shape) if out is None else out)
+    np.exp(sigma, out=sigma)
     sigma *= acc
     if far is not None:
         sigma[far] = far_sigma
@@ -123,16 +137,23 @@ def filter_sigma(p: int, gamma: float, w: float) -> float:
         raise ValueError("p must be non-negative")
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
-    return float(_sigma(p, 0.5 * (w * gamma) ** 2))
+    # z = (gamma^2 / 2) w^2 in the order sigma_weight_matrix uses, so the two
+    # agree bit for bit when m is a power of two
+    return float(_sigma(p, 0.5 * (gamma * gamma) * (w * w)))
 
 
 def sigma_weight_matrix(
-    p: np.ndarray, gamma: np.ndarray, lam: np.ndarray, m: int
+    p: np.ndarray, gamma: np.ndarray, lam: np.ndarray, m: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Weights sigma_{p_i, gamma_i}(lambda_j / m) as an (npoints, nfreq) matrix."""
+    """Weights sigma_{p_i, gamma_i}(lambda_j / m) as an (npoints, nfreq) matrix.
+
+    z = (gamma_i / m)^2 / 2 * lambda_j^2 is one outer product, formed in out
+    if given and overwritten there by the weights.
+    """
     p = np.asarray(p, dtype=int)
     gamma = np.asarray(gamma, dtype=float)
-    return _sigma(p[:, None], 0.5 * (lam[None, :] / m * gamma[:, None]) ** 2)
+    z = np.outer(0.5 * (gamma / m) ** 2, lam * lam, out=out)
+    return _sigma(p[:, None], z, out=z)
 
 
 def adaptive_param_arrays(xs, m: int, cfg: FilterConfig, jumps):
@@ -170,7 +191,9 @@ def adaptive_params(x: float, m: int, cfg: FilterConfig, jumps) -> AdaptiveParam
 
 def frequency_weights(freqs: FrequencySet, params: AdaptiveParams) -> np.ndarray:
     """Per-frequency weights sigma_{p,gamma}(lambda_j / m), in [0,1] up to roundoff."""
-    return _sigma(params.p, 0.5 * (freqs.frequencies / freqs.m * params.gamma) ** 2)
+    return sigma_weight_matrix(
+        np.array([params.p]), np.array([params.gamma]), freqs.frequencies, freqs.m
+    )[0]
 
 
 def tail_bound_l2(n: int, m: int, p: int, gamma: float, f_sup: float) -> float:

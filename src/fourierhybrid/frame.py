@@ -9,17 +9,18 @@ t = lambda_j - l.  The modes l are integers, so e^{-i pi l} = (-1)^l and
     Omega = diag(e^{i pi lambda_j}) K diag((-1)^l),  K[j, l] = sinc(lambda_j - l):
 
 a unitary diagonal, a real kernel and a sign diagonal.  Omega and K share
-their singular values, so the truncated SVD is taken of the real K.
-Reconstruction applies the truncated-SVD pseudo-inverse of Omega to the
-filtered sample vector and sums the resulting 2n+1 Fourier modes.
+their singular values, so the frame is factored through the real K alone:
+assemble_omega keeps one matrix per sample set, the real (2m+1, 2n+1)
+transpose (K^+)^T of K's truncated pseudo-inverse.  At full column rank it
+comes from a reduced QR of K, with the singular values taken from the
+triangle R; a rank-deficient or underdetermined K takes its truncated SVD.
+Omega itself is built only on request (FrameOperator.omega).
 
-Because the filter weights are real and enter linearly, the pseudo-inverse
-is applied once per sample set: FilterReconstruction folds it with the
-samples into a real synthesis matrix at construction, and that is the only
-use of the SVD factors.  Every matrix product there is real.
-filter_reconstruct, the one evaluation path, streams the evaluation points
-through it in fixed-size blocks (filter weights, one real matrix product, a
-cosine/sine mode sum), so its memory is O(block x m) rather than
+Reconstruction applies the pseudo-inverse of Omega to the filtered sample
+vector and sums the resulting 2n+1 Fourier modes.  filter_reconstruct, the
+one evaluation path, streams the evaluation points in fixed-size blocks:
+filter weights, one real matrix product with (K^+)^T, and a cosine/sine sum
+over the folded modes, so its memory is O(block x m) rather than
 O(points x m).
 """
 
@@ -89,31 +90,57 @@ def _omega_matrix(lams: np.ndarray, modes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameOperator:
-    """Omega with the truncated SVD of its real kernel; immutable and shareable across threads.
+    """The frame section's pseudo-inverse; immutable and shareable across threads.
 
-    omega = phase[:, None] * K * (-1)^l with K = (u * s) @ vh real: u and vh
-    are the float64 SVD factors of K, and s holds the singular values of K,
-    which are those of omega.  Every array is read-only.
+    Omega = phase[:, None] * K * (-1)^l with the real kernel K; pinv_t is the
+    real (2m+1, 2n+1) matrix (K^+)^T of K's truncated pseudo-inverse, and s
+    holds the singular values of K, which are those of Omega.  Omega itself
+    is not stored: the ``omega`` property builds it from the frequencies on
+    each access.  Every stored array is read-only.
     """
 
-    omega: np.ndarray
     freqs: FrequencySet
     m: int
     n: int
     phase: np.ndarray = field(repr=False)
-    u: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
-    vh: np.ndarray = field(repr=False)
+    pinv_t: np.ndarray = field(repr=False)
     rel_tol: float
     effective_rank: int
 
     def __post_init__(self):
-        for array in (self.omega, self.phase, self.u, self.s, self.vh):
+        for array in (self.phase, self.s, self.pinv_t):
             array.setflags(write=False)
+
+    @property
+    def omega(self) -> np.ndarray:
+        """The complex (2m+1, 2n+1) matrix Omega, built anew on each access."""
+        return _omega_matrix(self.freqs.frequencies, np.arange(-self.n, self.n + 1, dtype=float))
+
+
+def _kernel_pinv_t(kernel: np.ndarray, rel_tol: float):
+    """(s, rank, (K^+)^T) of the real kernel K, truncating s below rel_tol * s[0].
+
+    At full column rank K = QR, so K^+ = R^-1 Q^T and (K^+)^T = Q R^-T, and
+    the singular values of K are those of the small triangle R.  Otherwise,
+    or when K has fewer rows than columns, the truncated SVD of K gives
+    (K^+)^T = u_r diag(1/s_r) vh_r.  numpy.linalg serves both, so no second
+    LAPACK is loaded.
+    """
+    rows, cols = kernel.shape
+    if rows >= cols:
+        q, r = np.linalg.qr(kernel)
+        s = np.linalg.svd(r, compute_uv=False)
+        if s[-1] >= rel_tol * s[0]:
+            return s, cols, np.linalg.solve(r, q.T).T
+        del q, r
+    u, s, vh = np.linalg.svd(kernel, full_matrices=False)
+    rank = int(np.count_nonzero(s >= rel_tol * s[0]))
+    return s, rank, (u[:, :rank] / s[:rank]) @ vh[:rank]
 
 
 def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> FrameOperator:
-    """Fill Omega from the closed form and factor its real kernel K by SVD.
+    """Factor the real kernel K of Omega and keep its truncated pseudo-inverse.
 
     Singular values below rel_tol * sigma_max are dropped from the
     pseudo-inverse; a drop below full column rank is reported as a warning
@@ -132,21 +159,18 @@ def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> Frame
             stacklevel=2,
         )
     modes = np.arange(-n, n + 1, dtype=float)
-    phase, kernel, sign = _omega_factors(freqs.frequencies, modes)
+    phase, kernel, _ = _omega_factors(freqs.frequencies, modes)
     try:
-        u, s, vh = np.linalg.svd(kernel, full_matrices=False)
+        s, rank, pinv_t = _kernel_pinv_t(kernel, rel_tol)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"SVD of Omega failed: {exc}") from exc
-    rank = int(np.count_nonzero(s >= rel_tol * s[0]))
+        raise RuntimeError(f"factorization of Omega failed: {exc}") from exc
     if rank < 2 * n + 1:
         warnings.warn(
             f"Omega effective rank {rank} < {2*n+1}: ill-posed frame section",
             stacklevel=2,
         )
-    kernel *= sign  # the SVD is done with K, so it can take the signs in place
-    omega = phase[:, None] * kernel
     return FrameOperator(
-        omega=omega, freqs=freqs, m=freqs.m, n=n, phase=phase, u=u, s=s, vh=vh,
+        freqs=freqs, m=freqs.m, n=n, phase=phase, s=s, pinv_t=pinv_t,
         rel_tol=rel_tol, effective_rank=rank,
     )
 
@@ -171,16 +195,13 @@ class FilterReconstruction:
     """Everything needed to evaluate the filtered frame reconstruction.
 
     An empty jump set selects the no-filter diagnostic mode: all frequency
-    weights are 1.  ``synthesis`` is derived at construction: the real
-    matrix that maps a point's filter weights to the cosine and sine
-    coefficients of its mode sum (see ``_folded_synthesis``).
+    weights are 1.
     """
 
     operator: FrameOperator
     samples: FourierSamples
     filter_cfg: FilterConfig
     jumps: np.ndarray
-    synthesis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.array_equal(
@@ -190,40 +211,6 @@ class FilterReconstruction:
         jumps = np.sort(np.asarray(self.jumps, dtype=float))
         jumps.setflags(write=False)
         object.__setattr__(self, "jumps", jumps)
-        synthesis = _folded_synthesis(self.operator, self.samples.values)
-        synthesis.setflags(write=False)
-        object.__setattr__(self, "synthesis", synthesis)
-
-
-def _folded_synthesis(op: FrameOperator, values: np.ndarray) -> np.ndarray:
-    """Real (2m+1, 4(n+1)) matrix taking filter weights w to folded modes.
-
-    The synthesis matrix mapping mode coefficients to samples is the
-    entrywise conjugate of Omega, so the least-squares coefficients of the
-    filtered samples w * values are c = S w with
-    S = conj(Omega)^+ diag(values).  With Omega = diag(phase) K diag(sign)
-    and both diagonals unitary, conj(Omega)^+ = diag(sign) K^+ diag(phase),
-    so S = diag(sign) K^+ diag(phase * values) with the real
-    K^+ = vh^T diag(1/s) u^T.  Folding l with -l, which share their sign,
-    turns the mode sum into
-    sum_{l>=0} (c_l + c_{-l}) cos 2 pi l x + i (c_l - c_{-l}) sin 2 pi l x
-    (the l = 0 term counted once).  Columns [0, 2(n+1)) give the real part's
-    cosine then sine coefficients, the rest the imaginary part's; the real
-    and imaginary parts of phase * values scale the rows.
-    """
-    r = op.effective_rank
-    n = op.n
-    pinv_t = (op.u[:, :r] / op.s[:r]) @ op.vh[:r]  # (K^+)^T, real (2m+1, 2n+1)
-    pos = pinv_t[:, n:]  # modes 0..n
-    neg = pinv_t[:, n::-1]  # modes 0..-n
-    sign = _parity(np.arange(n + 1, dtype=float))
-    plus = (pos + neg) * sign
-    plus[:, 0] = pos[:, 0]
-    minus = (pos - neg) * sign
-    scaled = op.phase * values
-    re = scaled.real[:, None]
-    im = scaled.imag[:, None]
-    return np.concatenate([plus * re, minus * -im, plus * im, minus * re], axis=1)
 
 
 def _block_points(nfreq: int) -> int:
@@ -236,37 +223,69 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
 
     Returns (values, imag_residual): the real part of the mode sum and the
     magnitude of its imaginary part as a numerical-health diagnostic.
-    Points stream through recon.synthesis in blocks of _block_points; for
-    each block the filter weights, one real matrix product and the folded
-    cosine/sine sum.  The tests check it against
+
+    The synthesis matrix mapping mode coefficients to samples is the
+    entrywise conjugate of Omega, so a point with filter weights w has the
+    least-squares coefficients c = conj(Omega)^+ (w * values).  With
+    Omega = diag(phase) K diag(sign) and both diagonals unitary,
+    conj(Omega)^+ = diag(sign) K^+ diag(phase), so
+    c = sign * (K^+ (w * psi)) with psi = phase * values.  Folding l with
+    -l, which share their sign, turns the mode sum into
+    sum_{l>=0} (c_l + c_{-l}) cos 2 pi l x + i (c_l - c_{-l}) sin 2 pi l x
+    (the l = 0 term counted once), so the fold and the signs are applied
+    to the columns of (K^+)^T, once per call.  The points stream in blocks of
+    _block_points: the block's weights W scale Re psi and Im psi into one
+    real (2 x block, 2m+1) matrix, and one real product with the folded
+    (K^+)^T gives the cosine and sine coefficients of the real and imaginary
+    parts of every point's mode sum.  The tests check it against
     oracles.frame_filtered_sum, which shares none of this code.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("grid must lie within [0,1]")
     op = recon.operator
+    n = op.n
     lam = recon.samples.freqs.frequencies
+    psi = op.phase * recon.samples.values
     gammas, ps, _ = adaptive_param_arrays(xs, op.m, recon.filter_cfg, recon.jumps)
-    wavenumbers = 2.0 * np.pi * np.arange(op.n + 1)
-    half = 2 * (op.n + 1)
+    # columns [0, n] give c_l + c_{-l} and the rest c_l - c_{-l} for l = 0..n
+    pos = op.pinv_t[:, n:]  # modes 0..n
+    neg = op.pinv_t[:, n::-1]  # modes 0..-n
+    folded = np.empty((lam.size, 2 * (n + 1)))
+    np.add(pos, neg, out=folded[:, :n + 1])
+    folded[:, 0] = pos[:, 0]
+    np.subtract(pos, neg, out=folded[:, n + 1:])
+    sign = _parity(np.arange(n + 1, dtype=float))
+    folded *= np.concatenate([sign, sign])
+    wavenumbers = 2.0 * np.pi * np.arange(n + 1)
     values = np.empty(xs.shape)
     imag_residual = np.empty(xs.shape)
     block = _block_points(lam.size)
     # every block reuses these: fresh multi-MiB temporaries per block can
     # cost a page fault per 4 KiB each time once malloc returns them to the OS
     rows_max = min(block, xs.size)
-    folded_buf = np.empty((rows_max, 2 * half))
-    phase_buf = np.empty((rows_max, op.n + 1))
-    trig_buf = np.empty((rows_max, half))
+    stacked_buf = np.empty((2 * rows_max, lam.size))
+    coef_buf = np.empty((2 * rows_max, 2 * (n + 1)))
+    cos_buf = np.empty((rows_max, n + 1))
+    sin_buf = np.empty((rows_max, n + 1))
     for start in range(0, xs.size, block):
         rows = slice(start, start + block)
         k = min(block, xs.size - start)
-        weights = sigma_weight_matrix(ps[rows], gammas[rows], lam, op.m)
-        folded = np.matmul(weights, recon.synthesis, out=folded_buf[:k])  # (k, 4(n+1))
-        phase = np.multiply(xs[rows, None], wavenumbers, out=phase_buf[:k])
-        trig = trig_buf[:k]
-        np.cos(phase, out=trig[:, :op.n + 1])
-        np.sin(phase, out=trig[:, op.n + 1:])
-        values[rows] = np.einsum("ij,ij->i", folded[:, :half], trig)
-        imag_residual[rows] = np.abs(np.einsum("ij,ij->i", folded[:, half:], trig))
+        # rows [0, k) scale Re psi, rows [k, 2k) Im psi
+        stacked = stacked_buf[:2 * k]
+        weights = sigma_weight_matrix(ps[rows], gammas[rows], lam, op.m, out=stacked[:k])
+        np.multiply(weights, psi.imag, out=stacked[k:])
+        weights *= psi.real
+        coef = np.matmul(stacked, folded, out=coef_buf[:2 * k])
+        plus_re, minus_re = coef[:k, :n + 1], coef[:k, n + 1:]
+        plus_im, minus_im = coef[k:, :n + 1], coef[k:, n + 1:]
+        angle = np.multiply(xs[rows, None], wavenumbers, out=cos_buf[:k])
+        sin = np.sin(angle, out=sin_buf[:k])
+        cos = np.cos(angle, out=angle)
+        values[rows] = (
+            np.einsum("ij,ij->i", plus_re, cos) - np.einsum("ij,ij->i", minus_im, sin)
+        )
+        imag_residual[rows] = np.abs(
+            np.einsum("ij,ij->i", plus_im, cos) + np.einsum("ij,ij->i", minus_re, sin)
+        )
     return values, imag_residual

@@ -4,8 +4,9 @@ Everything here uses code paths separate from the main pipeline: scipy's
 adaptive quadrature (with oscillatory weights) instead of the in-house
 Gauss-Legendre sampler, fsum-based series instead of the vectorized
 filter evaluation, and numpy's least-squares solver with a direct mode sum
-instead of the frame's folded synthesis.  Of the package, only piecewise is
-imported.  These routines exist to falsify the pipeline, not to be fast.
+instead of the frame's pseudo-inverse and folded cosine/sine sum.  Of the
+package, only piecewise is imported.  These routines exist to falsify the
+pipeline, not to be fast.
 """
 
 from __future__ import annotations

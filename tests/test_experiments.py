@@ -184,23 +184,43 @@ def test_write_line_svg_log_scale(tmp_path):
     assert "log10|y|" in text
 
 
+def run_probe(probe: str) -> str:
+    """stdout of probe run by a fresh interpreter that imports this checkout's package."""
+    src = str(Path(fourierhybrid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def test_import_leaves_scipy_special_and_integrate_unloaded():
     # scipy.special is needed only for filter weights with z > 700,
     # scipy.integrate only by the quadrature oracles and scipy.optimize only
     # by optimize_delta; importing them at module level would add about
     # 0.6 s and 40 MiB to every run
-    src = str(Path(fourierhybrid.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = (
         "import sys, fourierhybrid.experiments; "
         "print(sorted(m for m in ('scipy.special', 'scipy.integrate', 'scipy.optimize') "
         "if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    assert run_probe(probe).strip() == "[]"
+
+
+def test_frame_solve_leaves_scipy_linalg_unloaded():
+    # the frame factorization uses numpy.linalg only: scipy.linalg brings its
+    # own OpenBLAS, which raised a paper-matrix run's peak RSS above the
+    # dense-SVD code's
+    probe = (
+        "import sys, numpy as np, fourierhybrid as fh; "
+        "f = fh.builtin_function('f1'); freqs = fh.jittered_frequencies(8, seed=1); "
+        "recon = fh.FilterReconstruction(operator=fh.assemble_omega(freqs, 4), "
+        "samples=fh.fourier_samples(f, freqs), filter_cfg=fh.FilterConfig(), "
+        "jumps=fh.jump_set(f)); "
+        "values, _ = fh.filter_reconstruct(recon, np.linspace(0, 1, 9)); "
+        "print(values.size, 'scipy.linalg' in sys.modules)"
+    )
+    assert run_probe(probe).split() == ["9", "False"]
 
 
 class TestCli:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -127,32 +128,56 @@ class TestAssembleOmega:
         ("jittered", 32), ("jittered", 512), ("log", 128), ("uniform", 16),
     ])
     def test_omega_factors_through_real_kernel(self, scheme, m):
-        op = fh.assemble_omega(frequency_set(scheme, m), fh.choose_n(scheme, m))
-        assert op.u.dtype == np.float64 and op.vh.dtype == np.float64
-        sign = (-1.0) ** np.arange(-op.n, op.n + 1)
-        kernel = (op.u * op.s) @ op.vh
+        # full column rank: the stored (K^+)^T is numpy's pseudo-inverse of K
+        freqs = frequency_set(scheme, m)
+        op = fh.assemble_omega(freqs, fh.choose_n(scheme, m))
+        assert op.effective_rank == 2 * op.n + 1
+        assert op.pinv_t.dtype == np.float64
+        modes = np.arange(-op.n, op.n + 1)
+        kernel = np.sinc(freqs.frequencies[:, None] - modes[None, :])
+        sign = (-1.0) ** modes
         assert np.max(np.abs(op.phase[:, None] * sign[None, :] * kernel - op.omega)) <= 1e-14
+        assert np.max(np.abs(op.pinv_t - np.linalg.pinv(kernel).T)) <= 1e-13
+        s = np.linalg.svd(kernel, compute_uv=False)
+        assert np.max(np.abs(op.s - s)) <= 1e-13 * s[0]
 
     def test_pseudo_inverse_consistency(self):
         # Omega = diag(phase) K diag(sign), so Omega^+ = diag(sign) K^+ diag(conj phase)
         op = pipeline("f1", "jittered", 32, n=19).operator
-        r = op.effective_rank
         sign = (-1.0) ** np.arange(-op.n, op.n + 1)
-        kernel_pinv = op.vh[:r].T @ (op.u[:, :r].T / op.s[:r, None])
-        pinv = sign[:, None] * kernel_pinv * np.conj(op.phase)[None, :]
-        recon = op.omega @ pinv @ op.omega
-        defect = np.linalg.norm(recon - op.omega)
+        pinv = sign[:, None] * op.pinv_t.T * np.conj(op.phase)[None, :]
+        omega = op.omega
+        recon = omega @ pinv @ omega
+        defect = np.linalg.norm(recon - omega)
         assert defect <= 10 * op.rel_tol * op.s[0] * math.sqrt(op.effective_rank)
+
+    @pytest.mark.parametrize("freqs, n, rel_tol, rank", [
+        (fh.uniform_frequencies(4), 6, 1e-12, 9),  # underdetermined: 9 samples, 13 modes
+        (fh.jittered_frequencies(32, seed=1), 19, 0.6, 31),  # truncated below 0.6 s_max
+    ], ids=["underdetermined", "truncated"])
+    def test_rank_deficient_frame_uses_truncated_svd(self, freqs, n, rel_tol, rank):
+        with pytest.warns(UserWarning) as record:
+            op = fh.assemble_omega(freqs, n, rel_tol)
+        assert f"effective rank {rank} < {2 * n + 1}" in " ".join(str(w.message) for w in record)
+        assert op.effective_rank == rank
+        kernel = np.sinc(freqs.frequencies[:, None] - np.arange(-n, n + 1)[None, :])
+        u, s, vh = np.linalg.svd(kernel, full_matrices=False)
+        truncated = (u[:, :rank] / s[:rank]) @ vh[:rank]
+        assert np.max(np.abs(op.pinv_t - truncated)) <= 1e-13
+        np.testing.assert_allclose(op.s, s, rtol=0, atol=1e-14 * s[0])
 
     def test_operator_arrays_are_read_only(self):
         op = pipeline("f1", "jittered", 32, n=19).operator
-        for name in ("omega", "phase", "u", "s", "vh"):
+        for name in ("phase", "s", "pinv_t"):
             array = getattr(op, name)
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+        # Omega is built on demand, not kept on the operator
+        assert "omega" not in {f.name for f in dataclasses.fields(op)}
 
     def test_peak_memory_of_operator_and_synthesis(self):
-        # real SVD factors and a real pseudo-inverse; complex ones take 63.5 MiB here
+        # one real (K^+)^T and the QR it comes from; the stored complex Omega,
+        # SVD factors and folded synthesis matrix that this replaced took 46.3 MiB
         pipe = pipeline("f1", "jittered", 512)
         assert pipe.n == 307
         tracemalloc.start()
@@ -165,7 +190,7 @@ class TestAssembleOmega:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 52 * 2**20
+        assert peak < 28 * 2**20
 
     def test_underdetermined_warns(self):
         with pytest.warns(UserWarning, match="underdetermined"):
