@@ -137,9 +137,7 @@ def filter_sigma(p: int, gamma: float, w: float) -> float:
         raise ValueError("p must be non-negative")
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
-    # z = (gamma^2 / 2) w^2 in the order sigma_weight_matrix uses, so the two
-    # agree bit for bit when m is a power of two
-    return float(_sigma(p, 0.5 * (gamma * gamma) * (w * w)))
+    return float(_sigma(p, 0.5 * (w * gamma) ** 2))
 
 
 def sigma_weight_matrix(
@@ -147,12 +145,14 @@ def sigma_weight_matrix(
 ) -> np.ndarray:
     """Weights sigma_{p_i, gamma_i}(lambda_j / m) as an (npoints, nfreq) matrix.
 
-    z = (gamma_i / m)^2 / 2 * lambda_j^2 is one outer product, formed in out
-    if given and overwritten there by the weights.
+    z = (lambda_j / m * gamma_i)^2 / 2 is formed in out if given, and
+    overwritten there by the weights.
     """
     p = np.asarray(p, dtype=int)
     gamma = np.asarray(gamma, dtype=float)
-    z = np.outer(0.5 * (gamma / m) ** 2, lam * lam, out=out)
+    z = np.multiply(lam / m, gamma[:, None], out=out)
+    np.square(z, out=z)
+    z *= 0.5
     return _sigma(p[:, None], z, out=z)
 
 
@@ -191,9 +191,7 @@ def adaptive_params(x: float, m: int, cfg: FilterConfig, jumps) -> AdaptiveParam
 
 def frequency_weights(freqs: FrequencySet, params: AdaptiveParams) -> np.ndarray:
     """Per-frequency weights sigma_{p,gamma}(lambda_j / m), in [0,1] up to roundoff."""
-    return sigma_weight_matrix(
-        np.array([params.p]), np.array([params.gamma]), freqs.frequencies, freqs.m
-    )[0]
+    return _sigma(params.p, 0.5 * (freqs.frequencies / freqs.m * params.gamma) ** 2)
 
 
 def tail_bound_l2(n: int, m: int, p: int, gamma: float, f_sup: float) -> float:

@@ -10,11 +10,9 @@ t = lambda_j - l.  The modes l are integers, so e^{-i pi l} = (-1)^l and
 
 a unitary diagonal, a real kernel and a sign diagonal.  Omega and K share
 their singular values, so the frame is factored through the real K alone:
-assemble_omega keeps one matrix per sample set, the real (2m+1, 2n+1)
-transpose (K^+)^T of K's truncated pseudo-inverse.  At full column rank it
-comes from a reduced QR of K, with the singular values taken from the
-triangle R; a rank-deficient or underdetermined K takes its truncated SVD.
-Omega itself is built only on request (FrameOperator.omega).
+assemble_omega takes the truncated SVD of K and keeps one matrix per sample
+set, the real (2m+1, 2n+1) transpose (K^+)^T of K's truncated
+pseudo-inverse.  Omega itself is built only on request (FrameOperator.omega).
 
 Reconstruction applies the pseudo-inverse of Omega to the filtered sample
 vector and sums the resulting 2n+1 Fourier modes.  filter_reconstruct, the
@@ -118,27 +116,6 @@ class FrameOperator:
         return _omega_matrix(self.freqs.frequencies, np.arange(-self.n, self.n + 1, dtype=float))
 
 
-def _kernel_pinv_t(kernel: np.ndarray, rel_tol: float):
-    """(s, rank, (K^+)^T) of the real kernel K, truncating s below rel_tol * s[0].
-
-    At full column rank K = QR, so K^+ = R^-1 Q^T and (K^+)^T = Q R^-T, and
-    the singular values of K are those of the small triangle R.  Otherwise,
-    or when K has fewer rows than columns, the truncated SVD of K gives
-    (K^+)^T = u_r diag(1/s_r) vh_r.  numpy.linalg serves both, so no second
-    LAPACK is loaded.
-    """
-    rows, cols = kernel.shape
-    if rows >= cols:
-        q, r = np.linalg.qr(kernel)
-        s = np.linalg.svd(r, compute_uv=False)
-        if s[-1] >= rel_tol * s[0]:
-            return s, cols, np.linalg.solve(r, q.T).T
-        del q, r
-    u, s, vh = np.linalg.svd(kernel, full_matrices=False)
-    rank = int(np.count_nonzero(s >= rel_tol * s[0]))
-    return s, rank, (u[:, :rank] / s[:rank]) @ vh[:rank]
-
-
 def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> FrameOperator:
     """Factor the real kernel K of Omega and keep its truncated pseudo-inverse.
 
@@ -161,16 +138,18 @@ def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> Frame
     modes = np.arange(-n, n + 1, dtype=float)
     phase, kernel, _ = _omega_factors(freqs.frequencies, modes)
     try:
-        s, rank, pinv_t = _kernel_pinv_t(kernel, rel_tol)
+        u, s, vh = np.linalg.svd(kernel, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"factorization of Omega failed: {exc}") from exc
+        raise RuntimeError(f"SVD of Omega failed: {exc}") from exc
+    rank = int(np.count_nonzero(s >= rel_tol * s[0]))
     if rank < 2 * n + 1:
         warnings.warn(
             f"Omega effective rank {rank} < {2*n+1}: ill-posed frame section",
             stacklevel=2,
         )
     return FrameOperator(
-        freqs=freqs, m=freqs.m, n=n, phase=phase, s=s, pinv_t=pinv_t,
+        freqs=freqs, m=freqs.m, n=n, phase=phase, s=s,
+        pinv_t=(u[:, :rank] / s[:rank]) @ vh[:rank],
         rel_tol=rel_tol, effective_rank=rank,
     )
 
@@ -233,12 +212,13 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     -l, which share their sign, turns the mode sum into
     sum_{l>=0} (c_l + c_{-l}) cos 2 pi l x + i (c_l - c_{-l}) sin 2 pi l x
     (the l = 0 term counted once), so the fold and the signs are applied
-    to the columns of (K^+)^T, once per call.  The points stream in blocks of
-    _block_points: the block's weights W scale Re psi and Im psi into one
-    real (2 x block, 2m+1) matrix, and one real product with the folded
-    (K^+)^T gives the cosine and sine coefficients of the real and imaginary
-    parts of every point's mode sum.  The tests check it against
-    oracles.frame_filtered_sum, which shares none of this code.
+    to the columns of (K^+)^T, once per call, and the folded matrix is
+    scaled by the rows Re psi and Im psi side by side into one real
+    (2m+1, 4(n+1)) matrix.  The points stream in blocks of _block_points:
+    one real product of the block's weights W with it gives the cosine and
+    sine coefficients of the real and imaginary parts of every point's mode
+    sum.  The tests check it against oracles.frame_filtered_sum, which
+    shares none of this code.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
@@ -248,15 +228,19 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     lam = recon.samples.freqs.frequencies
     psi = op.phase * recon.samples.values
     gammas, ps, _ = adaptive_param_arrays(xs, op.m, recon.filter_cfg, recon.jumps)
-    # columns [0, n] give c_l + c_{-l} and the rest c_l - c_{-l} for l = 0..n
+    # columns [0, n] give c_l + c_{-l} and [n+1, 2n+1] c_l - c_{-l} for
+    # l = 0..n, from Re psi; columns [2n+2, 4n+3] the same from Im psi
     pos = op.pinv_t[:, n:]  # modes 0..n
     neg = op.pinv_t[:, n::-1]  # modes 0..-n
-    folded = np.empty((lam.size, 2 * (n + 1)))
-    np.add(pos, neg, out=folded[:, :n + 1])
-    folded[:, 0] = pos[:, 0]
-    np.subtract(pos, neg, out=folded[:, n + 1:])
+    folded = np.empty((lam.size, 4 * (n + 1)))
+    re_part, im_part = folded[:, :2 * (n + 1)], folded[:, 2 * (n + 1):]
+    np.add(pos, neg, out=re_part[:, :n + 1])
+    re_part[:, 0] = pos[:, 0]
+    np.subtract(pos, neg, out=re_part[:, n + 1:])
     sign = _parity(np.arange(n + 1, dtype=float))
-    folded *= np.concatenate([sign, sign])
+    re_part *= np.concatenate([sign, sign])
+    np.multiply(re_part, psi.imag[:, None], out=im_part)
+    re_part *= psi.real[:, None]
     wavenumbers = 2.0 * np.pi * np.arange(n + 1)
     values = np.empty(xs.shape)
     imag_residual = np.empty(xs.shape)
@@ -264,21 +248,16 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     # every block reuses these: fresh multi-MiB temporaries per block can
     # cost a page fault per 4 KiB each time once malloc returns them to the OS
     rows_max = min(block, xs.size)
-    stacked_buf = np.empty((2 * rows_max, lam.size))
-    coef_buf = np.empty((2 * rows_max, 2 * (n + 1)))
+    weights_buf = np.empty((rows_max, lam.size))
+    coef_buf = np.empty((rows_max, 4 * (n + 1)))
     cos_buf = np.empty((rows_max, n + 1))
     sin_buf = np.empty((rows_max, n + 1))
     for start in range(0, xs.size, block):
         rows = slice(start, start + block)
         k = min(block, xs.size - start)
-        # rows [0, k) scale Re psi, rows [k, 2k) Im psi
-        stacked = stacked_buf[:2 * k]
-        weights = sigma_weight_matrix(ps[rows], gammas[rows], lam, op.m, out=stacked[:k])
-        np.multiply(weights, psi.imag, out=stacked[k:])
-        weights *= psi.real
-        coef = np.matmul(stacked, folded, out=coef_buf[:2 * k])
-        plus_re, minus_re = coef[:k, :n + 1], coef[:k, n + 1:]
-        plus_im, minus_im = coef[k:, :n + 1], coef[k:, n + 1:]
+        weights = sigma_weight_matrix(ps[rows], gammas[rows], lam, op.m, out=weights_buf[:k])
+        coef = np.matmul(weights, folded, out=coef_buf[:k])
+        plus_re, minus_re, plus_im, minus_im = np.split(coef, 4, axis=1)
         angle = np.multiply(xs[rows, None], wavenumbers, out=cos_buf[:k])
         sin = np.sin(angle, out=sin_buf[:k])
         cos = np.cos(angle, out=angle)

@@ -155,15 +155,15 @@ class TestAssembleOmega:
         (fh.uniform_frequencies(4), 6, 1e-12, 9),  # underdetermined: 9 samples, 13 modes
         (fh.jittered_frequencies(32, seed=1), 19, 0.6, 31),  # truncated below 0.6 s_max
     ], ids=["underdetermined", "truncated"])
-    def test_rank_deficient_frame_uses_truncated_svd(self, freqs, n, rel_tol, rank):
+    def test_rank_deficient_frame_truncates_pseudo_inverse(self, freqs, n, rel_tol, rank):
         with pytest.warns(UserWarning) as record:
             op = fh.assemble_omega(freqs, n, rel_tol)
         assert f"effective rank {rank} < {2 * n + 1}" in " ".join(str(w.message) for w in record)
         assert op.effective_rank == rank
         kernel = np.sinc(freqs.frequencies[:, None] - np.arange(-n, n + 1)[None, :])
-        u, s, vh = np.linalg.svd(kernel, full_matrices=False)
-        truncated = (u[:, :rank] / s[:rank]) @ vh[:rank]
-        assert np.max(np.abs(op.pinv_t - truncated)) <= 1e-13
+        truncated = np.linalg.pinv(kernel, rtol=rel_tol)
+        assert np.max(np.abs(op.pinv_t - truncated.T)) <= 1e-13
+        s = np.linalg.svd(kernel, compute_uv=False)
         np.testing.assert_allclose(op.s, s, rtol=0, atol=1e-14 * s[0])
 
     def test_operator_arrays_are_read_only(self):
@@ -176,17 +176,19 @@ class TestAssembleOmega:
         assert "omega" not in {f.name for f in dataclasses.fields(op)}
 
     def test_peak_memory_of_operator_and_synthesis(self):
-        # one real (K^+)^T and the QR it comes from; the stored complex Omega,
+        # one real (K^+)^T, kept from the truncated SVD of K, and the folded
+        # matrix filter_reconstruct builds per call; the stored complex Omega,
         # SVD factors and folded synthesis matrix that this replaced took 46.3 MiB
         pipe = pipeline("f1", "jittered", 512)
         assert pipe.n == 307
         tracemalloc.start()
         try:
             op = fh.assemble_omega(pipe.freqs, pipe.n)
-            fh.FilterReconstruction(
+            recon = fh.FilterReconstruction(
                 operator=op, samples=pipe.samples, filter_cfg=fh.FilterConfig(),
                 jumps=pipe.jumps,
             )
+            fh.filter_reconstruct(recon, np.linspace(0.0, 1.0, 257))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
