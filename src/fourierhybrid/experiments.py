@@ -129,6 +129,8 @@ class RunRecord:
     n: int
     degree: int
     fit_samples: int
+    rank: int
+    cond: float
     sup_err_filter_interior: float
     sup_err_filter_global: float
     sup_err_hybrid_global: float
@@ -196,6 +198,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             n=n,
             degree=hyb.degree,
             fit_samples=hyb.fit_sample_count,
+            rank=operator.effective_rank,
+            cond=float(operator.s[0] / operator.s[operator.effective_rank - 1]),
             sup_err_filter_interior=err_filter.sup_interior,
             sup_err_filter_global=err_filter.sup,
             sup_err_hybrid_global=err_hybrid.sup,
@@ -275,13 +279,14 @@ def _write_summary_csv(path, cfg, records):
         for line in cfg.echo_lines():
             fh.write(line + "\n")
         fh.write(
-            "m,n,M,N,sup_err_filter_interior,sup_err_filter_global,"
+            "m,n,M,N,rank,cond,sup_err_filter_interior,sup_err_filter_global,"
             "sup_err_hybrid_global,sup_err_hybrid_buffers,freq_hash\n"
         )
         for r in records:
             fh.write(
                 ",".join([
                     str(r.m), str(r.n), str(r.degree), str(r.fit_samples - 1),
+                    str(r.rank), _fmt(r.cond),
                     _fmt(r.sup_err_filter_interior), _fmt(r.sup_err_filter_global),
                     _fmt(r.sup_err_hybrid_global), _fmt(r.sup_err_hybrid_buffers),
                     r.freq_hash,

@@ -9,10 +9,18 @@ t = lambda_j - l.  The modes l are integers, so e^{-i pi l} = (-1)^l and
     Omega = diag(e^{i pi lambda_j}) K diag((-1)^l),  K[j, l] = sinc(lambda_j - l):
 
 a unitary diagonal, a real kernel and a sign diagonal.  Omega and K share
-their singular values, so the frame is factored through the real K alone:
-assemble_omega takes the truncated SVD of K and keeps one matrix per sample
-set, the real (2m+1, 2n+1) transpose (K^+)^T of K's truncated
-pseudo-inverse.  Omega itself is built only on request (FrameOperator.omega).
+their singular values, so the frame is factored through the real K alone,
+and assemble_omega keeps one matrix per sample set, the real (2m+1, 2n+1)
+transpose (K^+)^T of K's truncated pseudo-inverse.  Omega itself is built
+only on request (FrameOperator.omega).
+
+A stable frame section, the generalized-sampling setting of Adcock,
+Gataric & Hansen, has a well-conditioned K, and there the SVD is not
+needed: when K is tall or square and s_min / s_max >= _GRAM_MIN_RATIO
+(cond(K) <= 100), the singular values come from the eigenvalues of the
+(2n+1)^2 Gram matrix G = K^T K and (K^+)^T = K G^{-1} from one solve with
+G.  Every other frame (rank-deficient, ill-conditioned, underdetermined,
+or a rel_tol of at least _GRAM_MIN_RATIO) takes the truncated SVD of K.
 
 Reconstruction applies the pseudo-inverse of Omega to the filtered sample
 vector and sums the resulting 2n+1 Fourier modes.  filter_reconstruct, the
@@ -48,6 +56,11 @@ __all__ = [
 # size of one real (points x 2m+1) array in the streamed evaluation; it sets
 # how many points filter_reconstruct handles per block
 _BLOCK_BYTES = 1 << 20
+
+# smallest s_min / s_max of K for which assemble_omega skips the SVD and
+# takes the Gram route; that route's error grows like eps cond(K)^2, so
+# cond(K) <= 100 keeps it near 1e-12
+_GRAM_MIN_RATIO = 1e-2
 
 
 def _parity(k: np.ndarray) -> np.ndarray:
@@ -116,14 +129,32 @@ class FrameOperator:
         return _omega_matrix(self.freqs.frequencies, np.arange(-self.n, self.n + 1, dtype=float))
 
 
+def _linalg_step(step: str, solver, *args, **kwargs):
+    """solver(*args, **kwargs), with a LinAlgError turned into a RuntimeError naming step."""
+    try:
+        return solver(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"frame: {step} failed: {exc}") from exc
+
+
 def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> FrameOperator:
     """Factor the real kernel K of Omega and keep its truncated pseudo-inverse.
 
-    Singular values below rel_tol * sigma_max are dropped from the
-    pseudo-inverse; a drop below full column rank is reported as a warning
-    (ill-posed frame section), not an error.  K = sinc(lambda_j - l) has the
-    singular values of Omega (see the module docstring), so the rank and the
-    truncation are those of Omega.
+    K = sinc(lambda_j - l) has the singular values of Omega (see the module
+    docstring), so the rank and the truncation are those of Omega.  Two
+    routes give the singular values s and (K^+)^T:
+
+    * Gram route, for a tall or square K (2n+1 <= 2m+1) with rel_tol below
+      _GRAM_MIN_RATIO whose s_min / s_max reaches _GRAM_MIN_RATIO: s from
+      the eigenvalues of G = K^T K, and (K^+)^T = K G^{-1} by one solve
+      with G.  K has full column rank here.
+    * Truncated-SVD route, for every other frame: singular values below
+      rel_tol * s_max are dropped from the pseudo-inverse, and a drop below
+      full column rank is reported as a warning (ill-posed frame section),
+      not an error.
+
+    A LinAlgError from either route is raised as a RuntimeError that names
+    the failed step.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -137,10 +168,17 @@ def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> Frame
         )
     modes = np.arange(-n, n + 1, dtype=float)
     phase, kernel, _ = _omega_factors(freqs.frequencies, modes)
-    try:
-        u, s, vh = np.linalg.svd(kernel, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"SVD of Omega failed: {exc}") from exc
+    if 2 * n + 1 <= 2 * freqs.m + 1 and rel_tol < _GRAM_MIN_RATIO:
+        gram = kernel.T @ kernel
+        eigenvalues = _linalg_step("eigenvalues of K^T K", np.linalg.eigvalsh, gram)
+        s = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
+        if s[-1] >= _GRAM_MIN_RATIO * s[0]:
+            pinv = _linalg_step("solve with K^T K", np.linalg.solve, gram, kernel.T)
+            return FrameOperator(
+                freqs=freqs, m=freqs.m, n=n, phase=phase, s=s, pinv_t=pinv.T,
+                rel_tol=rel_tol, effective_rank=2 * n + 1,
+            )
+    u, s, vh = _linalg_step("SVD of K", np.linalg.svd, kernel, full_matrices=False)
     rank = int(np.count_nonzero(s >= rel_tol * s[0]))
     if rank < 2 * n + 1:
         warnings.warn(

@@ -128,6 +128,29 @@ class TestRunExperiment:
         assert rows[0].startswith("m,n,M,N,")
         assert [row.split(",")[0] for row in rows[1:]] == ["16", "24"]
 
+    def test_summary_reports_frame_health(self, tmp_path):
+        # svd_tol = 0.6 truncates, so cond is s_max over the last kept value
+        cfg = small_config(output_dir=str(tmp_path), svd_tol=0.6)
+        with pytest.warns(UserWarning, match="effective rank"):
+            report = run_experiment(cfg)
+            ops = [
+                fourierhybrid.assemble_omega(
+                    fourierhybrid.jittered_frequencies(m, cfg.seed), rec.n, cfg.svd_tol
+                )
+                for m, rec in zip(cfg.m_list, report.records)
+            ]
+        lines = [
+            line for line in (tmp_path / "summary.csv").read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        header = lines[0].split(",")
+        assert header[:6] == ["m", "n", "M", "N", "rank", "cond"]
+        for row, rec, op in zip(lines[1:], report.records, ops):
+            columns = dict(zip(header, row.split(",")))
+            assert int(columns["rank"]) == rec.rank == op.effective_rank < 2 * rec.n + 1
+            assert float(columns["cond"]) == rec.cond == op.s[0] / op.s[rec.rank - 1]
+            assert rec.cond <= 1.0 / cfg.svd_tol
+
     def test_byte_reproducible(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_experiment(small_config(output_dir=str(out_a), formats=("csv", "svg")))
@@ -151,7 +174,7 @@ class TestRunExperiment:
 class TestConvergenceTable:
     def test_ratio_arithmetic(self):
         records = tuple(
-            RunRecord(m=m, n=0, degree=0, fit_samples=1,
+            RunRecord(m=m, n=0, degree=0, fit_samples=1, rank=1, cond=1.0,
                       sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
                       sup_err_hybrid_global=err, sup_err_hybrid_buffers=0.0,
                       wall_time=0.0, freq_hash="")
@@ -165,7 +188,7 @@ class TestConvergenceTable:
 
     def test_single_record_has_empty_ratio(self):
         records = (
-            RunRecord(m=64, n=0, degree=0, fit_samples=1,
+            RunRecord(m=64, n=0, degree=0, fit_samples=1, rank=1, cond=1.0,
                       sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
                       sup_err_hybrid_global=5e-3, sup_err_hybrid_buffers=0.0,
                       wall_time=0.0, freq_hash=""),
@@ -273,6 +296,25 @@ class TestCli:
 
     def test_unknown_function_exits_two(self, tmp_path):
         assert main(["--function", "f9", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("svd_tol, solver, step", [
+        ("1e-12", "eigvalsh", "frame: eigenvalues of K^T K failed"),  # Gram route
+        ("0.5", "svd", "frame: SVD of K failed"),  # truncated-SVD route
+    ])
+    def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch,
+                                           svd_tol, solver, step):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, fail)
+        code = main([
+            "--function", "f1", "--m", "16", "--grid", "64", "--svd-tol", svd_tol,
+            "--out", str(tmp_path / "out"), "--formats", "csv",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: {step}: did not converge" in err
+        assert not any(tmp_path.iterdir())
 
     def test_io_failure_exits_four(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

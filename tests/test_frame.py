@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -141,6 +142,63 @@ class TestAssembleOmega:
         s = np.linalg.svd(kernel, compute_uv=False)
         assert np.max(np.abs(op.s - s)) <= 1e-13 * s[0]
 
+    @staticmethod
+    def kernel(freqs, n):
+        return np.sinc(freqs.frequencies[:, None] - np.arange(-n, n + 1)[None, :])
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("this route must not be taken")
+
+    @pytest.mark.parametrize("scheme", ["jittered", "log", "uniform"])
+    @pytest.mark.parametrize("m", [32, 128, 512])
+    def test_well_conditioned_frame_skips_the_svd(self, scheme, m, monkeypatch):
+        # cond(K) <= 100: s and (K^+)^T come from the Gram matrix K^T K
+        freqs = frequency_set(scheme, m)
+        n = fh.choose_n(scheme, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", self.refuse)
+            op = fh.assemble_omega(freqs, n)
+        assert op.effective_rank == 2 * n + 1
+        kernel = self.kernel(freqs, n)
+        s = np.linalg.svd(kernel, compute_uv=False)
+        assert np.max(np.abs(op.s - s)) <= 1e-14 * s[0]
+        assert np.max(np.abs(op.pinv_t - np.linalg.pinv(kernel).T)) <= 1e-13
+
+    def test_ill_conditioned_frame_takes_the_svd(self, monkeypatch):
+        # full column rank, but cond(K) is about 3.9e3, past the Gram route's limit
+        freqs, n = fh.log_frequencies(32), 20
+        svd_calls = []
+        svd = np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            svd_calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = fh.assemble_omega(freqs, n)
+        assert svd_calls == [(65, 41)]
+        assert op.effective_rank == 2 * n + 1
+        assert op.s[0] / op.s[-1] > 1e3
+        kernel = self.kernel(freqs, n)
+        # entries of (K^+)^T reach 755 here
+        assert np.max(np.abs(op.pinv_t - np.linalg.pinv(kernel).T)) <= 1e-12
+
+    def test_large_rel_tol_takes_the_svd(self, monkeypatch):
+        # rel_tol = 0.5 truncates a frame the Gram route would take (cond 2.0)
+        freqs, n = fh.jittered_frequencies(32, seed=1), 19
+        kernel = self.kernel(freqs, n)
+        rank = int(np.linalg.matrix_rank(kernel, rtol=0.5))
+        assert rank < 2 * n + 1
+        monkeypatch.setattr(np.linalg, "eigvalsh", self.refuse)
+        with pytest.warns(UserWarning, match=f"effective rank {rank} < {2 * n + 1}"):
+            op = fh.assemble_omega(freqs, n, 0.5)
+        assert op.effective_rank == rank
+        truncated = np.linalg.pinv(kernel, rtol=0.5)
+        assert np.max(np.abs(op.pinv_t - truncated.T)) <= 1e-13
+
     def test_pseudo_inverse_consistency(self):
         # Omega = diag(phase) K diag(sign), so Omega^+ = diag(sign) K^+ diag(conj phase)
         op = pipeline("f1", "jittered", 32, n=19).operator
@@ -176,9 +234,11 @@ class TestAssembleOmega:
         assert "omega" not in {f.name for f in dataclasses.fields(op)}
 
     def test_peak_memory_of_operator_and_synthesis(self):
-        # one real (K^+)^T, kept from the truncated SVD of K, and the folded
-        # matrix filter_reconstruct builds per call; the stored complex Omega,
-        # SVD factors and folded synthesis matrix that this replaced took 46.3 MiB
+        # the traced peak, 19.3 MiB, is np.sinc's temporaries while K is built;
+        # after that the Gram route holds K, K^T K and (K^+)^T (12.5 MiB), and
+        # filter_reconstruct holds (K^+)^T and its folded matrix.  The truncated
+        # SVD that the Gram route skips peaked at 22.2 MiB here, and the stored
+        # complex Omega, SVD factors and folded synthesis matrix before it at 46.3
         pipe = pipeline("f1", "jittered", 512)
         assert pipe.n == 307
         tracemalloc.start()
@@ -192,7 +252,7 @@ class TestAssembleOmega:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 28 * 2**20
+        assert peak < 24 * 2**20
 
     def test_underdetermined_warns(self):
         with pytest.warns(UserWarning, match="underdetermined"):

@@ -32,6 +32,20 @@ class TestAssembly:
                 expect = fh.evaluate_fit(hyb.fits[k], GRID_1024[buffer])
                 np.testing.assert_array_equal(hyb.values[buffer], expect)
 
+    def test_fits_match_per_subinterval_evaluation(self):
+        # each fit is the degree-M least-squares fit to the filter values at
+        # N + 1 equispaced nodes on [left + delta, right - delta]
+        run = hybrid_run("f2", "jittered", 128)
+        hyb = run.hyb
+        jumps = run.pipe.jumps
+        assert len(hyb.fits) == jumps.size - 1 == 3
+        for fit, left, right in zip(hyb.fits, jumps[:-1], jumps[1:]):
+            nodes = np.linspace(left + DELTA, right - DELTA, hyb.fit_sample_count)
+            node_values, _ = fh.filter_reconstruct(run.pipe.recon, nodes)
+            expect = fh.chebyshev_fit(nodes, node_values, hyb.degree)
+            assert (fit.a, fit.b) == (expect.a, expect.b)
+            assert np.max(np.abs(fit.coefficients - expect.coefficients)) <= 1e-12
+
     def test_tags_partition_by_distance_rule(self):
         run = hybrid_run("f2", "jittered", 128)
         d = run.dist
