@@ -54,8 +54,6 @@ from .sampling import (
     fourier_samples,
     jittered_frequencies,
     log_frequencies,
-    samples_from_csv,
-    samples_to_csv,
     uniform_frequencies,
 )
 

@@ -86,8 +86,17 @@ def _omega_factors(lams: np.ndarray, modes: np.ndarray):
     e^{i pi t} = phase_j sign_l with t = lams_j - modes_l.  The sinc form has
     no cancellation at small t, unlike
     (sin 2 pi t + i (1 - cos 2 pi t)) / (2 pi t).
+
+    The kernel is np.sinc(t) in np.sinc's operation order, bit for bit, but
+    pi t is formed in place, so sin(pi t) / (pi t) is the only other
+    (2m+1, 2n+1) array; np.sinc holds four at once.
     """
-    return _half_turns(lams), np.sinc(lams[:, None] - modes[None, :]), _parity(modes)
+    x = np.subtract.outer(lams, modes)
+    x *= np.pi
+    x[x == 0] = np.finfo(float).eps
+    kernel = np.sin(x)
+    kernel /= x
+    return _half_turns(lams), kernel, _parity(modes)
 
 
 def _omega_matrix(lams: np.ndarray, modes: np.ndarray) -> np.ndarray:

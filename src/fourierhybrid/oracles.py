@@ -2,7 +2,7 @@
 
 Everything here uses code paths separate from the main pipeline: scipy's
 adaptive quadrature (with oscillatory weights) instead of the in-house
-Gauss-Legendre sampler, fsum-based series instead of the vectorized
+Legendre-Bessel sampler, fsum-based series instead of the vectorized
 filter evaluation, and numpy's least-squares solver with a direct mode sum
 instead of the frame's pseudo-inverse and folded cosine/sine sum.  Of the
 package, only piecewise is imported.  These routines exist to falsify the

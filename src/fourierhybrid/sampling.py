@@ -1,16 +1,14 @@
 """Non-uniform frequency schemes and synthesis of Fourier samples.
 
 Samples hat f(lambda) = integral_0^1 f(x) exp(-2 pi i lambda x) dx are
-computed per piece by adaptive composite Gauss-Legendre quadrature, so
-arbitrary expression-defined pieces are supported uniformly. The quadrature
-is batched over all frequencies of a set: for each piece, panel counts P run
-upward over powers of two; the piece is evaluated once on each P-panel grid,
-and every frequency still pending at P takes its value from that grid through
-the factorization exp(-2 pi i lambda (mid_k + h t_q)) = exp(-2 pi i lambda
-mid_k) exp(-2 pi i lambda h t_q), i.e. one (frequencies x P) @ (P x 16)
-product in blocks of bounded size. Each frequency still starts at its own
-panel count and stops by its own doubling rule, so the result is the
-per-frequency quadrature up to rounding.
+exact finite sums per piece: on a segment [mid - h, mid + h] the piece is
+expanded in Legendre polynomials from a Gauss rule, its coefficients chopped
+where they reach their roundoff plateau, and each term integrated in closed
+form through integral_{-1}^{1} P_q(t) e^{-i w t} dt = 2 (-i)^q j_q(w), with
+j_q the spherical Bessel function and w = 2 pi lambda h (Filon's idea on a
+Legendre basis).  A segment is halved only where the piece itself needs
+more than 128 terms, so the cost is O(frequencies x terms) per segment at
+any |lambda|.  j_q is computed in numpy by recurrence.
 
 The jittered scheme uses numpy's default generator (PCG64): the output
 stream is fixed by the seed, so frequency sets are reproducible across
@@ -19,10 +17,8 @@ runs of the same numpy version.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -37,23 +33,27 @@ __all__ = [
     "uniform_frequencies",
     "fourier_sample",
     "fourier_samples",
-    "samples_to_csv",
-    "samples_from_csv",
 ]
 
-DEFAULT_TOL = 1e-13
-POINTS_PER_PANEL = 16
-MAX_PANELS = 2**14
-# bytes of the complex (frequencies x panels) phase matrix per block
-_BLOCK_BYTES = 1 << 20
+# Gauss-Legendre orders tried on a segment before it is halved
+_ORDERS = (32, 64, 128)
+# halvings of a piece before it counts as unresolved
+_MAX_HALVINGS = 12
+# a segment is resolved when the top half of its Legendre coefficients is at
+# most _CHOP of the largest; for a geometrically convergent series the terms
+# past the order are then about eps^(4/3)
+_CHOP = np.finfo(float).eps ** (2 / 3)
+# Miller's recurrence starts this many orders above the top one
+_MILLER_MARGIN = 40
+# Miller's recurrence scales a row back to 1 once it passes _HUGE, and
+# omega below 1/_HUGE counts as 0 (there |j_q| < 1e-150 for q >= 1), so the
+# factor (2q+1)/omega never overflows
+_HUGE = 1e150
+_POWERS_OF_MINUS_I = np.array([1, -1j, -1, 1j])
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not converge within the panel cap."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
+    """A piece is not resolved by Legendre series after the last halving."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,6 @@ class FourierSamples:
 
     freqs: FrequencySet
     values: np.ndarray
-    quadrature_tolerance: float = DEFAULT_TOL
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -141,151 +140,124 @@ def uniform_frequencies(m: int) -> FrequencySet:
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre(npts: int):
-    nodes, weights = np.polynomial.legendre.leggauss(npts)
-    return nodes, weights
+def _legendre_transform(k: int):
+    """Gauss nodes t_i and the (k, k) map from g(t_i) to the Legendre coefficients of g.
 
-
-def _start_panels(lams: np.ndarray, width: float) -> np.ndarray:
-    """Smallest power of two >= |lambda| width / 4, capped at MAX_PANELS.
-
-    Resolves the oscillation before the panel-doubling stop rule is trusted:
-    roughly 4 integrand cycles per 16-point panel to start.
+    c_q = (q + 1/2) sum_i w_i P_q(t_i) g(t_i), exact for g of degree < k.
     """
-    quarter_cycles = np.abs(lams) * width / 4
-    panels = np.ones(lams.shape, dtype=np.int64)
-    while True:
-        grow = (panels < quarter_cycles) & (panels < MAX_PANELS)
-        if not grow.any():
-            return panels
-        panels[grow] *= 2
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    transform = (np.arange(k) + 0.5)[:, None] * (
+        np.polynomial.legendre.legvander(nodes, k - 1) * weights[:, None]
+    ).T
+    transform.setflags(write=False)
+    return nodes, transform
 
 
-def _panel_integrals(piece, lams: np.ndarray, panels: int) -> np.ndarray:
-    """P-panel Gauss-Legendre values of integral_a^b g(x) exp(-2 pi i lam x) dx.
-
-    With x = mid_k + h t_q the kernel factors into exp(-2 pi i lam mid_k)
-    exp(-2 pi i lam h t_q), so the piece is evaluated once on the (P, 16)
-    grid and each block of frequencies costs one (F, P) @ (P, 16) product and
-    a row-dot with the (F, 16) node phases. Blocks keep the (F, P) phase
-    matrix near _BLOCK_BYTES; no (F, 16 P) matrix is formed.
-    """
-    nodes, weights = _gauss_legendre(POINTS_PER_PANEL)
-    edges = np.linspace(piece.a, piece.b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    g = half[:, None] * weights * piece(mid[:, None] + half[:, None] * nodes)
-    h = 0.5 * (piece.b - piece.a) / panels
-    out = np.empty(lams.shape, dtype=complex)
-    block = max(1, _BLOCK_BYTES // (16 * panels))
-    for lo in range(0, lams.size, block):
-        rate = -2j * np.pi * lams[lo:lo + block, None]
-        out[lo:lo + block] = np.einsum(
-            "fq,fq->f", np.exp(rate * mid) @ g, np.exp(rate * (h * nodes))
-        )
+def _forward_sum(w: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_q coef[q] j_q(w) by the upward recurrence, for w >= len(coef)."""
+    prev = np.sin(w) / w
+    cur = (prev - np.cos(w)) / w
+    out = coef[0] * prev + coef[1] * cur
+    for q in range(1, len(coef) - 1):
+        prev, cur = cur, (2 * q + 1) / w * cur - prev
+        out += coef[q + 1] * cur
     return out
 
 
-def _piece_fourier_integrals(piece, freqs: FrequencySet, tol: float) -> np.ndarray:
-    """integral_a^b g(x) exp(-2 pi i lam x) dx for every lam in the set.
+def _miller_sum(w: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_q coef[q] j_q(w) by Miller's downward recurrence, for 1/_HUGE <= w < len(coef).
 
-    Each frequency keeps its own panel-doubling rule: it joins at its
-    starting panel count, stops at the first P with |Q(2P) - Q(P)| <= tol and
-    returns Q(2P). Panel counts run upward once per piece, so each P-panel
-    grid serves every frequency still pending at P.
+    The recurrence starts _MILLER_MARGIN orders above the top one; rows that
+    pass _HUGE are scaled back to 1.  The sum is normalized by whichever of
+    j_0, j_1 is larger, since j_0 vanishes at w = k pi.
     """
-    lams = freqs.frequencies
-    start = _start_panels(lams, piece.b - piece.a)
-    values = np.empty(lams.shape, dtype=complex)
-    # NaN until a frequency's first pass, so that pass never meets the stop rule
-    prev = np.full(lams.shape, np.nan, dtype=complex)
-    change = np.full(lams.shape, np.nan)
-    pending = np.ones(lams.shape, dtype=bool)
-    panels = int(start.min())
-    while panels <= MAX_PANELS:
-        rows = np.flatnonzero(pending & (start <= panels))
-        if rows.size:
-            q = _panel_integrals(piece, lams[rows], panels)
-            change[rows] = np.abs(q - prev[rows])
-            done = change[rows] <= tol
-            values[rows[done]] = q[done]
-            pending[rows[done]] = False
-            prev[rows] = q
-        if not pending.any():
-            return values
-        panels *= 2
-    k = int(np.flatnonzero(pending)[0])
-    raise QuadratureError(
-        f"quadrature failed at frequency index {k - freqs.m} (lambda={lams[k]}): "
-        f"did not reach tol={tol} on [{piece.a},{piece.b}] within "
-        f"{MAX_PANELS} panels",
-        achieved=None if np.isnan(change[k]) else float(change[k]),
-    )
+    nxt, cur = np.zeros_like(w), np.ones_like(w)
+    out = np.zeros(w.shape, dtype=coef.dtype)
+    for q in range(len(coef) + _MILLER_MARGIN, 0, -1):
+        if q < len(coef):
+            out += coef[q] * cur
+        nxt, cur = cur, (2 * q + 1) / w * cur - nxt
+        big = np.abs(cur) > _HUGE
+        if big.any():
+            scale = 1.0 / np.abs(cur[big])
+            cur[big] *= scale
+            nxt[big] *= scale
+            out[big] *= scale
+    out += coef[0] * cur
+    j0 = np.sin(w) / w
+    use0 = np.abs(cur) >= np.abs(nxt)
+    return out * np.where(use0, j0, (j0 - np.cos(w)) / w) / np.where(use0, cur, nxt)
 
 
-def fourier_sample(f: PiecewiseFunction, lam: float, tol: float = DEFAULT_TOL) -> complex:
+def _bessel_sum(omega: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_{q < k} coef[q] j_q(omega) for omega >= 0, j_q the spherical Bessel function.
+
+    coef has k >= 2 entries.  Rows with omega >= k take the upward
+    recurrence, which is stable there for every q < k; rows with
+    1/_HUGE <= omega < k take Miller's; below 1/_HUGE omega counts as 0,
+    where j_0 = 1 and every other j_q vanishes.
+    """
+    zero, upward = omega < 1 / _HUGE, omega >= len(coef)
+    out = np.zeros(omega.shape, dtype=np.result_type(coef, float))
+    out[zero] = coef[0]
+    for rows, recurrence in ((upward, _forward_sum), (~zero & ~upward, _miller_sum)):
+        if rows.any():
+            out[rows] = recurrence(omega[rows], coef)
+    return out
+
+
+def _segment_integrals(
+    piece, lams: np.ndarray, lo: float, hi: float, halvings: int, scale: float = 0.0
+):
+    """integral_lo^hi g(x) exp(-2 pi i lam x) dx for every lam, g the piece.
+
+    With x = mid + h t and g = sum_q c_q P_q(t), each term integrates in
+    closed form, integral_{-1}^{1} P_q(t) e^{-i w t} dt = 2 (-i)^q j_q(w) with
+    w = 2 pi lam h, so the segment gives 2 h e^{-2 pi i lam mid} sum_q c_q
+    (-i)^q j_q(w).  The coefficients come from the first order in _ORDERS
+    whose top half is at most _CHOP of the largest coefficient seen on this
+    segment or the ones it was halved from (`scale`), so a weak endpoint
+    singularity such as x^1.5 resolves once its segment is small.  A segment
+    that no order resolves is halved, at most `halvings` more times.  g is
+    real, so the sum at -w is the conjugate of the one at w.
+    """
+    mid, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for k in _ORDERS:
+        nodes, transform = _legendre_transform(k)
+        c = transform @ np.broadcast_to(piece(mid + h * nodes), nodes.shape)
+        scale = max(scale, np.max(np.abs(c)))
+        if np.max(np.abs(c[k // 2:])) <= _CHOP * scale:
+            omega = 2 * np.pi * h * lams
+            total = _bessel_sum(np.abs(omega), c * _POWERS_OF_MINUS_I[np.arange(k) % 4])
+            total = np.where(omega < 0, total.conj(), total)
+            return 2 * h * np.exp(-2j * np.pi * lams * mid) * total
+    if halvings == 0:
+        raise QuadratureError(
+            f"piece on [{piece.a}, {piece.b}] is not resolved: its Legendre "
+            f"coefficients on [{lo}, {hi}] do not decay within {k} terms"
+        )
+    return (_segment_integrals(piece, lams, lo, mid, halvings - 1, scale)
+            + _segment_integrals(piece, lams, mid, hi, halvings - 1, scale))
+
+
+def fourier_sample(f: PiecewiseFunction, lam: float) -> complex:
     """hat f(lam): fourier_samples on the one-frequency set {lam}."""
     one = FrequencySet(m=0, frequencies=np.array([float(lam)]), scheme="custom")
-    return complex(fourier_samples(f, one, tol).values[0])
+    return complex(fourier_samples(f, one).values[0])
 
 
-def fourier_samples(
-    f: PiecewiseFunction, freqs: FrequencySet, tol: float = DEFAULT_TOL
-) -> FourierSamples:
+def fourier_samples(f: PiecewiseFunction, freqs: FrequencySet) -> FourierSamples:
     """Vector of hat f(lambda_j), summed piece by piece over all frequencies.
 
-    Every frequency meets its own stop rule (see _piece_fourier_integrals);
-    only the panel grids and their piece evaluations are shared. A frequency
-    that needs more than MAX_PANELS panels raises QuadratureError naming its
-    index j and lambda (the lowest such j of the first piece that fails).
+    Each piece is expanded in Legendre polynomials on as few segments as it
+    needs and integrated term by term in closed form (see
+    _segment_integrals), so the cost does not grow with |lambda|.  A piece
+    that is not resolved after _MAX_HALVINGS halvings raises
+    QuadratureError naming its interval.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     values = np.zeros(len(freqs), dtype=complex)
     for piece in f.pieces:
-        values += _piece_fourier_integrals(piece, freqs, tol)
-    return FourierSamples(freqs=freqs, values=values, quadrature_tolerance=tol)
-
-
-def samples_to_csv(samples: FourierSamples, path) -> None:
-    """Write (j, lambda, re, im) rows for offline experiments."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "lambda", "re", "im"])
-        for j, lam, val in zip(
-            samples.freqs.indices, samples.freqs.frequencies, samples.values
-        ):
-            writer.writerow([j, f"{lam:.17e}", f"{val.real:.17e}", f"{val.imag:.17e}"])
-
-
-def samples_from_csv(path, scheme: str = "custom") -> FourierSamples:
-    """Read back a (j, lambda, re, im) sample table."""
-    path = Path(path)
-    rows = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty CSV, expected a (j, lambda, re, im) table")
-        if header[:4] != ["j", "lambda", "re", "im"]:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            try:
-                rows.append((int(row[0]), float(row[1]), float(row[2]), float(row[3])))
-            except (IndexError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected a (j, lambda, re, im) "
-                    f"row, got {row!r}"
-                ) from exc
-    if not rows:
-        raise ValueError(f"{path}: no sample rows after the header")
-    rows.sort(key=lambda r: r[0])
-    m = rows[-1][0]
-    if [r[0] for r in rows] != list(range(-m, m + 1)):
-        raise ValueError("CSV must contain contiguous indices -m..m")
-    freqs = FrequencySet(
-        m=m, frequencies=np.array([r[1] for r in rows]), scheme=scheme
-    )
-    values = np.array([complex(r[2], r[3]) for r in rows])
+        values += _segment_integrals(
+            piece, freqs.frequencies, piece.a, piece.b, _MAX_HALVINGS
+        )
     return FourierSamples(freqs=freqs, values=values)

@@ -13,6 +13,12 @@ DATA_DIR = Path(__file__).parent / "data"
 GRID_1024 = (np.arange(1024) + 0.5) / 1024
 
 
+def load_sample_table(path):
+    """(lambda, hat f) columns of a frozen (j, lambda, re, im) sample table."""
+    _, lams, re, im = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    return lams, re + 1j * im
+
+
 def frequency_set(scheme: str, m: int, seed: int = 42):
     if scheme == "jittered":
         return fh.jittered_frequencies(m, seed)

@@ -221,9 +221,11 @@ def test_import_leaves_scipy_special_and_integrate_unloaded():
     # scipy.special is needed only for filter weights with z > 700,
     # scipy.integrate only by the quadrature oracles and scipy.optimize only
     # by optimize_delta; importing them at module level would add about
-    # 0.6 s and 40 MiB to every run
+    # 0.6 s and 40 MiB to every run.  The sampler's Bessel sums are numpy
+    # too, so sampling does not load them either
     probe = (
-        "import sys, fourierhybrid.experiments; "
+        "import sys, fourierhybrid.experiments, fourierhybrid as fh; "
+        "fh.fourier_samples(fh.builtin_f2(), fh.jittered_frequencies(8, seed=1)); "
         "print(sorted(m for m in ('scipy.special', 'scipy.integrate', 'scipy.optimize') "
         "if m in sys.modules))"
     )

@@ -16,11 +16,10 @@ from fourierhybrid import (
     jittered_frequencies,
     log_frequencies,
     piecewise_from_expressions,
-    samples_from_csv,
-    samples_to_csv,
     uniform_frequencies,
 )
-from helpers import DATA_DIR
+from fourierhybrid.oracles import projection_coefficient
+from helpers import DATA_DIR, load_sample_table
 
 
 def exponential_mode(k: int):
@@ -128,13 +127,6 @@ def test_non_finite_frequencies_rejected(bad):
         fourier_sample(builtin_f1(), bad)
 
 
-def test_samples_from_csv_rejects_nan_frequency(tmp_path):
-    path = tmp_path / "nan.csv"
-    path.write_text("j,lambda,re,im\n-1,-1.0,0.0,0.0\n0,nan,1.0,0.0\n1,1.0,0.0,0.0\n")
-    with pytest.raises(ValueError, match="frequency index 0 has lambda=nan"):
-        samples_from_csv(path)
-
-
 def test_fourier_sample_orthonormality():
     assert mode_sample(3, 3.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -176,21 +168,58 @@ def test_samples_match_closed_form_at_m512(freqs):
     assert np.max(np.abs(samples.values - f1_closed_form(freqs.frequencies))) <= 1e-12
 
 
-def test_start_panels_match_scalar_doubling_rule(monkeypatch):
-    def reference(lam, width):
-        p = 1
-        while p < abs(lam) * width / 4 and p < sampling.MAX_PANELS:
-            p *= 2
-        return p
+def test_spherical_bessel_table_matches_scipy():
+    from scipy.special import spherical_jn
 
-    monkeypatch.setattr(sampling, "MAX_PANELS", 64)
-    # at width 0.5 these put the quarter-cycle count at, and one ulp either
-    # side of, each power of two up to past the cap
-    powers = 8.0 * 2.0 ** np.arange(8)
-    lams = np.concatenate([powers, np.nextafter(powers, 0.0),
-                           np.nextafter(powers, np.inf), [0.0, -3.0, 1e9]])
-    got = sampling._start_panels(lams, 0.5)
-    assert got.tolist() == [reference(lam, 0.5) for lam in lams]
+    # [0, 130] covers both recurrences at every order, k pi are the zeros of
+    # j_0 that uniform sets hit, the small arguments rescale Miller's sum, and
+    # the tiniest would overflow it
+    omega = np.concatenate([
+        np.linspace(0.0, 130.0, 2601), np.pi * np.arange(1, 42),
+        10.0 ** -np.arange(2, 9), [1e-160, 1e-307],
+    ])
+    for k in sampling._ORDERS:
+        table = np.column_stack([sampling._bessel_sum(omega, unit) for unit in np.eye(k)])
+        reference = spherical_jn(np.arange(k), omega[:, None])
+        assert np.max(np.abs(table - reference)) <= 1e-14
+
+
+def test_samples_match_closed_form_at_m65536():
+    freqs = jittered_frequencies(65536, seed=42)
+    samples = fourier_samples(builtin_f1(), freqs)
+    assert np.max(np.abs(samples.values - f1_closed_form(freqs.frequencies))) <= 1e-12
+
+
+def test_f2_at_m16384_matches_quadrature_oracle():
+    freqs = jittered_frequencies(16384, seed=42)
+    samples = fourier_samples(builtin_f2(), freqs)
+    for j in range(0, len(freqs), 4096):
+        oracle = projection_coefficient(builtin_f2(), freqs.frequencies[j])
+        assert abs(samples.values[j] - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [65535.8, 32767.6, -16383.86])
+def test_full_width_piece_at_large_frequency(lam):
+    w = -2j * np.pi * lam
+    exact = (np.exp(w) * (w - 1.0) + 1.0) / w**2  # integral_0^1 x e^{w x} dx
+    got = fourier_sample(piecewise_from_expressions([(0.0, 1.0, "x")]), lam)
+    assert abs(got - exact) <= 1e-12 * abs(exact)
+
+
+def test_fast_oscillating_piece_matches_closed_form():
+    f = piecewise_from_expressions([(0.0, 1.0, "sin(2*pi*1000*x)")])
+    lams = np.array([0.0, 3.7, 999.3, 1000.0, -1000.0, 5000.2, -20000.5])
+    samples = fourier_samples(f, FrequencySet(m=3, frequencies=lams, scheme="custom"))
+    for lam, got in zip(lams, samples.values):
+        exact = (closed_form_mode_integral(1000, lam)
+                 - closed_form_mode_integral(-1000, lam)) / 2j
+        assert abs(got - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("power", [1.5, 2.5])
+def test_weak_endpoint_singularity_resolves_by_halving(power):
+    f = piecewise_from_expressions([(0.0, 1.0, f"x^{power}")])
+    assert fourier_sample(f, 0.0) == pytest.approx(1.0 / (power + 1.0), abs=1e-14)
 
 
 def test_samples_conjugate_symmetric_for_log_scheme():
@@ -213,21 +242,19 @@ def test_constant_function_on_uniform_grid():
 
 
 def test_frozen_fixture_f1_jittered_m32():
-    fixture = samples_from_csv(DATA_DIR / "f1_jittered_m32_seed42.csv")
+    lams, values = load_sample_table(DATA_DIR / "f1_jittered_m32_seed42.csv")
     freqs = jittered_frequencies(32, seed=42)
-    np.testing.assert_allclose(
-        fixture.freqs.frequencies, freqs.frequencies, rtol=0, atol=1e-15
-    )
+    np.testing.assert_allclose(lams, freqs.frequencies, rtol=0, atol=1e-15)
     recomputed = fourier_samples(builtin_f1(), freqs)
-    assert np.max(np.abs(recomputed.values - fixture.values)) <= 1e-13
+    assert np.max(np.abs(recomputed.values - values)) <= 1e-13
 
 
 def test_frozen_fixture_f2_log_m512():
-    fixture = samples_from_csv(DATA_DIR / "f2_log_m512.csv")
+    lams, values = load_sample_table(DATA_DIR / "f2_log_m512.csv")
     freqs = log_frequencies(512)
-    np.testing.assert_array_equal(fixture.freqs.frequencies, freqs.frequencies)
+    np.testing.assert_array_equal(lams, freqs.frequencies)
     recomputed = fourier_samples(builtin_f2(), freqs)
-    assert np.max(np.abs(recomputed.values - fixture.values)) <= 1e-13
+    assert np.max(np.abs(recomputed.values - values)) <= 1e-13
 
 
 def test_batched_quadrature_memory_is_bounded():
@@ -241,48 +268,6 @@ def test_batched_quadrature_memory_is_bounded():
         tracemalloc.stop()
     # a complex (frequencies x 16 P) phase matrix would be about 33 MB here
     assert peak < 16 * 2**20
-
-
-def test_csv_round_trip_preserves_doubles():
-    samples = fourier_samples(builtin_f1(), jittered_frequencies(4, seed=9))
-    path = DATA_DIR / ".." / "_roundtrip.csv"
-    try:
-        samples_to_csv(samples, path)
-        back = samples_from_csv(path)
-        np.testing.assert_array_equal(back.freqs.frequencies, samples.freqs.frequencies)
-        np.testing.assert_array_equal(back.values, samples.values)
-    finally:
-        path.unlink(missing_ok=True)
-
-
-def test_samples_from_csv_rejects_bad_header(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b,c,d\n1,2,3,4\n")
-    with pytest.raises(ValueError, match="header"):
-        samples_from_csv(bad)
-
-
-@pytest.mark.parametrize("contents", ["", "j,lambda,re,im\n"])
-def test_samples_from_csv_rejects_empty_table(tmp_path, contents):
-    path = tmp_path / "empty.csv"
-    path.write_text(contents)
-    with pytest.raises(ValueError, match="empty.csv"):
-        samples_from_csv(path)
-
-
-@pytest.mark.parametrize(
-    "contents, line",
-    [
-        ("j,lambda,re,im\n0,0.0,1.0\n", 2),
-        ("j,lambda,re,im\n-1,-1.0,0.0,0.0\n\n0,0.0,1.0,0.0\n", 3),
-    ],
-    ids=["short-row", "blank-line"],
-)
-def test_samples_from_csv_rejects_short_or_blank_row(tmp_path, contents, line):
-    path = tmp_path / "short.csv"
-    path.write_text(contents)
-    with pytest.raises(ValueError, match=rf"short\.csv: line {line}:"):
-        samples_from_csv(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -299,27 +284,9 @@ def test_sample_length_validation():
         FourierSamples(freqs=freqs, values=np.zeros(3, dtype=complex))
 
 
-def test_nonpositive_tolerance_rejected():
-    with pytest.raises(ValueError):
-        fourier_sample(builtin_f1(), 1.0, tol=0.0)
-
-
 def test_quadrature_failure_raises_with_context(monkeypatch):
-    monkeypatch.setattr(sampling, "MAX_PANELS", 2)
-    with pytest.raises(QuadratureError, match="frequency index"):
-        fourier_samples(builtin_f1(), uniform_frequencies(40), tol=1e-16)
-
-
-def test_quadrature_failure_inside_batch_names_frequency(monkeypatch):
-    monkeypatch.setattr(sampling, "MAX_PANELS", 8)
-    freqs = FrequencySet(
-        m=2, frequencies=np.array([-3.5, 0.5, 30.3, 2.5, -1.5]), scheme="custom"
-    )
-    with pytest.raises(QuadratureError, match=r"frequency index 0 \(lambda=30\.3\)") as info:
-        fourier_samples(builtin_f1(), freqs)
-    assert info.value.achieved > sampling.DEFAULT_TOL
-    # the same batch without the fast frequency converges under the same cap
-    easy = FrequencySet(
-        m=2, frequencies=np.array([-3.5, 0.5, 0.0, 2.5, -1.5]), scheme="custom"
-    )
-    assert np.all(np.isfinite(fourier_samples(builtin_f1(), easy).values))
+    monkeypatch.setattr(sampling, "_MAX_HALVINGS", 0)
+    f = piecewise_from_expressions([(0.0, 0.25, "x"), (0.25, 1.0, "sin(2*pi*1000*x)")])
+    with pytest.raises(QuadratureError, match=r"piece on \[0\.25, 1\.0\]") as info:
+        fourier_samples(f, uniform_frequencies(4))
+    assert isinstance(info.value, RuntimeError)  # the CLI exits 3 on it
