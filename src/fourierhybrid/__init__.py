@@ -28,7 +28,6 @@ from .frame import (
     filter_reconstruct,
 )
 from .hybrid import (
-    HybridConfig,
     HybridReconstruction,
     delta_objective,
     hybrid_reconstruct,

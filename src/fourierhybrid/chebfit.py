@@ -1,8 +1,8 @@
 """Stable least-squares Chebyshev fitting and buffer-zone extrapolation.
 
-Fits use equispaced nodes with heavy oversampling (N about 4 M^2 samples
+Fits use equispaced nodes with heavy oversampling (N + 1 nodes, N = 4 M^2,
 for degree M); stability comes from the oversampling, not from the node
-placement.  Evaluation (numpy's chebval, a Clenshaw recurrence) is valid
+placement.  evaluate_fit (numpy's chebval, a Clenshaw recurrence) is valid
 outside the fit interval, which is the whole point.
 """
 
@@ -24,9 +24,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChebyshevFit:
-    """Degree-M fit in the Chebyshev-T basis on [a, b]."""
+    """Fit in the Chebyshev-T basis on [a, b]; its degree is the coefficient count - 1."""
 
-    degree: int
     coefficients: np.ndarray
     a: float
     b: float
@@ -34,16 +33,15 @@ class ChebyshevFit:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.shape != (self.degree + 1,):
-            raise ValueError("coefficient count must be degree + 1")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
+    @property
+    def degree(self) -> int:
+        return self.coefficients.size - 1
+
     def map_to_t(self, x):
         return 2.0 * (np.asarray(x, dtype=float) - self.a) / (self.b - self.a) - 1.0
-
-    def __call__(self, x):
-        return evaluate_fit(self, x)
 
 
 def chebyshev_fit(xs, ys, degree: int) -> ChebyshevFit:
@@ -70,7 +68,7 @@ def chebyshev_fit(xs, ys, degree: int) -> ChebyshevFit:
         )
     residual = vander @ coeffs - ys
     rms = float(np.sqrt(np.mean(residual**2)))
-    return ChebyshevFit(degree=degree, coefficients=coeffs, a=a, b=b, residual_norm=rms)
+    return ChebyshevFit(coefficients=coeffs, a=a, b=b, residual_norm=rms)
 
 
 def evaluate_fit(fit: ChebyshevFit, x):
@@ -81,18 +79,18 @@ def evaluate_fit(fit: ChebyshevFit, x):
 
 def extrapolation_params_practical(m: int, delta: float) -> tuple[int, int]:
     """Practical rule M = round(4 + m delta), N = 4 M^2."""
-    if m * delta < 0:
-        raise ValueError("m*delta must be non-negative")
+    if not (m >= 0 and 0 <= delta < math.inf):  # NaN fails too
+        raise ValueError(f"need m >= 0 and finite delta >= 0, got m={m!r}, delta={delta!r}")
     big_m = int(round(4.0 + m * delta))
     return big_m, 4 * big_m**2
 
 
 def extrapolation_params_theoretical(Q: float, eps: float, rho: float) -> tuple[int, int]:
     """Theoretical rule M = ceil(log(Q/eps)/log(rho)), N_min = 4 M^2."""
-    if rho <= 1.0:
-        raise ValueError("rho must exceed 1")
-    if not (0.0 < eps < Q):
-        raise ValueError("need 0 < eps < Q")
+    if not rho > 1.0:  # NaN fails too
+        raise ValueError(f"rho must exceed 1, got {rho!r}")
+    if not 0.0 < eps < Q < math.inf:
+        raise ValueError(f"need 0 < eps < Q < inf, got eps={eps!r}, Q={Q!r}")
     big_m = math.ceil(math.log(Q / eps) / math.log(rho))
     return big_m, 4 * big_m**2
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .filters import FilterConfig
 from .frame import FilterReconstruction, assemble_omega, choose_n
-from .hybrid import HybridConfig, hybrid_reconstruct
+from .hybrid import hybrid_reconstruct
 from .oracles import ground_truth_error
 from .piecewise import (
     PiecewiseFunction,
@@ -185,7 +185,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         recon = FilterReconstruction(
             operator=operator, samples=samples, filter_cfg=filter_cfg, jumps=jumps
         )
-        hyb = hybrid_reconstruct(recon, HybridConfig(delta=cfg.delta), grid)
+        hyb = hybrid_reconstruct(recon, grid, cfg.delta)
 
         err_filter = ground_truth_error(grid, hyb.filter_values, f, jumps, cfg.delta)
         err_hybrid = ground_truth_error(grid, hyb.values, f, jumps, cfg.delta)

@@ -135,8 +135,8 @@ def filter_sigma(p: int, gamma: float, w: float) -> float:
     """sigma_{p,gamma}(w) in [0,1] up to roundoff; gamma = 0 gives the identity filter."""
     if p < 0:
         raise ValueError("p must be non-negative")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not (0 <= gamma < math.inf and math.isfinite(w)):  # NaN fails too
+        raise ValueError(f"need finite gamma >= 0 and finite w, got gamma={gamma!r}, w={w!r}")
     return float(_sigma(p, 0.5 * (w * gamma) ** 2))
 
 
@@ -199,8 +199,8 @@ def tail_bound_l2(n: int, m: int, p: int, gamma: float, f_sup: float) -> float:
 
     The bound needs z >= p; a violation raises ValueError.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (0 < gamma < math.inf and 0 <= f_sup < math.inf):  # NaN fails too
+        raise ValueError(f"need finite gamma > 0 and f_sup >= 0, got gamma={gamma!r}, f_sup={f_sup!r}")
     z = (n * gamma) ** 2 / (2.0 * m**2)
     if z < p:
         raise ValueError(

@@ -11,8 +11,8 @@ t = lambda_j - l.  The modes l are integers, so e^{-i pi l} = (-1)^l and
 a unitary diagonal, a real kernel and a sign diagonal.  Omega and K share
 their singular values, so the frame is factored through the real K alone,
 and assemble_omega keeps one matrix per sample set, the real (2m+1, 2n+1)
-transpose (K^+)^T of K's truncated pseudo-inverse.  Omega itself is built
-only on request (FrameOperator.omega).
+transpose (K^+)^T of K's truncated pseudo-inverse.  m and Omega itself are
+read from the frequency set on request (FrameOperator.m, .omega).
 
 A stable frame section, the generalized-sampling setting of Adcock,
 Gataric & Hansen, has a well-conditioned K, and there the SVD is not
@@ -114,13 +114,12 @@ class FrameOperator:
 
     Omega = phase[:, None] * K * (-1)^l with the real kernel K; pinv_t is the
     real (2m+1, 2n+1) matrix (K^+)^T of K's truncated pseudo-inverse, and s
-    holds the singular values of K, which are those of Omega.  Omega itself
-    is not stored: the ``omega`` property builds it from the frequencies on
-    each access.  Every stored array is read-only.
+    holds the singular values of K, which are those of Omega.  m and Omega
+    are not stored: ``m`` reads freqs.m, and ``omega`` builds Omega from the
+    frequencies on each access.  Every stored array is read-only.
     """
 
     freqs: FrequencySet
-    m: int
     n: int
     phase: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
@@ -131,6 +130,10 @@ class FrameOperator:
     def __post_init__(self):
         for array in (self.phase, self.s, self.pinv_t):
             array.setflags(write=False)
+
+    @property
+    def m(self) -> int:
+        return self.freqs.m
 
     @property
     def omega(self) -> np.ndarray:
@@ -184,7 +187,7 @@ def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> Frame
         if s[-1] >= _GRAM_MIN_RATIO * s[0]:
             pinv = _linalg_step("solve with K^T K", np.linalg.solve, gram, kernel.T)
             return FrameOperator(
-                freqs=freqs, m=freqs.m, n=n, phase=phase, s=s, pinv_t=pinv.T,
+                freqs=freqs, n=n, phase=phase, s=s, pinv_t=pinv.T,
                 rel_tol=rel_tol, effective_rank=2 * n + 1,
             )
     u, s, vh = _linalg_step("SVD of K", np.linalg.svd, kernel, full_matrices=False)
@@ -195,7 +198,7 @@ def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> Frame
             stacklevel=2,
         )
     return FrameOperator(
-        freqs=freqs, m=freqs.m, n=n, phase=phase, s=s,
+        freqs=freqs, n=n, phase=phase, s=s,
         pinv_t=(u[:, :rank] / s[:rank]) @ vh[:rank],
         rel_tol=rel_tol, effective_rank=rank,
     )

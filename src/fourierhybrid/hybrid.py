@@ -3,9 +3,10 @@ extrapolation inside delta-buffer zones around them.
 
 hybrid_reconstruct takes a FilterReconstruction, which already fixes the
 samples, the jump set, the mode count n, the SVD tolerance and the filter
-constants; HybridConfig holds only the extrapolation knobs.  Each
-subinterval [xi_l, xi_{l+1}] gets one Chebyshev fit on
-[xi_l + delta, xi_{l+1} - delta] that serves both of its buffer zones.
+constants, and the buffer width delta.  Each subinterval [xi_l, xi_{l+1}]
+gets one Chebyshev fit on [xi_l + delta, xi_{l+1} - delta] that serves both
+of its buffer zones; its degree M and node count N + 1 follow the practical
+rule, extrapolation_params_practical(m, delta).
 Buffer zones are open: a grid point at distance exactly delta from its
 bounding jumps keeps the filter value.
 """
@@ -21,7 +22,6 @@ from .chebfit import ChebyshevFit, chebyshev_fit, evaluate_fit, extrapolation_pa
 from .frame import FilterReconstruction, filter_reconstruct
 
 __all__ = [
-    "HybridConfig",
     "HybridReconstruction",
     "hybrid_reconstruct",
     "optimize_delta",
@@ -29,35 +29,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HybridConfig:
-    """Extrapolation knobs for the hybrid assembly.
-
-    ``degree`` defaults to the practical rule M = round(4 + m delta) when
-    left as None; the number of fit samples is N + 1 with N = 4 M^2 unless
-    overridden.
-    """
-
-    delta: float = 1.0 / 40.0
-    degree: int | None = None
-    fit_sample_count: int | None = None
-
-    def __post_init__(self):
-        if not self.delta > 0:  # NaN fails too
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
+# optimize_delta's Brent tolerance and the margin it keeps from 0 and xi
+_SEARCH_TOL = 1e-6
+_DELTA_MIN = 1e-4
 
 
 @dataclass(frozen=True)
 class HybridReconstruction:
     """Grid values with per-point method tags and per-subinterval fits."""
 
-    grid: np.ndarray
     values: np.ndarray
     extrapolated: np.ndarray  # bool mask; True inside a buffer zone
     fits: tuple[ChebyshevFit, ...]
     filter_values: np.ndarray
     imag_residual: np.ndarray
-    n: int
     degree: int
     fit_sample_count: int
 
@@ -67,17 +52,18 @@ class HybridReconstruction:
 
 
 def hybrid_reconstruct(
-    filter_recon: FilterReconstruction, cfg: HybridConfig, grid
+    filter_recon: FilterReconstruction, grid, delta: float
 ) -> HybridReconstruction:
-    """Assemble the hybrid reconstruction on the given grid.
+    """Assemble the hybrid reconstruction on the given grid with buffer width delta.
 
-    The jump set of ``filter_recon`` must include 0 and 1, and every
-    subinterval must be wider than 2 delta.
+    delta must be positive, the jump set of ``filter_recon`` must include 0
+    and 1, and every subinterval must be wider than 2 delta.
     """
+    if not delta > 0:  # NaN fails too
+        raise ValueError(f"delta must be positive, got {delta!r}")
     jumps = filter_recon.jumps
     if jumps.size < 2 or jumps[0] != 0.0 or jumps[-1] != 1.0:
         raise ValueError("jump set must include the endpoints 0 and 1")
-    delta = cfg.delta
     widths = np.diff(jumps)
     narrow = np.where(widths <= 2 * delta)[0]
     if narrow.size:
@@ -88,18 +74,14 @@ def hybrid_reconstruct(
         )
     grid = np.asarray(grid, dtype=float)
 
-    if cfg.degree is not None:
-        degree = cfg.degree
-    else:
-        degree, _ = extrapolation_params_practical(filter_recon.operator.m, delta)
-    n_fit = cfg.fit_sample_count if cfg.fit_sample_count is not None else 4 * degree**2 + 1
+    degree, big_n = extrapolation_params_practical(filter_recon.operator.m, delta)
 
     filter_values, imag_residual = filter_reconstruct(filter_recon, grid)
     values = filter_values.copy()
     extrapolated = np.zeros(grid.shape, dtype=bool)
     fits = []
     for left, right in zip(jumps[:-1], jumps[1:]):
-        nodes = np.linspace(left + delta, right - delta, n_fit)
+        nodes = np.linspace(left + delta, right - delta, big_n + 1)
         node_values, _ = filter_reconstruct(filter_recon, nodes)
         fit = chebyshev_fit(nodes, node_values, degree)
         fits.append(fit)
@@ -110,15 +92,13 @@ def hybrid_reconstruct(
             values[buffer] = evaluate_fit(fit, grid[buffer])
             extrapolated |= buffer
     return HybridReconstruction(
-        grid=grid,
         values=values,
         extrapolated=extrapolated,
         fits=tuple(fits),
         filter_values=filter_values,
         imag_residual=imag_residual,
-        n=filter_recon.operator.n,
         degree=degree,
-        fit_sample_count=n_fit,
+        fit_sample_count=big_n + 1,
     )
 
 
@@ -144,10 +124,8 @@ def optimize_delta(
     rho: float,
     eta: float,
     C: float,
-    search_tol: float = 1e-6,
-    delta_min: float = 1e-4,
 ) -> float:
-    """Minimize the buffer-width objective over (delta_min, xi - delta_min).
+    """Minimize the buffer-width objective over (_DELTA_MIN, xi - _DELTA_MIN).
 
     Coarse grid scan, then Brent's bounded method on the best grid cell;
     the analytic constants eta and C must be supplied by the caller.
@@ -157,9 +135,10 @@ def optimize_delta(
 
     if not (0.0 < xi < 1.0):
         raise ValueError("xi must lie in (0,1)")
-    if eta <= 0 or C <= 0:
-        raise ValueError("eta and C must be positive")
-    lo, hi = delta_min, xi - delta_min
+    for name, value in (("rho", rho), ("eta", eta), ("C", C)):
+        if not value > 0:  # NaN fails too
+            raise ValueError(f"{name} must be positive, got {value!r}")
+    lo, hi = _DELTA_MIN, xi - _DELTA_MIN
     if lo >= hi:
         raise ValueError("search interval is empty")
     grid = np.linspace(lo, hi, 257)
@@ -170,6 +149,6 @@ def optimize_delta(
     cell = (grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
     result = minimize_scalar(
         delta_objective, bounds=cell, args=(xi, m, rho, eta, C),
-        method="bounded", options={"xatol": search_tol},
+        method="bounded", options={"xatol": _SEARCH_TOL},
     )
     return float(result.x)

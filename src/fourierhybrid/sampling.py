@@ -8,7 +8,9 @@ form through integral_{-1}^{1} P_q(t) e^{-i w t} dt = 2 (-i)^q j_q(w), with
 j_q the spherical Bessel function and w = 2 pi lambda h (Filon's idea on a
 Legendre basis).  A segment is halved only where the piece itself needs
 more than 128 terms, so the cost is O(frequencies x terms) per segment at
-any |lambda|.  j_q is computed in numpy by recurrence.
+any |lambda|.  j_q is computed in numpy by recurrence.  A piece that is not
+finite at a Gauss node raises ValueError.  A FrequencySet is m and the
+frequencies only, so measured frequencies make one as generated ones do.
 
 The jittered scheme uses numpy's default generator (PCG64): the output
 stream is fixed by the seed, so frequency sets are reproducible across
@@ -50,6 +52,8 @@ _MILLER_MARGIN = 40
 # factor (2q+1)/omega never overflows
 _HUGE = 1e150
 _POWERS_OF_MINUS_I = np.array([1, -1j, -1, 1j])
+# the log scheme's lowest positive frequency is exp(-_LOG_V)
+_LOG_V = 0.001
 
 
 class QuadratureError(RuntimeError):
@@ -62,9 +66,6 @@ class FrequencySet:
 
     m: int
     frequencies: np.ndarray
-    scheme: str
-    seed: int | None = None
-    v: float | None = None
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -111,11 +112,11 @@ def jittered_frequencies(m: int, seed: int) -> FrequencySet:
     rng = np.random.default_rng(seed)
     eps = rng.uniform(-0.25, 0.25, size=2 * m + 1)
     freqs = np.arange(-m, m + 1, dtype=float) + eps
-    return FrequencySet(m=m, frequencies=freqs, scheme="jittered", seed=seed)
+    return FrequencySet(m=m, frequencies=freqs)
 
 
-def log_frequencies(m: int, v: float = 0.001) -> FrequencySet:
-    """Geometrically spaced frequencies from exp(-v) to m, mirrored.
+def log_frequencies(m: int) -> FrequencySet:
+    """Geometrically spaced frequencies from exp(-v) to m, mirrored, v = _LOG_V.
 
     lambda_j = sign(j) exp(-v + (v + log m)/(m-1) (|j|-1)) for 1 <= |j| <= m
     and lambda_0 = 0; the positive branch is computed once and negated so
@@ -124,19 +125,17 @@ def log_frequencies(m: int, v: float = 0.001) -> FrequencySet:
     if m < 2:
         raise ValueError("log scheme needs m >= 2 (formula divides by m-1)")
     j = np.arange(1, m + 1, dtype=float)
-    positive = np.exp(-v + (v + np.log(m)) * (j - 1.0) / (m - 1.0))
+    positive = np.exp(-_LOG_V + (_LOG_V + np.log(m)) * (j - 1.0) / (m - 1.0))
     positive[-1] = float(m)  # exponent telescopes to log m; pin exactly
     freqs = np.concatenate((-positive[::-1], [0.0], positive))
-    return FrequencySet(m=m, frequencies=freqs, scheme="log", v=v)
+    return FrequencySet(m=m, frequencies=freqs)
 
 
 def uniform_frequencies(m: int) -> FrequencySet:
     """lambda_j = j (the classical uniform grid)."""
     if m < 1:
         raise ValueError("uniform scheme needs m >= 1")
-    return FrequencySet(
-        m=m, frequencies=np.arange(-m, m + 1, dtype=float), scheme="uniform"
-    )
+    return FrequencySet(m=m, frequencies=np.arange(-m, m + 1, dtype=float))
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +223,12 @@ def _segment_integrals(
     mid, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     for k in _ORDERS:
         nodes, transform = _legendre_transform(k)
-        c = transform @ np.broadcast_to(piece(mid + h * nodes), nodes.shape)
+        values = np.broadcast_to(piece(mid + h * nodes), nodes.shape)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"piece on [{piece.a}, {piece.b}] is not finite: it is "
+                             f"{values[bad[0]]} at x = {mid + h * nodes[bad[0]]}")
+        c = transform @ values
         scale = max(scale, np.max(np.abs(c)))
         if np.max(np.abs(c[k // 2:])) <= _CHOP * scale:
             omega = 2 * np.pi * h * lams
@@ -242,7 +246,7 @@ def _segment_integrals(
 
 def fourier_sample(f: PiecewiseFunction, lam: float) -> complex:
     """hat f(lam): fourier_samples on the one-frequency set {lam}."""
-    one = FrequencySet(m=0, frequencies=np.array([float(lam)]), scheme="custom")
+    one = FrequencySet(m=0, frequencies=np.array([float(lam)]))
     return complex(fourier_samples(f, one).values[0])
 
 
@@ -253,7 +257,8 @@ def fourier_samples(f: PiecewiseFunction, freqs: FrequencySet) -> FourierSamples
     needs and integrated term by term in closed form (see
     _segment_integrals), so the cost does not grow with |lambda|.  A piece
     that is not resolved after _MAX_HALVINGS halvings raises
-    QuadratureError naming its interval.
+    QuadratureError naming its interval; one that is not finite at a Gauss
+    node raises ValueError naming its interval and the node.
     """
     values = np.zeros(len(freqs), dtype=complex)
     for piece in f.pieces:

@@ -7,10 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 
 import fourierhybrid as fh
+from fourierhybrid.experiments import ExperimentConfig
 
 DATA_DIR = Path(__file__).parent / "data"
 
 GRID_1024 = (np.arange(1024) + 0.5) / 1024
+
+# the pipeline's default buffer width
+DELTA = ExperimentConfig().delta
 
 
 def load_sample_table(path):
@@ -52,7 +56,7 @@ def hybrid_run(function: str = "f1", scheme: str = "jittered", m: int = 128,
                seed: int = 42):
     """Hybrid reconstruction on the standard 1024-point grid, memoized."""
     pipe = pipeline(function, scheme, m, seed)
-    hyb = fh.hybrid_reconstruct(pipe.recon, fh.HybridConfig(), GRID_1024)
+    hyb = fh.hybrid_reconstruct(pipe.recon, GRID_1024, DELTA)
     truth = fh.evaluate(pipe.f, GRID_1024)
     return SimpleNamespace(
         pipe=pipe,

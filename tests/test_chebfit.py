@@ -75,23 +75,17 @@ class TestFit:
         with pytest.raises(ValueError):
             chebyshev_fit(xs, xs[:4], 2)
 
-    def test_coefficient_count_invariant(self):
-        with pytest.raises(ValueError):
-            ChebyshevFit(degree=2, coefficients=np.zeros(2), a=0, b=1,
-                         residual_norm=0.0)
-
 
 class TestEvaluate:
     def test_constant_everywhere(self):
-        fit = ChebyshevFit(degree=0, coefficients=np.array([3.25]), a=0.0, b=1.0,
-                           residual_norm=0.0)
+        fit = ChebyshevFit(coefficients=np.array([3.25]), a=0.0, b=1.0, residual_norm=0.0)
         assert evaluate_fit(fit, -5.0) == 3.25
         assert evaluate_fit(fit, 17.0) == 3.25
 
     def test_linear_term_outside_domain(self):
         # T_1(t) = t; x mapped to t = 2 is outside [-1, 1]
-        fit = ChebyshevFit(degree=1, coefficients=np.array([0.0, 1.0]), a=-1.0,
-                           b=1.0, residual_norm=0.0)
+        fit = ChebyshevFit(coefficients=np.array([0.0, 1.0]), a=-1.0, b=1.0,
+                           residual_norm=0.0)
         assert evaluate_fit(fit, 2.0) == pytest.approx(2.0, abs=1e-14)
 
     def test_extrapolates_exponential_into_buffer(self):
@@ -121,6 +115,12 @@ class TestParameterRules:
         assert extrapolation_params_practical(128, 1.0 / 40.0) == (7, 196)
         assert extrapolation_params_practical(256, 1.0 / 40.0) == (10, 400)
         assert extrapolation_params_practical(512, 1.0 / 40.0) == (17, 1156)
+        for delta in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"delta={delta}"):
+                extrapolation_params_practical(64, delta)
+        # each sign is checked, not only the product m*delta
+        with pytest.raises(ValueError, match="m=-64"):
+            extrapolation_params_practical(-64, -0.1)
 
     def test_theoretical_rule(self):
         assert extrapolation_params_theoretical(1.0, 1e-6, math.e) == (14, 784)
@@ -131,4 +131,9 @@ class TestParameterRules:
             extrapolation_params_theoretical(1.0, 1.0, 2.0)
         with pytest.raises(ValueError):
             extrapolation_params_theoretical(1.0, 1e-3, 1.0)
+        with pytest.raises(ValueError, match="rho must exceed 1"):
+            extrapolation_params_theoretical(1.0, 1e-3, math.nan)
+        for q, eps in ((1.0, math.nan), (math.nan, 1e-3), (math.inf, 1e-3)):
+            with pytest.raises(ValueError, match="need 0 < eps < Q"):
+                extrapolation_params_theoretical(q, eps, 2.0)
 

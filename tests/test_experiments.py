@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -279,12 +280,25 @@ class TestCli:
             (["--m", "1"], "m must be at least 2"),
             (["--n-override", "0"], "n must be at least 1"),
             (["--seed", "-1"], "non-negative"),
+            # a piece that is NaN on part of its interval, or overflows to inf
+            (["--function", "custom", "--pieces", "0:1:(x-0.5)^0.5"],
+             "piece on [0.0, 1.0] is not finite: it is nan"),
+            (["--function", "custom", "--pieces", "0:1:exp(1000*x)"],
+             "piece on [0.0, 1.0] is not finite: it is inf"),
         ]
         for args, message in cases:
-            code = main([
-                "--function", "f1", "--m", "32", "--grid", "64",
-                "--out", str(tmp_path / "out"), *args,
-            ])
+            if "1e308" in args:
+                context = pytest.warns(UserWarning, match=r"alpha\*kappa")
+            elif "custom" in args:
+                # numpy warns where it makes the NaN or inf
+                context = np.errstate(all="ignore")
+            else:
+                context = contextlib.nullcontext()
+            with context:
+                code = main([
+                    "--function", "f1", "--m", "32", "--grid", "64",
+                    "--out", str(tmp_path / "out"), *args,
+                ])
             assert code == 2
             err = capsys.readouterr().err
             assert "configuration error" in err and message in err

@@ -121,6 +121,10 @@ class TestSigma:
             filter_sigma(-1, 1.0, 1.0)
         with pytest.raises(ValueError):
             filter_sigma(1, -1.0, 1.0)
+        with pytest.raises(ValueError, match="gamma=nan"):
+            filter_sigma(2, math.nan, 0.5)
+        with pytest.raises(ValueError, match="w=nan"):
+            filter_sigma(2, 1.0, math.nan)
 
 
 class TestAdaptiveParams:
@@ -274,4 +278,8 @@ class TestTailBounds:
             tail_bound_l2(10, 100, 5, 1.0, 1.0)
         with pytest.raises(ValueError):
             tail_bound_l2(10, 10, 1, 0.0, 1.0)
+        with pytest.raises(ValueError, match="gamma=nan"):
+            tail_bound_l2(10, 10, 1, math.nan, 1.0)
+        with pytest.raises(ValueError, match="f_sup=nan"):
+            tail_bound_l2(10, 10, 1, 10.0, math.nan)
 

@@ -6,9 +6,7 @@ import pytest
 
 import fourierhybrid as fh
 from fourierhybrid.hybrid import delta_objective
-from helpers import GRID_1024, hybrid_run, pipeline
-
-DELTA = 1.0 / 40.0
+from helpers import DELTA, GRID_1024, hybrid_run, pipeline
 
 
 class TestAssembly:
@@ -55,11 +53,15 @@ class TestAssembly:
         assert set(tags[~run.hyb.extrapolated]) == {"filter"}
 
     def test_default_rules_applied(self):
-        run = hybrid_run("f1", "jittered", 256)
-        assert run.hyb.n == 153
-        assert run.hyb.degree == 10
-        assert run.hyb.fit_sample_count == 401
-        assert len(run.hyb.fits) == 2
+        # the practical rule M = round(4 + m delta), N = 4 M^2 at the
+        # benchmark's m values; a loop, not parametrize, keeps the test's id
+        for m, n, degree, fit_samples in ((128, 76, 7, 197), (256, 153, 10, 401),
+                                          (512, 307, 17, 1157)):
+            run = hybrid_run("f1", "jittered", m)
+            assert run.pipe.operator.n == n
+            assert run.hyb.degree == degree
+            assert run.hyb.fit_sample_count == fit_samples
+            assert [fit.degree for fit in run.hyb.fits] == [degree, degree]
 
     def test_hybrid_beats_filter_globally_f1_m256(self):
         run = hybrid_run("f1", "jittered", 256)
@@ -81,20 +83,13 @@ class TestAssembly:
         for k in switches:
             assert abs(run.hyb.values[k + 1] - run.hyb.values[k]) < 0.05
 
-    def test_config_overrides(self):
-        pipe = pipeline("f1", "jittered", 32, n=10)
-        cfg = fh.HybridConfig(degree=5, fit_sample_count=50)
-        hyb = fh.hybrid_reconstruct(pipe.recon, cfg, GRID_1024[:128])
-        assert hyb.n == 10
-        assert hyb.degree == 5
-        assert hyb.fit_sample_count == 50
-
 
 class TestValidation:
     def test_delta_must_be_positive(self):
+        recon = pipeline("f1", "jittered", 32).recon
         for delta in (0.0, -0.1, math.nan):
-            with pytest.raises(ValueError, match="delta"):
-                fh.HybridConfig(delta=delta)
+            with pytest.raises(ValueError, match="delta must be positive"):
+                fh.hybrid_reconstruct(recon, GRID_1024, delta)
 
     @staticmethod
     def recon_with_jumps(jumps):
@@ -103,12 +98,12 @@ class TestValidation:
     def test_jumps_must_contain_endpoints(self):
         recon = self.recon_with_jumps([0.5])
         with pytest.raises(ValueError, match="endpoints"):
-            fh.hybrid_reconstruct(recon, fh.HybridConfig(), GRID_1024)
+            fh.hybrid_reconstruct(recon, GRID_1024, DELTA)
 
     def test_narrow_subinterval_named_in_error(self):
         recon = self.recon_with_jumps([0.0, 0.48, 0.5, 1.0])
         with pytest.raises(ValueError, match=r"\[0\.48, 0\.5\]"):
-            fh.hybrid_reconstruct(recon, fh.HybridConfig(), GRID_1024)
+            fh.hybrid_reconstruct(recon, GRID_1024, DELTA)
 
 
 class TestDeltaObjective:
@@ -154,3 +149,8 @@ class TestOptimizeDelta:
             fh.optimize_delta(xi=0.5, m=64, rho=2.0, eta=0.0, C=1.0)
         with pytest.raises(ValueError, match="undefined"):
             fh.optimize_delta(xi=0.5, m=64, rho=0.25, eta=1.0, C=1.0)
+        # NaN constants are named, not reported as an undefined objective
+        for name in ("rho", "eta", "C"):
+            args = {**dict(xi=0.5, m=64, rho=2.0, eta=1.0, C=1.0), name: math.nan}
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                fh.optimize_delta(**args)

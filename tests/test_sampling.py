@@ -8,7 +8,9 @@ import fourierhybrid.sampling as sampling
 from fourierhybrid import (
     FourierSamples,
     FrequencySet,
+    PiecewiseFunction,
     QuadratureError,
+    SmoothPiece,
     builtin_f1,
     builtin_f2,
     fourier_sample,
@@ -114,7 +116,7 @@ def test_uniform_is_integer_grid():
 
 def test_frequency_set_length_validation():
     with pytest.raises(ValueError):
-        FrequencySet(m=3, frequencies=np.zeros(5), scheme="uniform")
+        FrequencySet(m=3, frequencies=np.zeros(5))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -122,7 +124,7 @@ def test_non_finite_frequencies_rejected(bad):
     freqs = np.arange(-3.0, 4.0)
     freqs[4] = bad
     with pytest.raises(ValueError, match=r"finite: frequency index 1 has lambda=-?(nan|inf)"):
-        FrequencySet(m=3, frequencies=freqs, scheme="custom")
+        FrequencySet(m=3, frequencies=freqs)
     with pytest.raises(ValueError, match="finite"):
         fourier_sample(builtin_f1(), bad)
 
@@ -209,7 +211,7 @@ def test_full_width_piece_at_large_frequency(lam):
 def test_fast_oscillating_piece_matches_closed_form():
     f = piecewise_from_expressions([(0.0, 1.0, "sin(2*pi*1000*x)")])
     lams = np.array([0.0, 3.7, 999.3, 1000.0, -1000.0, 5000.2, -20000.5])
-    samples = fourier_samples(f, FrequencySet(m=3, frequencies=lams, scheme="custom"))
+    samples = fourier_samples(f, FrequencySet(m=3, frequencies=lams))
     for lam, got in zip(lams, samples.values):
         exact = (closed_form_mode_integral(1000, lam)
                  - closed_form_mode_integral(-1000, lam)) / 2j
@@ -282,6 +284,19 @@ def test_sample_length_validation():
     freqs = uniform_frequencies(2)
     with pytest.raises(ValueError):
         FourierSamples(freqs=freqs, values=np.zeros(3, dtype=complex))
+
+
+def test_non_finite_piece_is_a_configuration_error():
+    # NaN is not slow convergence: it raises ValueError (CLI exit 2), not
+    # QuadratureError, and names the piece and the first bad node
+    f = PiecewiseFunction(pieces=(
+        SmoothPiece(0.0, 0.5, lambda x: x),
+        SmoothPiece(0.5, 1.0, lambda x: np.where(x > 0.75, np.nan, x)),
+    ))
+    with pytest.raises(ValueError, match=r"piece on \[0\.5, 1\.0\] is not finite: it is nan") as info:
+        fourier_samples(f, uniform_frequencies(4))
+    x = float(str(info.value).rsplit("x = ", 1)[1])
+    assert 0.75 < x < 1.0
 
 
 def test_quadrature_failure_raises_with_context(monkeypatch):
