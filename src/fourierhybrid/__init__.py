@@ -11,6 +11,7 @@ from .chebfit import (
     extrapolation_params_practical,
     extrapolation_params_theoretical,
 )
+from .experiments import choose_n
 from .filters import (
     AdaptiveParams,
     FilterConfig,
@@ -24,7 +25,6 @@ from .frame import (
     FilterReconstruction,
     FrameOperator,
     assemble_omega,
-    choose_n,
     filter_reconstruct,
 )
 from .hybrid import (

@@ -18,13 +18,14 @@ import hashlib
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .filters import FilterConfig
-from .frame import FilterReconstruction, assemble_omega, choose_n
+from .frame import FilterReconstruction, assemble_omega
 from .hybrid import hybrid_reconstruct
 from .oracles import ground_truth_error
 from .piecewise import (
@@ -45,12 +46,31 @@ __all__ = [
     "ExperimentConfig",
     "RunRecord",
     "RunReport",
+    "choose_n",
     "run_experiment",
     "convergence_table",
     "main",
 ]
 
-_SCHEME_ABBREV = {"jittered": "jit", "log": "log", "uniform": "uni"}
+# per sampling scheme: its abbreviation in file names, its frequency set
+# as a function of (m, seed), and its empirical mode count n(m) for m >= 2
+_Scheme = namedtuple("_Scheme", "abbrev frequencies n_rule")
+_SCHEMES = {
+    "jittered": _Scheme("jit", jittered_frequencies, lambda m: math.floor(0.6 * m)),
+    "log": _Scheme("log", lambda m, seed: log_frequencies(m), lambda m: math.floor(2 * m**0.6)),
+    "uniform": _Scheme("uni", lambda m, seed: uniform_frequencies(m), lambda m: m),
+}
+
+
+def choose_n(scheme: str, m: int) -> int:
+    """Empirical mode-count rules: 0.6 m (jittered), 2 m^0.6 (log), m (uniform)."""
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return _SCHEMES[scheme].n_rule(m)
+
+
 _FUNCTION_PREFIX = {"f1": "single_jump", "f2": "multiple_jumps"}
 
 
@@ -66,12 +86,11 @@ class ExperimentConfig:
     kappa: float = 1.0 / 15.0
     n_override: int | None = None
     grid_size: int = 1024
-    svd_tol: float = 1e-12
     output_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "svg")
 
     def validate(self) -> None:
-        if self.scheme not in _SCHEME_ABBREV:
+        if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.m_list:
             raise ValueError("m_list must be non-empty")
@@ -79,12 +98,10 @@ class ExperimentConfig:
             raise ValueError("m_list must be strictly ascending (no repeated m)")
         if self.grid_size < 64:
             raise ValueError("grid_size must be at least 64")
-        for key in ("delta", "alpha", "kappa", "svd_tol"):
+        for key in ("delta", "alpha", "kappa"):
             value = getattr(self, key)
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
-        if not 0.0 <= self.svd_tol < 1.0:
-            raise ValueError(f"svd_tol must lie in [0, 1), got {self.svd_tol!r}")
         unknown = set(self.formats) - {"csv", "svg"}
         if unknown:
             raise ValueError(f"unknown output formats {sorted(unknown)}")
@@ -116,7 +133,6 @@ class ExperimentConfig:
             f"# kappa={self.kappa!r}",
             f"# n_override={self.n_override}",
             f"# grid_size={self.grid_size}",
-            f"# svd_tol={self.svd_tol!r}",
         ]
         for a, b, expr in self.pieces:
             lines.append(f"# piece={a!r}:{b!r}:{expr}")
@@ -146,17 +162,9 @@ class RunReport:
     files: tuple[str, ...] = ()
 
 
-def _frequency_set(cfg: ExperimentConfig, m: int):
-    if cfg.scheme == "jittered":
-        return jittered_frequencies(m, cfg.seed)
-    if cfg.scheme == "log":
-        return log_frequencies(m)
-    return uniform_frequencies(m)
-
-
 def _base_name(cfg: ExperimentConfig, m: int) -> str:
     prefix = _FUNCTION_PREFIX.get(cfg.function, cfg.function)
-    return f"{prefix}_{_SCHEME_ABBREV[cfg.scheme]}_m{m}"
+    return f"{prefix}_{_SCHEMES[cfg.scheme].abbrev}_m{m}"
 
 
 def midpoint_grid(size: int) -> np.ndarray:
@@ -177,11 +185,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     files = []
     for m in cfg.m_list:
         started = time.perf_counter()
-        freqs = _frequency_set(cfg, m)
+        freqs = _SCHEMES[cfg.scheme].frequencies(m, cfg.seed)
         freq_hash = hashlib.sha256(freqs.frequencies.tobytes()).hexdigest()[:16]
         samples = fourier_samples(f, freqs)
         n = cfg.n_override if cfg.n_override is not None else choose_n(cfg.scheme, m)
-        operator = assemble_omega(freqs, n, cfg.svd_tol)
+        operator = assemble_omega(freqs, n)
         recon = FilterReconstruction(
             operator=operator, samples=samples, filter_cfg=filter_cfg, jumps=jumps
         )
@@ -403,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pieces", type=_parse_pieces,
         help="custom pieces as 'a:b:expr; a:b:expr' using sin/cos/exp, x, pi",
     )
-    parser.add_argument("--scheme", choices=["jittered", "log", "uniform"])
+    parser.add_argument("--scheme", choices=tuple(_SCHEMES))
     parser.add_argument("--m", dest="m_list", type=_parse_m_list,
                         help="comma-separated m values")
     parser.add_argument("--seed", type=int)
@@ -412,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--kappa", type=float)
     parser.add_argument("--n-override", type=int)
     parser.add_argument("--grid", dest="grid_size", type=int)
-    parser.add_argument("--svd-tol", dest="svd_tol", type=float)
     parser.add_argument("--out", dest="output_dir")
     parser.add_argument("--formats", type=_parse_formats,
                         help="subset of csv,svg (comma-separated)")
@@ -459,7 +466,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     try:
-        report = run_experiment(config_from_args(build_parser().parse_args(argv)))
+        # parse_args would print the usage and exit on an unknown flag
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+        report = run_experiment(config_from_args(args))
     except (argparse.ArgumentError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Admissible-frame approximation from non-uniform Fourier samples.
+"""Admissible-frame approximation from Fourier samples at arbitrary frequencies.
 
 The cross-correlation matrix Omega[j, l] = <psi_j, phi_l> between the
 sampling exponentials psi_j = exp(2 pi i lambda_j x) and the Fourier
@@ -19,8 +19,10 @@ Gataric & Hansen, has a well-conditioned K, and there the SVD is not
 needed: when K is tall or square and s_min / s_max >= _GRAM_MIN_RATIO
 (cond(K) <= 100), the singular values come from the eigenvalues of the
 (2n+1)^2 Gram matrix G = K^T K and (K^+)^T = K G^{-1} from one solve with
-G.  Every other frame (rank-deficient, ill-conditioned, underdetermined,
-or a rel_tol of at least _GRAM_MIN_RATIO) takes the truncated SVD of K.
+G.  Every other frame (rank-deficient, ill-conditioned or underdetermined)
+takes the SVD of K, truncated at _REL_TOL.  The module takes a frequency
+set and a mode count n and nothing else; the rules that choose them live
+with the caller.
 
 Reconstruction applies the pseudo-inverse of Omega to the filtered sample
 vector and sums the resulting 2n+1 Fourier modes.  filter_reconstruct, the
@@ -32,7 +34,6 @@ O(points x m).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -49,7 +50,6 @@ __all__ = [
     "FrameOperator",
     "FilterReconstruction",
     "assemble_omega",
-    "choose_n",
     "filter_reconstruct",
 ]
 
@@ -61,6 +61,11 @@ _BLOCK_BYTES = 1 << 20
 # takes the Gram route; that route's error grows like eps cond(K)^2, so
 # cond(K) <= 100 keeps it near 1e-12
 _GRAM_MIN_RATIO = 1e-2
+
+# singular values of K below _REL_TOL * s_max are dropped from the
+# pseudo-inverse; only the SVD route can drop one, since the Gram route
+# requires s_min >= _GRAM_MIN_RATIO * s_max
+_REL_TOL = 1e-12
 
 
 def _parity(k: np.ndarray) -> np.ndarray:
@@ -124,7 +129,6 @@ class FrameOperator:
     phase: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
     pinv_t: np.ndarray = field(repr=False)
-    rel_tol: float
     effective_rank: int
 
     def __post_init__(self):
@@ -149,19 +153,19 @@ def _linalg_step(step: str, solver, *args, **kwargs):
         raise RuntimeError(f"frame: {step} failed: {exc}") from exc
 
 
-def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> FrameOperator:
+def assemble_omega(freqs: FrequencySet, n: int) -> FrameOperator:
     """Factor the real kernel K of Omega and keep its truncated pseudo-inverse.
 
     K = sinc(lambda_j - l) has the singular values of Omega (see the module
     docstring), so the rank and the truncation are those of Omega.  Two
     routes give the singular values s and (K^+)^T:
 
-    * Gram route, for a tall or square K (2n+1 <= 2m+1) with rel_tol below
-      _GRAM_MIN_RATIO whose s_min / s_max reaches _GRAM_MIN_RATIO: s from
-      the eigenvalues of G = K^T K, and (K^+)^T = K G^{-1} by one solve
-      with G.  K has full column rank here.
+    * Gram route, for a tall or square K (2n+1 <= 2m+1) whose
+      s_min / s_max reaches _GRAM_MIN_RATIO: s from the eigenvalues of
+      G = K^T K, and (K^+)^T = K G^{-1} by one solve with G.  K has full
+      column rank here.
     * Truncated-SVD route, for every other frame: singular values below
-      rel_tol * s_max are dropped from the pseudo-inverse, and a drop below
+      _REL_TOL * s_max are dropped from the pseudo-inverse, and a drop below
       full column rank is reported as a warning (ill-posed frame section),
       not an error.
 
@@ -170,8 +174,6 @@ def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> Frame
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0.0 <= rel_tol < 1.0:  # NaN fails too
-        raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol!r}")
     if 2 * n + 1 > 2 * freqs.m + 1:
         warnings.warn(
             f"2n+1 = {2*n+1} exceeds the sample count {2*freqs.m+1}; the "
@@ -180,7 +182,7 @@ def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> Frame
         )
     modes = np.arange(-n, n + 1, dtype=float)
     phase, kernel, _ = _omega_factors(freqs.frequencies, modes)
-    if 2 * n + 1 <= 2 * freqs.m + 1 and rel_tol < _GRAM_MIN_RATIO:
+    if 2 * n + 1 <= 2 * freqs.m + 1:
         gram = kernel.T @ kernel
         eigenvalues = _linalg_step("eigenvalues of K^T K", np.linalg.eigvalsh, gram)
         s = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
@@ -188,10 +190,10 @@ def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> Frame
             pinv = _linalg_step("solve with K^T K", np.linalg.solve, gram, kernel.T)
             return FrameOperator(
                 freqs=freqs, n=n, phase=phase, s=s, pinv_t=pinv.T,
-                rel_tol=rel_tol, effective_rank=2 * n + 1,
+                effective_rank=2 * n + 1,
             )
     u, s, vh = _linalg_step("SVD of K", np.linalg.svd, kernel, full_matrices=False)
-    rank = int(np.count_nonzero(s >= rel_tol * s[0]))
+    rank = int(np.count_nonzero(s >= _REL_TOL * s[0]))
     if rank < 2 * n + 1:
         warnings.warn(
             f"Omega effective rank {rank} < {2*n+1}: ill-posed frame section",
@@ -199,24 +201,8 @@ def assemble_omega(freqs: FrequencySet, n: int, rel_tol: float = 1e-12) -> Frame
         )
     return FrameOperator(
         freqs=freqs, n=n, phase=phase, s=s,
-        pinv_t=(u[:, :rank] / s[:rank]) @ vh[:rank],
-        rel_tol=rel_tol, effective_rank=rank,
+        pinv_t=(u[:, :rank] / s[:rank]) @ vh[:rank], effective_rank=rank,
     )
-
-
-def choose_n(scheme: str, m: int) -> int:
-    """Empirical mode-count rules: 0.6 m (jittered), 2 m^0.6 (log), m (uniform)."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if scheme == "jittered":
-        n = math.floor(0.6 * m)
-    elif scheme == "log":
-        n = math.floor(2.0 * m**0.6)
-    elif scheme == "uniform":
-        n = m
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return max(1, n)
 
 
 @dataclass(frozen=True)

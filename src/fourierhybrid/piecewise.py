@@ -50,7 +50,9 @@ class SmoothPiece:
             )
 
     def __call__(self, x):
-        return self.evaluator(np.asarray(x, dtype=float))
+        # no numpy warning for a NaN or inf: the sampler's check names it
+        with np.errstate(all="ignore"):
+            return self.evaluator(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import fourierhybrid as fh
-from fourierhybrid.experiments import ExperimentConfig
+from fourierhybrid.experiments import _SCHEMES, ExperimentConfig
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -24,11 +24,15 @@ def load_sample_table(path):
 
 
 def frequency_set(scheme: str, m: int, seed: int = 42):
-    if scheme == "jittered":
-        return fh.jittered_frequencies(m, seed)
-    if scheme == "log":
-        return fh.log_frequencies(m)
-    return fh.uniform_frequencies(m)
+    return _SCHEMES[scheme].frequencies(m, seed)
+
+
+def noisy(samples, eps: float, seed: int):
+    """samples with eps z added, z complex Gaussian with E|z|^2 = 1 from seed."""
+    rng = np.random.default_rng(seed)
+    size = samples.values.size
+    z = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+    return fh.FourierSamples(samples.freqs, samples.values + eps * z)
 
 
 @lru_cache(maxsize=None)

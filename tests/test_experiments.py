@@ -22,6 +22,7 @@ from fourierhybrid.experiments import (
     run_experiment,
     write_line_svg,
 )
+from fourierhybrid.frame import _REL_TOL
 
 SMALL = dict(m_list=(16, 24), grid_size=64, formats=("csv",))
 
@@ -57,17 +58,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="grid_size"):
             small_config(grid_size=32).validate()
 
-    @pytest.mark.parametrize("key", ["delta", "alpha", "kappa", "svd_tol"])
+    @pytest.mark.parametrize("key", ["delta", "alpha", "kappa"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_number_names_key(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             small_config(**{key: value}).validate()
-
-    def test_svd_tol_range(self):
-        for tol in (-1e-12, 1.0, 2.0):
-            with pytest.raises(ValueError, match=r"svd_tol must lie in \[0, 1\)"):
-                small_config(svd_tol=tol).validate()
-        small_config(svd_tol=0.0).validate()
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="formats"):
@@ -130,16 +125,12 @@ class TestRunExperiment:
         assert [row.split(",")[0] for row in rows[1:]] == ["16", "24"]
 
     def test_summary_reports_frame_health(self, tmp_path):
-        # svd_tol = 0.6 truncates, so cond is s_max over the last kept value
-        cfg = small_config(output_dir=str(tmp_path), svd_tol=0.6)
-        with pytest.warns(UserWarning, match="effective rank"):
+        # n = m on the log frame of m = 32 keeps 53 of 65 singular values, so
+        # cond is s_max over the last kept value
+        cfg = small_config(output_dir=str(tmp_path), scheme="log", m_list=(32,), n_override=32)
+        with pytest.warns(UserWarning, match="effective rank 53 < 65"):
             report = run_experiment(cfg)
-            ops = [
-                fourierhybrid.assemble_omega(
-                    fourierhybrid.jittered_frequencies(m, cfg.seed), rec.n, cfg.svd_tol
-                )
-                for m, rec in zip(cfg.m_list, report.records)
-            ]
+            ops = [fourierhybrid.assemble_omega(fourierhybrid.log_frequencies(32), 32)]
         lines = [
             line for line in (tmp_path / "summary.csv").read_text().splitlines()
             if line and not line.startswith("#")
@@ -150,7 +141,7 @@ class TestRunExperiment:
             columns = dict(zip(header, row.split(",")))
             assert int(columns["rank"]) == rec.rank == op.effective_rank < 2 * rec.n + 1
             assert float(columns["cond"]) == rec.cond == op.s[0] / op.s[rec.rank - 1]
-            assert rec.cond <= 1.0 / cfg.svd_tol
+            assert rec.cond <= 1.0 / _REL_TOL
 
     def test_byte_reproducible(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -264,7 +255,6 @@ class TestCli:
             (["--function", "f2", "--delta", "0.4"], "delta"),
             # non-finite numbers are named, not passed on as NaN output
             (["--alpha", "nan"], "alpha must be finite"),
-            (["--svd-tol", "nan"], "svd_tol must be finite"),
             (["--kappa", "inf"], "kappa must be finite"),
             (["--delta", "nan"], "delta must be finite"),
             # constants whose filter parameters overflow; the alpha*kappa
@@ -275,12 +265,15 @@ class TestCli:
             (["--seed", "abc"], "--seed"),
             (["--m", "abc"], "argument --m: expected comma-separated integers"),
             (["--pieces", "0:1"], "argument --pieces: expected 'a:b:expr' pieces"),
+            # a flag the parser does not know, such as the retired --svd-tol
+            (["--svd-tol", "1e-8"], "unrecognized arguments: --svd-tol 1e-8"),
             # these surface at the first m, not in validate(), and must still
             # leave no output directory
             (["--m", "1"], "m must be at least 2"),
             (["--n-override", "0"], "n must be at least 1"),
             (["--seed", "-1"], "non-negative"),
-            # a piece that is NaN on part of its interval, or overflows to inf
+            # a piece that is NaN on part of its interval, or overflows to inf;
+            # a numpy warning in front of the message would fail here
             (["--function", "custom", "--pieces", "0:1:(x-0.5)^0.5"],
              "piece on [0.0, 1.0] is not finite: it is nan"),
             (["--function", "custom", "--pieces", "0:1:exp(1000*x)"],
@@ -289,9 +282,6 @@ class TestCli:
         for args, message in cases:
             if "1e308" in args:
                 context = pytest.warns(UserWarning, match=r"alpha\*kappa")
-            elif "custom" in args:
-                # numpy warns where it makes the NaN or inf
-                context = np.errstate(all="ignore")
             else:
                 context = contextlib.nullcontext()
             with context:
@@ -313,18 +303,20 @@ class TestCli:
     def test_unknown_function_exits_two(self, tmp_path):
         assert main(["--function", "f9", "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("svd_tol, solver, step", [
-        ("1e-12", "eigvalsh", "frame: eigenvalues of K^T K failed"),  # Gram route
-        ("0.5", "svd", "frame: SVD of K failed"),  # truncated-SVD route
-    ])
+    @pytest.mark.parametrize("frame, solver, step", [
+        (["--m", "16"], "eigvalsh", "frame: eigenvalues of K^T K failed"),
+        # rank 53 of 65: the Gram route declines it and the SVD truncates
+        (["--scheme", "log", "--m", "32", "--n-override", "32"], "svd",
+         "frame: SVD of K failed"),
+    ], ids=["gram", "svd"])
     def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch,
-                                           svd_tol, solver, step):
+                                           frame, solver, step):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
         monkeypatch.setattr(np.linalg, solver, fail)
         code = main([
-            "--function", "f1", "--m", "16", "--grid", "64", "--svd-tol", svd_tol,
+            "--function", "f1", *frame, "--grid", "64",
             "--out", str(tmp_path / "out"), "--formats", "csv",
         ])
         assert code == 3
@@ -378,9 +370,16 @@ class TestCli:
         assert "invalid int value" in capsys.readouterr().err
 
     def test_every_config_field_has_a_flag(self):
-        # config files and flags share one schema: build_parser
+        # config files and flags share one schema: build_parser, with one
+        # flag per field and no other
+        names = {f.name for f in fields(ExperimentConfig)}
         dests = {action.dest for action in build_parser()._actions}
-        assert {f.name for f in fields(ExperimentConfig)} <= dests
+        assert dests - {"help", "config"} == names
+        # and every field that shapes the numbers is echoed into each CSV;
+        # pieces echo as one "# piece=a:b:expr" line each
+        cfg = ExperimentConfig(function="custom", pieces=((0.0, 1.0, "x"),))
+        echoed = {line[2:].split("=", 1)[0] for line in cfg.echo_lines()}
+        assert echoed == names - {"output_dir", "formats", "pieces"} | {"piece"}
 
     def test_custom_pieces_via_cli(self, tmp_path):
         code = main([

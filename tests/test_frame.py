@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import fourierhybrid as fh
-from fourierhybrid.frame import _block_points, _omega_factors, _omega_matrix
+from fourierhybrid.frame import _REL_TOL, _block_points, _omega_factors, _omega_matrix
 from fourierhybrid.oracles import frame_filtered_sum
 from helpers import GRID_1024, frequency_set, pipeline
 
@@ -38,7 +38,7 @@ def oracle_value(recon, x: float, p: int | None = None, gamma: float | None = No
         p, gamma = params.p, params.gamma
     total = frame_filtered_sum(
         op.omega, recon.samples.freqs.frequencies, recon.samples.values, op.m,
-        p, gamma, x, op.rel_tol,
+        p, gamma, x, _REL_TOL,
     )
     return total.real, abs(total.imag)
 
@@ -194,19 +194,6 @@ class TestAssembleOmega:
         # entries of (K^+)^T reach 755 here
         assert np.max(np.abs(op.pinv_t - np.linalg.pinv(kernel).T)) <= 1e-12
 
-    def test_large_rel_tol_takes_the_svd(self, monkeypatch):
-        # rel_tol = 0.5 truncates a frame the Gram route would take (cond 2.0)
-        freqs, n = fh.jittered_frequencies(32, seed=1), 19
-        kernel = self.kernel(freqs, n)
-        rank = int(np.linalg.matrix_rank(kernel, rtol=0.5))
-        assert rank < 2 * n + 1
-        monkeypatch.setattr(np.linalg, "eigvalsh", self.refuse)
-        with pytest.warns(UserWarning, match=f"effective rank {rank} < {2 * n + 1}"):
-            op = fh.assemble_omega(freqs, n, 0.5)
-        assert op.effective_rank == rank
-        truncated = np.linalg.pinv(kernel, rtol=0.5)
-        assert np.max(np.abs(op.pinv_t - truncated.T)) <= 1e-13
-
     def test_pseudo_inverse_consistency(self):
         # Omega = diag(phase) K diag(sign), so Omega^+ = diag(sign) K^+ diag(conj phase)
         op = pipeline("f1", "jittered", 32, n=19).operator
@@ -215,20 +202,22 @@ class TestAssembleOmega:
         omega = op.omega
         recon = omega @ pinv @ omega
         defect = np.linalg.norm(recon - omega)
-        assert defect <= 10 * op.rel_tol * op.s[0] * math.sqrt(op.effective_rank)
+        assert defect <= 10 * _REL_TOL * op.s[0] * math.sqrt(op.effective_rank)
 
-    @pytest.mark.parametrize("freqs, n, rel_tol, rank", [
-        (fh.uniform_frequencies(4), 6, 1e-12, 9),  # underdetermined: 9 samples, 13 modes
-        (fh.jittered_frequencies(32, seed=1), 19, 0.6, 31),  # truncated below 0.6 s_max
+    @pytest.mark.parametrize("freqs, n, rank", [
+        (fh.uniform_frequencies(4), 6, 9),  # underdetermined: 9 samples, 13 modes
+        # square, with 12 singular values below 1e-12 s_max (the largest 8.5e-14
+        # s_max) and the smallest kept one at 4.9e-12 s_max
+        (fh.log_frequencies(32), 32, 53),
     ], ids=["underdetermined", "truncated"])
-    def test_rank_deficient_frame_truncates_pseudo_inverse(self, freqs, n, rel_tol, rank):
+    def test_rank_deficient_frame_truncates_pseudo_inverse(self, freqs, n, rank):
         with pytest.warns(UserWarning) as record:
-            op = fh.assemble_omega(freqs, n, rel_tol)
+            op = fh.assemble_omega(freqs, n)
         assert f"effective rank {rank} < {2 * n + 1}" in " ".join(str(w.message) for w in record)
         assert op.effective_rank == rank
-        kernel = np.sinc(freqs.frequencies[:, None] - np.arange(-n, n + 1)[None, :])
-        truncated = np.linalg.pinv(kernel, rtol=rel_tol)
-        assert np.max(np.abs(op.pinv_t - truncated.T)) <= 1e-13
+        kernel = self.kernel(freqs, n)
+        truncated = np.linalg.pinv(kernel, rtol=_REL_TOL)
+        assert np.max(np.abs(op.pinv_t - truncated.T)) <= 1e-13 * np.max(np.abs(truncated))
         s = np.linalg.svd(kernel, compute_uv=False)
         np.testing.assert_allclose(op.s, s, rtol=0, atol=1e-14 * s[0])
 
@@ -272,14 +261,6 @@ class TestAssembleOmega:
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError):
             fh.assemble_omega(fh.uniform_frequencies(4), 0)
-
-    def test_rel_tol_outside_unit_interval_rejected(self):
-        # these would drop every singular value: rank 0, an all-zero result
-        freqs = fh.jittered_frequencies(32, seed=1)
-        for tol in (math.nan, 1.0, 2.0, -1e-12):
-            with pytest.raises(ValueError, match=r"rel_tol must lie in \[0, 1\)"):
-                fh.assemble_omega(freqs, 19, tol)
-        assert fh.assemble_omega(freqs, 19, 0.0).effective_rank == 39
 
 
 class TestAdmissibility:
