@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import FilterConfig
+from .filters import FilterConfig, check_rule_range
 from .frame import FilterReconstruction, assemble_omega
 from .hybrid import hybrid_reconstruct
 from .oracles import ground_truth_error
@@ -114,6 +115,8 @@ class ExperimentConfig:
                 f"delta = {self.delta} must lie in (0, half the narrowest "
                 f"subinterval); [{breaks[k]}, {breaks[k + 1]}] is too narrow"
             )
+        # no point lies farther than half a subinterval from a jump
+        check_rule_range(self.alpha, self.kappa, float(np.max(widths)) / 2, max(self.m_list))
 
     def resolve_function(self) -> PiecewiseFunction:
         if self.function == "custom":
@@ -147,6 +150,8 @@ class RunRecord:
     fit_samples: int
     rank: int
     cond: float
+    imag_residual: float
+    fit_residual: float
     sup_err_filter_interior: float
     sup_err_filter_global: float
     sup_err_hybrid_global: float
@@ -208,6 +213,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             fit_samples=hyb.fit_sample_count,
             rank=operator.effective_rank,
             cond=float(operator.s[0] / operator.s[operator.effective_rank - 1]),
+            imag_residual=float(np.max(hyb.imag_residual)),
+            fit_residual=float(max(fit.residual_norm for fit in hyb.fits)),
             sup_err_filter_interior=err_filter.sup_interior,
             sup_err_filter_global=err_filter.sup,
             sup_err_hybrid_global=err_hybrid.sup,
@@ -269,17 +276,161 @@ def _fmt(x: float) -> str:
     return f"{x:.17e}"
 
 
+# ---------------------------------------------------------------------------
+# _fmt for whole arrays.  A finite nonzero |v| = D * 10^(E-17) with D the
+# 18-digit integer nearest to |v| * 10^(17-E); the product is formed in
+# double-double arithmetic (Dekker, Numer. Math. 18, 1971), exact to about
+# 1e-13, so D is exact unless the fraction lies near 1/2.  Those values and
+# the rest (0, -0, nan, inf, |E| > _E17_MAX_EXP) are left to _fmt itself.
+
+# '-d.ddddddddddddddddde-ddd', the widest text
+_E17_WIDTH = 25
+_E17_MAX_EXP = 270
+# covers 10^e and 10^(e+1) for |e| <= _E17_MAX_EXP and the scalings 10^(17-e)
+_POW10_SPAN = _E17_MAX_EXP + 20
+_DEKKER_SPLIT = 2.0**27 + 1.0
+_TIE_MARGIN = 1e-6
+
+
+@functools.cache
+def _pow10_pairs() -> tuple[np.ndarray, np.ndarray]:
+    """10^k = hi[k + _POW10_SPAN] + lo[...] for |k| <= _POW10_SPAN, each part correctly rounded.
+
+    Integer true division rounds correctly, so hi = num / den and
+    lo = (10^k - hi) are exact roundings of the rationals.
+    """
+    hi = np.empty(2 * _POW10_SPAN + 1)
+    lo = np.empty_like(hi)
+    for i, k in enumerate(range(-_POW10_SPAN, _POW10_SPAN + 1)):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi[i] = num / den
+        a, b = hi[i].as_integer_ratio()
+        lo[i] = (num * b - a * den) / (den * b)
+    hi.flags.writeable = lo.flags.writeable = False
+    return hi, lo
+
+
+@functools.cache
+def _digit_triples() -> np.ndarray:
+    """ASCII of '000' .. '999' as a (1000, 3) uint8 table."""
+    return np.frombuffer("".join(f"{i:03d}" for i in range(1000)).encode(),
+                         dtype=np.uint8).reshape(1000, 3)
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker; no FMA needed)."""
+    p = a * b
+    t = a * _DEKKER_SPLIT
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = b * _DEKKER_SPLIT
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _e17_text(values) -> tuple[np.ndarray, np.ndarray]:
+    """'%.17e' % v for each v of the 1-D float array values, as bytes.
+
+    Returns (chars, keep), each of shape (len(values), _E17_WIDTH): row i's
+    text is chars[i][keep[i]], equal to _fmt(values[i]).encode().
+    """
+    v = np.asarray(values, dtype=float)
+    a = np.abs(v)
+    fast = np.isfinite(a) & (a != 0.0)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a))
+    fast &= np.abs(e) <= _E17_MAX_EXP
+    e = np.where(fast, e, 0.0).astype(np.int64)
+    a = np.where(fast, a, 1.0)
+
+    # log10 may be one off next to a power of ten; compare with the exact
+    # 10^e and 10^(e+1) so that e = floor(log10 |v|) exactly
+    hi, lo = _pow10_pairs()
+    up = e + 1 + _POW10_SPAN
+    e += (a > hi[up]) | ((a == hi[up]) & (lo[up] <= 0.0))
+    at = e + _POW10_SPAN
+    e -= (a < hi[at]) | ((a == hi[at]) & (lo[at] > 0.0))
+
+    # |v| 10^(17-e) lies in [1e17, 1e18): p is an integer, r is small
+    k = 17 - e + _POW10_SPAN
+    p, r = _two_product(a, hi[k])
+    r += a * lo[k]
+    whole = np.floor(r)
+    frac = r - whole
+    fast &= np.abs(frac - 0.5) >= _TIE_MARGIN
+    digits = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    # rounding up to 10^18 carries into the next decade
+    carry = digits == 10**18
+    digits[carry] = 10**17
+    e += carry
+    fast &= (digits >= 10**17) & (digits < 10**18)
+
+    triples = _digit_triples()
+    chars = np.empty((v.size, _E17_WIDTH), dtype=np.uint8)
+    chars[:, 0] = ord("-")
+    # three digits per group; scalar divisors keep numpy's fast division
+    groups = np.empty((v.size, 6), dtype=np.int64)
+    for j, part in zip((0, 3), np.divmod(digits, 10**9)):
+        np.floor_divide(part, 10**6, out=groups[:, j])
+        np.floor_divide(part, 1000, out=groups[:, j + 1])
+        groups[:, j + 1] %= 1000
+        np.remainder(part, 1000, out=groups[:, j + 2])
+    mantissa = triples.take(groups, axis=0).reshape(v.size, 18)
+    chars[:, 1] = mantissa[:, 0]
+    chars[:, 2] = ord(".")
+    chars[:, 3:20] = mantissa[:, 1:]
+    chars[:, 20] = ord("e")
+    chars[:, 21] = np.where(e < 0, ord("-"), ord("+"))
+    chars[:, 22:] = triples.take(np.abs(e), axis=0)
+    keep = np.ones(chars.shape, dtype=bool)
+    keep[:, 0] = v < 0
+    keep[:, 22] = np.abs(e) >= 100
+
+    for i in np.flatnonzero(~fast):
+        text = _fmt(float(v[i])).encode()
+        chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        keep[i] = np.arange(_E17_WIDTH) < len(text)
+    return chars, keep
+
+
+# rows per block of the grid CSV: each temporary array of a block stays
+# under glibc's 128 KiB mmap threshold, and the file is never held whole
+_CSV_BLOCK_ROWS = 256
+
+
 def _write_grid_csv(path, cfg, record, grid, truth, filt, hyb, err_f, err_h, tags):
-    with Path(path).open("w", newline="") as fh:
-        for line in cfg.echo_lines():
-            fh.write(line + "\n")
-        fh.write(f"# m={record.m} n={record.n} M={record.degree} "
-                 f"N={record.fit_samples - 1} freq_hash={record.freq_hash}\n")
-        fh.write("x,f_true,f_filter,f_hybrid,err_filter,err_hybrid,tag\n")
-        # "%.17e" formats exactly as _fmt does
-        columns = (grid, truth, filt, hyb, err_f, err_h, tags)
-        for row in zip(*(np.asarray(c).tolist() for c in columns)):
-            fh.write("%.17e,%.17e,%.17e,%.17e,%.17e,%.17e,%s\n" % row)
+    """One row per grid point: six '%.17e' columns and the method tag."""
+    header = [
+        *cfg.echo_lines(),
+        f"# m={record.m} n={record.n} M={record.degree} "
+        f"N={record.fit_samples - 1} freq_hash={record.freq_hash}",
+        "x,f_true,f_filter,f_hybrid,err_filter,err_hybrid,tag",
+    ]
+    numeric = [np.asarray(c, dtype=float) for c in (grid, truth, filt, hyb, err_f, err_h)]
+    tags = np.asarray(tags)
+    # each line is laid out as fixed-width slots, each number followed by
+    # its ',', then the tag and '\n'; `used` marks the bytes that are written
+    ncol = len(numeric)
+    width = ncol * (_E17_WIDTH + 1)
+    with Path(path).open("wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        for start in range(0, tags.size, _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            chars, keep = _e17_text(np.stack([c[rows] for c in numeric], axis=1).ravel())
+            tag = tags[rows].astype(bytes)  # NUL-padded ASCII
+            tag = tag.view(np.uint8).reshape(tag.size, -1)
+            n = tag.shape[0]
+            line = np.empty((n, width + tag.shape[1] + 1), dtype=np.uint8)
+            used = np.ones(line.shape, dtype=bool)
+            numbers = line[:, :width].reshape(n, ncol, -1)
+            numbers[:, :, :-1] = chars.reshape(n, ncol, -1)
+            numbers[:, :, -1] = ord(",")
+            used[:, :width].reshape(n, ncol, -1)[:, :, :-1] = keep.reshape(n, ncol, -1)
+            line[:, width:-1] = tag
+            used[:, width:-1] = tag != 0
+            line[:, -1] = ord("\n")
+            fh.write(line[used].tobytes())
 
 
 def _write_summary_csv(path, cfg, records):
@@ -287,14 +438,14 @@ def _write_summary_csv(path, cfg, records):
         for line in cfg.echo_lines():
             fh.write(line + "\n")
         fh.write(
-            "m,n,M,N,rank,cond,sup_err_filter_interior,sup_err_filter_global,"
-            "sup_err_hybrid_global,sup_err_hybrid_buffers,freq_hash\n"
+            "m,n,M,N,rank,cond,imag_residual,fit_residual,sup_err_filter_interior,"
+            "sup_err_filter_global,sup_err_hybrid_global,sup_err_hybrid_buffers,freq_hash\n"
         )
         for r in records:
             fh.write(
                 ",".join([
                     str(r.m), str(r.n), str(r.degree), str(r.fit_samples - 1),
-                    str(r.rank), _fmt(r.cond),
+                    str(r.rank), _fmt(r.cond), _fmt(r.imag_residual), _fmt(r.fit_residual),
                     _fmt(r.sup_err_filter_interior), _fmt(r.sup_err_filter_global),
                     _fmt(r.sup_err_hybrid_global), _fmt(r.sup_err_hybrid_buffers),
                     r.freq_hash,
@@ -321,8 +472,35 @@ _MARGIN = 60
 _LOG_FLOOR = 1e-18
 
 
+def _m4_points(sx, sy) -> np.ndarray:
+    """Indices, ascending, of the points an M4 plot draws (Jugel et al., PVLDB 7(10), 2014).
+
+    Per run of consecutive points in one pixel column floor(sx): the first,
+    the last, the lowest and the highest sy, the first of equals, and NaN
+    counting as both lowest and highest.  The line drawn through them covers
+    the same pixels as the line through every point.
+    """
+    column = np.floor(sx)
+    new_column = column[1:] != column[:-1]
+    run = np.concatenate(([0], np.cumsum(new_column)))
+    starts = np.flatnonzero(np.concatenate(([True], new_column)))
+    keep = np.zeros(sx.size, dtype=bool)
+    keep[starts] = True
+    keep[np.append(starts[1:] - 1, sx.size - 1)] = True
+    nan = np.isnan(sy)
+    for extreme, fill in ((np.minimum, -np.inf), (np.maximum, np.inf)):
+        key = np.where(nan, fill, sy)
+        hits = np.flatnonzero(key == extreme.reduceat(key, starts)[run])
+        first = np.concatenate(([True], run[hits[1:]] != run[hits[:-1]]))
+        keep[hits[first]] = True
+    return np.flatnonzero(keep)
+
+
 def write_line_svg(path, x, series, title="", ylog=False):
-    """Write a line plot; log-scale transforms the data before writing."""
+    """Write a line plot; log-scale transforms the data before writing.
+
+    Each polyline draws at most 4 points per pixel column (_m4_points).
+    """
     x = np.asarray(x, dtype=float)
     prepared = []
     for name, y in series:
@@ -335,7 +513,7 @@ def write_line_svg(path, x, series, title="", ylog=False):
     if ymax == ymin:
         ymax = ymin + 1.0
     xmin, xmax = float(np.min(x)), float(np.max(x))
-    sx = (_MARGIN + (x - xmin) / (xmax - xmin) * (_SVG_W - 2 * _MARGIN)).tolist()
+    sx = _MARGIN + (x - xmin) / (xmax - xmin) * (_SVG_W - 2 * _MARGIN)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
@@ -354,7 +532,8 @@ def write_line_svg(path, x, series, title="", ylog=False):
     for k, (name, y) in enumerate(prepared):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]
         sy = _SVG_H - _MARGIN - (y - ymin) / (ymax - ymin) * (_SVG_H - 2 * _MARGIN)
-        pts = " ".join(map("{:.2f},{:.2f}".format, sx, sy.tolist()))
+        drawn = _m4_points(sx, sy)
+        pts = " ".join(map("{:.2f},{:.2f}".format, sx[drawn].tolist(), sy[drawn].tolist()))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
         )

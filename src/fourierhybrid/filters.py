@@ -36,6 +36,7 @@ __all__ = [
     "sigma_weight_matrix",
     "adaptive_param_arrays",
     "adaptive_params",
+    "check_rule_range",
     "frequency_weights",
     "tail_bound_l2",
 ]
@@ -156,6 +157,19 @@ def sigma_weight_matrix(
     return _sigma(p[:, None], z, out=z)
 
 
+def check_rule_range(alpha: float, kappa: float, d_max: float, m: int) -> None:
+    """Raise ValueError naming alpha or kappa if the rule overflows at distance d_max.
+
+    gamma^2 = alpha d m must be finite and p = floor(kappa d m) must fit int64.
+    """
+    if not math.isfinite(alpha * d_max * m):
+        raise ValueError(f"alpha = {alpha!r} overflows gamma^2 = alpha*d*m at m = {m}")
+    if not kappa * d_max * m < 2.0**63:
+        raise ValueError(
+            f"kappa = {kappa!r} puts p = floor(kappa*d*m) outside int64 at m = {m}"
+        )
+
+
 def adaptive_param_arrays(xs, m: int, cfg: FilterConfig, jumps):
     """Arrays (gamma, p, d) of the adaptive rule at points xs; d is the jump distance.
 
@@ -169,13 +183,7 @@ def adaptive_param_arrays(xs, m: int, cfg: FilterConfig, jumps):
     d = distance_to_set(xs, jumps)
     d_rule = np.where(np.isfinite(d), d, 0.0)
     # Python floats overflow to inf silently, so this runs before numpy warns
-    d_max = float(np.max(d_rule, initial=0.0))
-    if not math.isfinite(cfg.alpha * d_max * m):
-        raise ValueError(f"alpha = {cfg.alpha!r} overflows gamma^2 = alpha*d*m at m = {m}")
-    if not cfg.kappa * d_max * m < 2.0**63:
-        raise ValueError(
-            f"kappa = {cfg.kappa!r} puts p = floor(kappa*d*m) outside int64 at m = {m}"
-        )
+    check_rule_range(cfg.alpha, cfg.kappa, float(np.max(d_rule, initial=0.0)), m)
     gamma = np.sqrt(cfg.alpha * d_rule * m)
     p = np.floor(cfg.kappa * d_rule * m).astype(int)
     return gamma, p, d

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import os
 import subprocess
@@ -15,6 +14,10 @@ from fourierhybrid.experiments import (
     ExperimentConfig,
     RunRecord,
     RunReport,
+    _e17_text,
+    _fmt,
+    _m4_points,
+    _write_grid_csv,
     build_parser,
     convergence_table,
     main,
@@ -130,18 +133,30 @@ class TestRunExperiment:
         cfg = small_config(output_dir=str(tmp_path), scheme="log", m_list=(32,), n_override=32)
         with pytest.warns(UserWarning, match="effective rank 53 < 65"):
             report = run_experiment(cfg)
-            ops = [fourierhybrid.assemble_omega(fourierhybrid.log_frequencies(32), 32)]
+            f = fourierhybrid.builtin_f1()
+            freqs = fourierhybrid.log_frequencies(32)
+            ops = [fourierhybrid.assemble_omega(freqs, 32)]
+        recon = fourierhybrid.FilterReconstruction(
+            operator=ops[0], samples=fourierhybrid.fourier_samples(f, freqs),
+            filter_cfg=fourierhybrid.FilterConfig(), jumps=fourierhybrid.jump_set(f),
+        )
+        hyb = fourierhybrid.hybrid_reconstruct(recon, midpoint_grid(64), cfg.delta)
         lines = [
             line for line in (tmp_path / "summary.csv").read_text().splitlines()
             if line and not line.startswith("#")
         ]
         header = lines[0].split(",")
-        assert header[:6] == ["m", "n", "M", "N", "rank", "cond"]
+        assert header[:8] == ["m", "n", "M", "N", "rank", "cond", "imag_residual", "fit_residual"]
         for row, rec, op in zip(lines[1:], report.records, ops):
             columns = dict(zip(header, row.split(",")))
             assert int(columns["rank"]) == rec.rank == op.effective_rank < 2 * rec.n + 1
             assert float(columns["cond"]) == rec.cond == op.s[0] / op.s[rec.rank - 1]
             assert rec.cond <= 1.0 / _REL_TOL
+            # sup of the grid's imaginary residual, largest fit residual
+            assert float(columns["imag_residual"]) == rec.imag_residual
+            assert rec.imag_residual == np.max(hyb.imag_residual)
+            assert float(columns["fit_residual"]) == rec.fit_residual
+            assert rec.fit_residual == max(fit.residual_norm for fit in hyb.fits)
 
     def test_byte_reproducible(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -167,7 +182,7 @@ class TestConvergenceTable:
     def test_ratio_arithmetic(self):
         records = tuple(
             RunRecord(m=m, n=0, degree=0, fit_samples=1, rank=1, cond=1.0,
-                      sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
+                      imag_residual=0.0, fit_residual=0.0, sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
                       sup_err_hybrid_global=err, sup_err_hybrid_buffers=0.0,
                       wall_time=0.0, freq_hash="")
             for m, err in ((128, 1e-2), (256, 1e-3), (512, 1e-4))
@@ -181,7 +196,7 @@ class TestConvergenceTable:
     def test_single_record_has_empty_ratio(self):
         records = (
             RunRecord(m=64, n=0, degree=0, fit_samples=1, rank=1, cond=1.0,
-                      sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
+                      imag_residual=0.0, fit_residual=0.0, sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
                       sup_err_hybrid_global=5e-3, sup_err_hybrid_buffers=0.0,
                       wall_time=0.0, freq_hash=""),
         )
@@ -199,6 +214,164 @@ def test_write_line_svg_log_scale(tmp_path):
     assert "log10|y|" in text
 
 
+def e17_strings(values) -> list[str]:
+    chars, keep = _e17_text(np.asarray(values, dtype=float))
+    return [bytes(c[k]).decode() for c, k in zip(chars, keep)]
+
+
+class TestE17Text:
+    def test_random_doubles_match_fmt(self):
+        rng = np.random.default_rng(17)
+        size = 60_000
+        # mantissas in [1, 10) times 10^e over every decade a double reaches,
+        # subnormals included, and raw bit patterns (some nan and inf)
+        spread = (1.0 + 9.0 * rng.random(size)) * 10.0 ** rng.integers(-323, 308, size)
+        spread *= rng.choice([-1.0, 1.0], size)
+        bits = np.frombuffer(rng.bytes(8 * size), dtype=np.float64)
+        for values in (spread, bits):
+            assert e17_strings(values) == [_fmt(v) for v in values.tolist()]
+
+    def test_special_values_match_fmt(self):
+        big = np.finfo(float).max
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, big, -big,
+                    np.finfo(float).tiny, 0.1, -0.1]
+        powers = [float(f"1e{k}") for k in range(-323, 309)]
+        # 1 + j/2^18 with j odd has 19 significant digits ending in 5: an
+        # exact tie that '%.17e' rounds to even
+        ties = [1.0 + j / 2.0**18 for j in range(1, 400, 2)] + [-3.0 - 5 / 2.0**18]
+        # the double below 10^153 rounds up to 1.00000000000000000e+153
+        assert (1e153).as_integer_ratio()[0] < 10**153
+        carry = [1e153, -1e153, *np.nextafter(np.array(powers), 0.0).tolist()]
+        for values in (specials, powers, ties, carry):
+            assert e17_strings(values) == [_fmt(v) for v in values]
+        assert e17_strings([1e153]) == ["1.00000000000000000e+153"]
+        assert e17_strings([0.1, 1.0 + 1 / 2.0**18]) == [
+            "1.00000000000000006e-01", "1.00000381469726562e+00"]
+
+
+def test_grid_csv_matches_per_row_format(tmp_path):
+    rng = np.random.default_rng(5)
+    size = 700  # not a multiple of the writer's row block
+    grid = midpoint_grid(size)
+    columns = [rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+               for _ in range(5)]
+    columns[0][:6] = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]
+    columns[3][-4:] = [-5e-324, 2.2e-310, math.nan, -math.inf]
+    tags = np.where(rng.random(size) < 0.3, "extrapolated", "filter")
+    record = RunRecord(m=16, n=9, degree=3, fit_samples=5, rank=19, cond=1.5,
+                       imag_residual=0.0, fit_residual=0.0, sup_err_filter_interior=0.0,
+                       sup_err_filter_global=0.0, sup_err_hybrid_global=0.0,
+                       sup_err_hybrid_buffers=0.0, wall_time=0.0, freq_hash="0123")
+    path = tmp_path / "grid.csv"
+    _write_grid_csv(path, ExperimentConfig(), record, grid, *columns, tags)
+    header = "x,f_true,f_filter,f_hybrid,err_filter,err_hybrid,tag\n"
+    rows = "".join(
+        "%.17e,%.17e,%.17e,%.17e,%.17e,%.17e,%s\n" % row
+        for row in zip(*(np.asarray(c).tolist() for c in (grid, *columns, tags)))
+    )
+    echo, body = path.read_bytes().decode().split(header)
+    assert body == rows
+    assert echo.splitlines()[-1] == "# m=16 n=9 M=3 N=4 freq_hash=0123"
+
+
+def reference_line_svg(path, x, series, title="", ylog=False):
+    """write_line_svg as it was before M4: every point of every series."""
+    x = np.asarray(x, dtype=float)
+    prepared = []
+    for name, y in series:
+        y = np.asarray(y, dtype=float)
+        if ylog:
+            y = np.log10(np.maximum(np.abs(y), 1e-18))
+        prepared.append((name, y))
+    ymin = min(float(np.min(y)) for _, y in prepared)
+    ymax = max(float(np.max(y)) for _, y in prepared)
+    if ymax == ymin:
+        ymax = ymin + 1.0
+    xmin, xmax = float(np.min(x)), float(np.max(x))
+    sx = (60 + (x - xmin) / (xmax - xmin) * 680).tolist()
+    ylabel = "log10|y|" if ylog else "y"
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="500" '
+        'viewBox="0 0 800 500">',
+        '<rect x="60" y="60" width="680" height="380" fill="none" stroke="#333"/>',
+        '<text x="400" y="30" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="16">{title}</text>',
+        f'<text x="60" y="475" font-family="sans-serif" font-size="12">x: '
+        f'[{xmin:g}, {xmax:g}]   {ylabel}: [{ymin:.3g}, {ymax:.3g}]</text>',
+    ]
+    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
+    for k, (name, y) in enumerate(prepared):
+        sy = 440 - (y - ymin) / (ymax - ymin) * 380
+        pts = " ".join(map("{:.2f},{:.2f}".format, sx, sy.tolist()))
+        parts.append(f'<polyline fill="none" stroke="{colors[k]}" stroke-width="1" '
+                     f'points="{pts}"/>')
+        parts.append(f'<text x="745" y="{60 + 18 * (k + 1)}" font-family="sans-serif" '
+                     f'font-size="12" fill="{colors[k]}">{name}</text>')
+    parts.append("</svg>")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+
+
+def plot_series(size):
+    x = midpoint_grid(size)
+    rng = np.random.default_rng(size)
+    truth = np.where(x < 0.5, np.sin(4 * np.pi * x), np.sin(2 * np.pi * x))
+    noisy = truth + 1e-3 * rng.standard_normal(size)
+    err = np.abs(noisy - truth)
+    err[::97] = 0.0  # clipped to the log floor
+    return x, [("f_true", truth), ("f_noisy", noisy)], [("err", err), ("err2", err**2)]
+
+
+class TestM4:
+    def test_keeps_each_columns_first_last_min_max(self):
+        x, fun, _ = plot_series(32768)
+        sx = 60 + (x - x[0]) / (x[-1] - x[0]) * 680
+        column = np.floor(sx)
+        y = fun[1][1].copy()
+        y[1000] = np.nan
+        for sy in (fun[0][1], y):
+            kept = _m4_points(sx, sy)
+            assert np.all(np.diff(kept) > 0)
+            assert np.bincount(column[kept].astype(int)).max() <= 4
+            starts = np.flatnonzero(np.diff(column, prepend=-1.0))
+            for lo, hi in zip(starts, np.append(starts[1:], sx.size)):
+                run = sy[lo:hi]
+                extremes = {lo, hi - 1}
+                if np.isnan(run).any():
+                    extremes.add(lo + int(np.flatnonzero(np.isnan(run))[0]))
+                else:
+                    extremes |= {lo + int(np.argmin(run)), lo + int(np.argmax(run))}
+                assert extremes <= set(kept[(kept >= lo) & (kept < hi)].tolist())
+
+    @pytest.mark.parametrize("ylog", [False, True])
+    def test_1024_points_written_as_before(self, tmp_path, ylog):
+        # at most 2 points per pixel column, so M4 keeps every point
+        x, fun, err = plot_series(1024)
+        series = err if ylog else fun
+        write_line_svg(tmp_path / "m4.svg", x, series, title="t", ylog=ylog)
+        reference_line_svg(tmp_path / "ref.svg", x, series, title="t", ylog=ylog)
+        assert (tmp_path / "m4.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+    def test_32768_points_draw_a_subset_of_the_full_line(self, tmp_path):
+        x, fun, _ = plot_series(32768)
+        write_line_svg(tmp_path / "m4.svg", x, fun)
+        reference_line_svg(tmp_path / "ref.svg", x, fun)
+        m4, full = (
+            [el.get("points").split() for el in ET.parse(tmp_path / name).getroot().iter()
+             if el.tag.endswith("polyline")]
+            for name in ("m4.svg", "ref.svg")
+        )
+        for kept, every in zip(m4, full):
+            assert len(kept) <= 4 * 681
+            it = iter(every)
+            assert all(point in it for point in kept)  # an ordered subsequence
+
+    def test_nan_is_still_written(self, tmp_path):
+        x, fun, _ = plot_series(32768)
+        fun[1][1][12345] = np.nan
+        write_line_svg(tmp_path / "nan.svg", x, fun)
+        assert ",nan" in (tmp_path / "nan.svg").read_text()
+
+
 def run_probe(probe: str) -> str:
     """stdout of probe run by a fresh interpreter that imports this checkout's package."""
     src = str(Path(fourierhybrid.__file__).resolve().parents[1])
@@ -214,12 +387,14 @@ def test_import_leaves_scipy_special_and_integrate_unloaded():
     # scipy.integrate only by the quadrature oracles and scipy.optimize only
     # by optimize_delta; importing them at module level would add about
     # 0.6 s and 40 MiB to every run.  The sampler's Bessel sums are numpy
-    # too, so sampling does not load them either
+    # too, so sampling does not load them either.  The CSV writer's powers
+    # of ten are built from Python integers, not fractions or decimal
     probe = (
         "import sys, fourierhybrid.experiments, fourierhybrid as fh; "
         "fh.fourier_samples(fh.builtin_f2(), fh.jittered_frequencies(8, seed=1)); "
-        "print(sorted(m for m in ('scipy.special', 'scipy.integrate', 'scipy.optimize') "
-        "if m in sys.modules))"
+        "fh.experiments._e17_text([0.1]); "
+        "print(sorted(m for m in ('scipy.special', 'scipy.integrate', 'scipy.optimize', "
+        "'fractions', 'decimal') if m in sys.modules))"
     )
     assert run_probe(probe).strip() == "[]"
 
@@ -257,8 +432,8 @@ class TestCli:
             (["--alpha", "nan"], "alpha must be finite"),
             (["--kappa", "inf"], "kappa must be finite"),
             (["--delta", "nan"], "delta must be finite"),
-            # constants whose filter parameters overflow; the alpha*kappa
-            # warning also prints both names, so match the error's start
+            # constants whose filter parameters overflow; validate() rejects
+            # them before the alpha*kappa warning could print
             (["--alpha", "1e308"], "configuration error: alpha = 1e+308"),
             (["--kappa", "1e308"], "configuration error: kappa = 1e+308"),
             # a value the flag's type rejects; the message names the format
@@ -280,15 +455,10 @@ class TestCli:
              "piece on [0.0, 1.0] is not finite: it is inf"),
         ]
         for args, message in cases:
-            if "1e308" in args:
-                context = pytest.warns(UserWarning, match=r"alpha\*kappa")
-            else:
-                context = contextlib.nullcontext()
-            with context:
-                code = main([
-                    "--function", "f1", "--m", "32", "--grid", "64",
-                    "--out", str(tmp_path / "out"), *args,
-                ])
+            code = main([
+                "--function", "f1", "--m", "32", "--grid", "64",
+                "--out", str(tmp_path / "out"), *args,
+            ])
             assert code == 2
             err = capsys.readouterr().err
             assert "configuration error" in err and message in err
