@@ -83,8 +83,8 @@ class ExperimentConfig:
     m_list: tuple[int, ...] = (128, 256, 512)
     seed: int = 42
     delta: float = 0.025
-    alpha: float = 1.0
-    kappa: float = 1.0 / 15.0
+    alpha: float = FilterConfig.alpha
+    kappa: float = FilterConfig.kappa
     n_override: int | None = None
     grid_size: int = 1024
     output_dir: str = "out"
@@ -106,6 +106,12 @@ class ExperimentConfig:
         unknown = set(self.formats) - {"csv", "svg"}
         if unknown:
             raise ValueError(f"unknown output formats {sorted(unknown)}")
+        if not self.formats:
+            raise ValueError("formats must name csv, svg or both")
+        if self.pieces and self.function != "custom":
+            raise ValueError(
+                f"pieces are used only with function=custom, not function={self.function!r}"
+            )
         f = self.resolve_function()
         widths = np.diff(jump_set(f))
         if self.delta <= 0 or np.any(widths <= 2 * self.delta):
@@ -231,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             path = out_dir / f"{base}.csv"
             _write_grid_csv(
                 path, cfg, record, grid, truth, hyb.filter_values, hyb.values,
-                err_filter.pointwise, err_hybrid.pointwise, hyb.method_tags,
+                err_filter.pointwise, err_hybrid.pointwise, hyb.extrapolated,
             )
             files.append(str(path))
         if "svg" in cfg.formats:
@@ -329,11 +335,11 @@ def _two_product(a, b):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _e17_text(values) -> tuple[np.ndarray, np.ndarray]:
+def _e17_text(values) -> np.ndarray:
     """'%.17e' % v for each v of the 1-D float array values, as bytes.
 
-    Returns (chars, keep), each of shape (len(values), _E17_WIDTH): row i's
-    text is chars[i][keep[i]], equal to _fmt(values[i]).encode().
+    Returns a (len(values), _E17_WIDTH) uint8 array whose unwritten bytes are
+    NUL: row i with its NULs removed is _fmt(values[i]).encode().
     """
     v = np.asarray(values, dtype=float)
     a = np.abs(v)
@@ -368,7 +374,7 @@ def _e17_text(values) -> tuple[np.ndarray, np.ndarray]:
 
     triples = _digit_triples()
     chars = np.empty((v.size, _E17_WIDTH), dtype=np.uint8)
-    chars[:, 0] = ord("-")
+    chars[:, 0] = np.where(v < 0, ord("-"), 0)
     # three digits per group; scalar divisors keep numpy's fast division
     groups = np.empty((v.size, 6), dtype=np.int64)
     for j, part in zip((0, 3), np.divmod(digits, 10**9)):
@@ -383,24 +389,26 @@ def _e17_text(values) -> tuple[np.ndarray, np.ndarray]:
     chars[:, 20] = ord("e")
     chars[:, 21] = np.where(e < 0, ord("-"), ord("+"))
     chars[:, 22:] = triples.take(np.abs(e), axis=0)
-    keep = np.ones(chars.shape, dtype=bool)
-    keep[:, 0] = v < 0
-    keep[:, 22] = np.abs(e) >= 100
+    chars[np.abs(e) < 100, 22] = 0
 
     for i in np.flatnonzero(~fast):
         text = _fmt(float(v[i])).encode()
+        chars[i] = 0
         chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-        keep[i] = np.arange(_E17_WIDTH) < len(text)
-    return chars, keep
+    return chars
 
 
 # rows per block of the grid CSV: each temporary array of a block stays
 # under glibc's 128 KiB mmap threshold, and the file is never held whole
 _CSV_BLOCK_ROWS = 256
+# the tag column's text for a False and a True extrapolated mask, NUL-padded
+_GRID_TAGS = np.frombuffer(
+    b"filter\n".ljust(13, b"\0") + b"extrapolated\n", dtype=np.uint8
+).reshape(2, 13)
 
 
-def _write_grid_csv(path, cfg, record, grid, truth, filt, hyb, err_f, err_h, tags):
-    """One row per grid point: six '%.17e' columns and the method tag."""
+def _write_grid_csv(path, cfg, record, grid, truth, filt, hyb, err_f, err_h, extrapolated):
+    """One row per grid point: six '%.17e' columns and the tag the mask selects."""
     header = [
         *cfg.echo_lines(),
         f"# m={record.m} n={record.n} M={record.degree} "
@@ -408,29 +416,25 @@ def _write_grid_csv(path, cfg, record, grid, truth, filt, hyb, err_f, err_h, tag
         "x,f_true,f_filter,f_hybrid,err_filter,err_hybrid,tag",
     ]
     numeric = [np.asarray(c, dtype=float) for c in (grid, truth, filt, hyb, err_f, err_h)]
-    tags = np.asarray(tags)
-    # each line is laid out as fixed-width slots, each number followed by
-    # its ',', then the tag and '\n'; `used` marks the bytes that are written
+    extrapolated = np.asarray(extrapolated, dtype=bool)
+    # each line is laid out as fixed-width, NUL-padded slots: each number
+    # followed by its ',', then the tag with its '\n'
     ncol = len(numeric)
     width = ncol * (_E17_WIDTH + 1)
     with Path(path).open("wb") as fh:
         fh.write(("\n".join(header) + "\n").encode())
-        for start in range(0, tags.size, _CSV_BLOCK_ROWS):
+        for start in range(0, extrapolated.size, _CSV_BLOCK_ROWS):
             rows = slice(start, start + _CSV_BLOCK_ROWS)
-            chars, keep = _e17_text(np.stack([c[rows] for c in numeric], axis=1).ravel())
-            tag = tags[rows].astype(bytes)  # NUL-padded ASCII
-            tag = tag.view(np.uint8).reshape(tag.size, -1)
+            tag = _GRID_TAGS[extrapolated[rows].astype(np.intp)]
             n = tag.shape[0]
-            line = np.empty((n, width + tag.shape[1] + 1), dtype=np.uint8)
-            used = np.ones(line.shape, dtype=bool)
+            line = np.empty((n, width + tag.shape[1]), dtype=np.uint8)
             numbers = line[:, :width].reshape(n, ncol, -1)
-            numbers[:, :, :-1] = chars.reshape(n, ncol, -1)
+            numbers[:, :, :-1] = _e17_text(
+                np.stack([c[rows] for c in numeric], axis=1).ravel()
+            ).reshape(n, ncol, -1)
             numbers[:, :, -1] = ord(",")
-            used[:, :width].reshape(n, ncol, -1)[:, :, :-1] = keep.reshape(n, ncol, -1)
-            line[:, width:-1] = tag
-            used[:, width:-1] = tag != 0
-            line[:, -1] = ord("\n")
-            fh.write(line[used].tobytes())
+            line[:, width:] = tag
+            fh.write(line.tobytes().replace(b"\0", b""))
 
 
 def _write_summary_csv(path, cfg, records):

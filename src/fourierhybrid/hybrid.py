@@ -36,7 +36,7 @@ _DELTA_MIN = 1e-4
 
 @dataclass(frozen=True)
 class HybridReconstruction:
-    """Grid values with per-point method tags and per-subinterval fits."""
+    """Grid values, the buffer mask and the per-subinterval fits."""
 
     values: np.ndarray
     extrapolated: np.ndarray  # bool mask; True inside a buffer zone
@@ -45,10 +45,6 @@ class HybridReconstruction:
     imag_residual: np.ndarray
     degree: int
     fit_sample_count: int
-
-    @property
-    def method_tags(self) -> np.ndarray:
-        return np.where(self.extrapolated, "extrapolated", "filter")
 
 
 def hybrid_reconstruct(

@@ -116,26 +116,28 @@ def classical_filtered_sum(
 
 
 def frame_filtered_sum(
-    omega: np.ndarray, lams: np.ndarray, values: np.ndarray, m: int,
+    lams: np.ndarray, values: np.ndarray, m: int, n: int,
     p: int, gamma: float, x: float, rel_tol: float = 1e-12,
 ) -> complex:
     """sum_{|l|<=n} c_l exp(2 pi i l x) of the filtered frame reconstruction.
 
-    The weights are w_j = sigma_{p,gamma}(lams_j / m) by sigma_reference,
-    the coefficients c the least-squares solution of conj(omega) c = w * values
+    Omega[j, l] = integral_0^1 exp(2 pi i t x) dx = e^{i pi t} sinc(t) with
+    t = lams_j - l is built here from that closed form, with np.sinc.  The
+    weights are w_j = sigma_{p,gamma}(lams_j / m) by sigma_reference, the
+    coefficients c the least-squares solution of conj(Omega) c = w * values
     by numpy's SVD-based lstsq (singular values below rel_tol times the
-    largest dropped), and the mode sum is taken term by term.  ``omega`` is
-    the (2m+1, 2n+1) cross-correlation matrix.  The real part is the
-    reconstructed value, the imaginary part its residual.
+    largest dropped), and the mode sum is taken term by term.  The real part
+    is the reconstructed value, the imaginary part its residual.
     """
+    t = np.subtract.outer(np.asarray(lams, dtype=float), np.arange(-n, n + 1))
+    omega = np.exp(1j * np.pi * t) * np.sinc(t)
     w = np.array([sigma_reference(p, gamma, lam / m) for lam in lams])
     c = np.linalg.lstsq(np.conj(omega), w * values, rcond=rel_tol)[0]
-    n = (len(c) - 1) // 2
     terms = [
         c[n + l] * complex(math.cos(2 * math.pi * l * x), math.sin(2 * math.pi * l * x))
         for l in range(-n, n + 1)
     ]
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
 
 def mollified_tail_energy(

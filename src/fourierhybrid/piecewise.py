@@ -41,7 +41,6 @@ class SmoothPiece:
     a: float
     b: float
     evaluator: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
     def __post_init__(self):
         if not (0.0 <= self.a < self.b <= 1.0):
@@ -60,7 +59,6 @@ class PiecewiseFunction:
     """Ordered pieces tiling [0,1) exactly; immutable and safe to share."""
 
     pieces: tuple[SmoothPiece, ...]
-    name: str = ""
     # interior breakpoints plus 0 and 1, derived from the pieces
     breakpoints: np.ndarray = field(init=False, repr=False)
 
@@ -130,10 +128,9 @@ def builtin_f1() -> PiecewiseFunction:
     """Single-jump test function: sin(4 pi x) on [0,0.5), sin(2 pi x) on [0.5,1]."""
     return PiecewiseFunction(
         pieces=(
-            SmoothPiece(0.0, 0.5, lambda x: np.sin(4 * np.pi * x), "sin(4*pi*x)"),
-            SmoothPiece(0.5, 1.0, lambda x: np.sin(2 * np.pi * x), "sin(2*pi*x)"),
+            SmoothPiece(0.0, 0.5, lambda x: np.sin(4 * np.pi * x)),
+            SmoothPiece(0.5, 1.0, lambda x: np.sin(2 * np.pi * x)),
         ),
-        name="f1",
     )
 
 
@@ -145,14 +142,10 @@ def builtin_f2() -> PiecewiseFunction:
     """
     return PiecewiseFunction(
         pieces=(
-            SmoothPiece(0.0, 0.3, lambda x: np.exp(-5 * x**2), "exp(-5*x^2)"),
-            SmoothPiece(0.3, 0.7, lambda x: np.cos(2 * np.pi * x), "cos(2*pi*x)"),
-            SmoothPiece(
-                0.7, 1.0, lambda x: np.exp(x) * np.sin(4 * np.pi * x),
-                "exp(x)*sin(4*pi*x)",
-            ),
+            SmoothPiece(0.0, 0.3, lambda x: np.exp(-5 * x**2)),
+            SmoothPiece(0.3, 0.7, lambda x: np.cos(2 * np.pi * x)),
+            SmoothPiece(0.7, 1.0, lambda x: np.exp(x) * np.sin(4 * np.pi * x)),
         ),
-        name="f2",
     )
 
 
@@ -229,12 +222,8 @@ def parse_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     return _compile_node(tree)
 
 
-def piecewise_from_expressions(
-    specs: Sequence[tuple[float, float, str]], name: str = "custom"
-) -> PiecewiseFunction:
+def piecewise_from_expressions(specs: Sequence[tuple[float, float, str]]) -> PiecewiseFunction:
     """Build a PiecewiseFunction from (a, b, expression) triples."""
-    pieces = tuple(
-        SmoothPiece(float(a), float(b), parse_expression(expr), expr)
-        for a, b, expr in specs
-    )
-    return PiecewiseFunction(pieces=pieces, name=name)
+    return PiecewiseFunction(pieces=tuple(
+        SmoothPiece(float(a), float(b), parse_expression(expr)) for a, b, expr in specs
+    ))

@@ -83,10 +83,6 @@ class FrequencySet:
     def __len__(self):
         return 2 * self.m + 1
 
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(-self.m, self.m + 1)
-
 
 @dataclass(frozen=True)
 class FourierSamples:

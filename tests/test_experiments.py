@@ -70,6 +70,8 @@ class TestConfigValidation:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="formats"):
             small_config(formats=("csv", "png")).validate()
+        with pytest.raises(ValueError, match="formats must name csv, svg or both"):
+            small_config(formats=()).validate()
 
     def test_oversized_delta_names_interval(self):
         with pytest.raises(ValueError, match=r"\[0\.0, 0\.3\]"):
@@ -78,6 +80,10 @@ class TestConfigValidation:
     def test_custom_function_requires_pieces(self):
         with pytest.raises(ValueError, match="piece"):
             small_config(function="custom").validate()
+        # pieces are read only by the custom function, so they may not ride
+        # along with a built-in one
+        with pytest.raises(ValueError, match="pieces.*function=custom.*function='f1'"):
+            small_config(pieces=((0.0, 1.0, "x"),)).validate()
 
     def test_custom_pieces_resolve(self):
         cfg = small_config(
@@ -215,8 +221,9 @@ def test_write_line_svg_log_scale(tmp_path):
 
 
 def e17_strings(values) -> list[str]:
-    chars, keep = _e17_text(np.asarray(values, dtype=float))
-    return [bytes(c[k]).decode() for c, k in zip(chars, keep)]
+    """Each row of _e17_text's output as text: the row with its NULs removed."""
+    chars = _e17_text(np.asarray(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode() for row in chars]
 
 
 class TestE17Text:
@@ -257,17 +264,18 @@ def test_grid_csv_matches_per_row_format(tmp_path):
                for _ in range(5)]
     columns[0][:6] = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]
     columns[3][-4:] = [-5e-324, 2.2e-310, math.nan, -math.inf]
-    tags = np.where(rng.random(size) < 0.3, "extrapolated", "filter")
+    extrapolated = rng.random(size) < 0.3
+    tags = ["extrapolated" if e else "filter" for e in extrapolated.tolist()]
     record = RunRecord(m=16, n=9, degree=3, fit_samples=5, rank=19, cond=1.5,
                        imag_residual=0.0, fit_residual=0.0, sup_err_filter_interior=0.0,
                        sup_err_filter_global=0.0, sup_err_hybrid_global=0.0,
                        sup_err_hybrid_buffers=0.0, wall_time=0.0, freq_hash="0123")
     path = tmp_path / "grid.csv"
-    _write_grid_csv(path, ExperimentConfig(), record, grid, *columns, tags)
+    _write_grid_csv(path, ExperimentConfig(), record, grid, *columns, extrapolated)
     header = "x,f_true,f_filter,f_hybrid,err_filter,err_hybrid,tag\n"
     rows = "".join(
         "%.17e,%.17e,%.17e,%.17e,%.17e,%.17e,%s\n" % row
-        for row in zip(*(np.asarray(c).tolist() for c in (grid, *columns, tags)))
+        for row in zip(*(np.asarray(c).tolist() for c in (grid, *columns)), tags)
     )
     echo, body = path.read_bytes().decode().split(header)
     assert body == rows
@@ -453,6 +461,11 @@ class TestCli:
              "piece on [0.0, 1.0] is not finite: it is nan"),
             (["--function", "custom", "--pieces", "0:1:exp(1000*x)"],
              "piece on [0.0, 1.0] is not finite: it is inf"),
+            # pieces beside a built-in function would be echoed but not used
+            (["--pieces", "0:1:x"],
+             "pieces are used only with function=custom, not function='f1'"),
+            # a run that writes no file
+            (["--formats", ""], "formats must name csv, svg or both"),
         ]
         for args, message in cases:
             code = main([

@@ -37,7 +37,7 @@ def oracle_value(recon, x: float, p: int | None = None, gamma: float | None = No
         params = fh.adaptive_params(x, op.m, recon.filter_cfg, recon.jumps)
         p, gamma = params.p, params.gamma
     total = frame_filtered_sum(
-        op.omega, recon.samples.freqs.frequencies, recon.samples.values, op.m,
+        recon.samples.freqs.frequencies, recon.samples.values, op.m, op.n,
         p, gamma, x, _REL_TOL,
     )
     return total.real, abs(total.imag)
@@ -268,7 +268,8 @@ class TestAdmissibility:
     def decay_constant(freqs, n):
         """Smallest c0 with |Omega(j,l)| <= c0 (1 + |j - l|)^(-1) on the section."""
         omega = fh.assemble_omega(freqs, n).omega
-        offsets = freqs.indices[:, None] - np.arange(-n, n + 1)[None, :]
+        m = freqs.m
+        offsets = np.arange(-m, m + 1)[:, None] - np.arange(-n, n + 1)[None, :]
         return float(np.max(np.abs(omega) * (1.0 + np.abs(offsets))))
 
     def test_uniform_constant_is_one(self):

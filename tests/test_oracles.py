@@ -95,20 +95,21 @@ class TestFrameFilteredSum:
         m, n = 8, 5
         rng = np.random.default_rng(4)
         values = rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1)
-        omega = np.eye(2 * m + 1, 2 * n + 1, k=-(m - n))
         lams = np.arange(-m, m + 1, dtype=float)
         for p, gamma, x in ((0, 0.0, 0.3), (2, 3.0, 0.71), (5, 1.5, 0.05)):
-            total = frame_filtered_sum(omega, lams, values, m, p, gamma, x)
+            total = frame_filtered_sum(lams, values, m, n, p, gamma, x)
             expect = classical_filtered_sum(values, p, gamma, m, n, x)
             assert total.real == pytest.approx(expect, abs=1e-14)
 
     def test_drops_singular_values_below_rel_tol(self):
-        # a repeated column has a zero singular value: the minimum-norm
-        # solution splits the weight evenly between its two modes
-        omega = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        lams = np.array([-1.0, 0.0, 1.0])
-        total = frame_filtered_sum(omega, lams, np.array([2.0, 2.0, 1.0]), 1, 0, 0.0, 0.0)
-        assert total == pytest.approx(3.0, abs=1e-14)
+        # three copies of lambda = 1/2 make Omega's rows equal, so two of its
+        # singular values vanish.  The row is e^{i pi t} sinc(t) at
+        # t = 3/2, 1/2, -1/2, that is (2i/pi) (1/3, 1, -1), and with every
+        # sample 2 the minimum-norm solution is c = 2 row / |row|^2 =
+        # (9 pi i / 19) (1/3, 1, -1), whose mode sum at x = 0 is 3 pi i / 19
+        lams = np.full(3, 0.5)
+        total = frame_filtered_sum(lams, np.full(3, 2.0), 1, 1, 0, 0.0, 0.0)
+        assert total == pytest.approx(3j * math.pi / 19, abs=1e-14)
 
 
 def test_oracles_import_only_piecewise_from_the_package():

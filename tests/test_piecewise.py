@@ -131,8 +131,16 @@ def test_exactly_one_piece_claims_each_point():
 
 
 def test_builtin_function_lookup():
-    assert builtin_function("f1").name == "f1"
-    assert builtin_function("f2").name == "f2"
+    # each is known by its breakpoints and its values on either side of them
+    f1, f2 = builtin_function("f1"), builtin_function("f2")
+    np.testing.assert_array_equal(f1.breakpoints, [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(f2.breakpoints, [0.0, 0.3, 0.7, 1.0])
+    xs = np.array([0.125, 0.75])
+    np.testing.assert_allclose(f1(xs), [np.sin(np.pi / 2), np.sin(1.5 * np.pi)], atol=1e-15)
+    xs = np.array([0.2, 0.5, 0.8])
+    np.testing.assert_allclose(
+        f2(xs), [np.exp(-0.2), np.cos(np.pi), np.exp(0.8) * np.sin(3.2 * np.pi)], atol=1e-15
+    )
     with pytest.raises(ValueError, match="unknown built-in"):
         builtin_function("f3")
 
