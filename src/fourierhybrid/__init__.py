@@ -13,12 +13,9 @@ from .chebfit import (
 )
 from .experiments import choose_n
 from .filters import (
-    AdaptiveParams,
     FilterConfig,
     adaptive_param_arrays,
-    adaptive_params,
     filter_sigma,
-    frequency_weights,
     tail_bound_l2,
 )
 from .frame import (
@@ -41,7 +38,6 @@ from .piecewise import (
     builtin_function,
     distance_to_set,
     evaluate,
-    jump_set,
     parse_expression,
     piecewise_from_expressions,
 )
@@ -49,7 +45,6 @@ from .sampling import (
     FourierSamples,
     FrequencySet,
     QuadratureError,
-    fourier_sample,
     fourier_samples,
     jittered_frequencies,
     log_frequencies,

@@ -7,8 +7,8 @@ plots.  Outputs are byte-reproducible for a fixed config and seed: every
 file carries a '#'-commented config echo, and wall times are reported only
 in the in-memory run report.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure
+(out of memory included), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .piecewise import (
     PiecewiseFunction,
     builtin_function,
     evaluate,
-    jump_set,
     piecewise_from_expressions,
 )
 from .sampling import (
@@ -64,12 +63,16 @@ _SCHEMES = {
 
 
 def choose_n(scheme: str, m: int) -> int:
-    """Empirical mode-count rules: 0.6 m (jittered), 2 m^0.6 (log), m (uniform)."""
+    """Empirical mode-count rules: 0.6 m (jittered), 2 m^0.6 (log), m (uniform).
+
+    n is capped at m, so 2n+1 modes never outnumber the 2m+1 samples; only
+    the log rule at m = 2 reaches the cap.
+    """
     if m < 2:
         raise ValueError("m must be at least 2")
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return _SCHEMES[scheme].n_rule(m)
+    return min(_SCHEMES[scheme].n_rule(m), m)
 
 
 _FUNCTION_PREFIX = {"f1": "single_jump", "f2": "multiple_jumps"}
@@ -113,10 +116,10 @@ class ExperimentConfig:
                 f"pieces are used only with function=custom, not function={self.function!r}"
             )
         f = self.resolve_function()
-        widths = np.diff(jump_set(f))
+        breaks = f.breakpoints
+        widths = np.diff(breaks)
         if self.delta <= 0 or np.any(widths <= 2 * self.delta):
             k = int(np.argmin(widths))
-            breaks = jump_set(f)
             raise ValueError(
                 f"delta = {self.delta} must lie in (0, half the narrowest "
                 f"subinterval); [{breaks[k]}, {breaks[k + 1]}] is too narrow"
@@ -186,7 +189,6 @@ def midpoint_grid(size: int) -> np.ndarray:
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     cfg.validate()
     f = cfg.resolve_function()
-    jumps = jump_set(f)
     grid = midpoint_grid(cfg.grid_size)
     truth = evaluate(f, grid)
     filter_cfg = FilterConfig(alpha=cfg.alpha, kappa=cfg.kappa)
@@ -202,12 +204,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         n = cfg.n_override if cfg.n_override is not None else choose_n(cfg.scheme, m)
         operator = assemble_omega(freqs, n)
         recon = FilterReconstruction(
-            operator=operator, samples=samples, filter_cfg=filter_cfg, jumps=jumps
+            operator=operator, samples=samples, filter_cfg=filter_cfg, jumps=f.breakpoints
         )
         hyb = hybrid_reconstruct(recon, grid, cfg.delta)
 
-        err_filter = ground_truth_error(grid, hyb.filter_values, f, jumps, cfg.delta)
-        err_hybrid = ground_truth_error(grid, hyb.values, f, jumps, cfg.delta)
+        err_filter = ground_truth_error(grid, hyb.filter_values, f, cfg.delta)
+        err_hybrid = ground_truth_error(grid, hyb.values, f, cfg.delta)
         buffers = hyb.extrapolated
         sup_hyb_buf = (
             float(np.max(err_hybrid.pointwise[buffers])) if np.any(buffers) else 0.0
@@ -657,6 +659,9 @@ def main(argv=None) -> int:
     except (argparse.ArgumentError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
+        return 3
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

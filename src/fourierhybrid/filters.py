@@ -27,17 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .piecewise import distance_to_set
-from .sampling import FrequencySet
 
 __all__ = [
     "FilterConfig",
-    "AdaptiveParams",
     "filter_sigma",
     "sigma_weight_matrix",
     "adaptive_param_arrays",
-    "adaptive_params",
     "check_rule_range",
-    "frequency_weights",
     "tail_bound_l2",
 ]
 
@@ -71,15 +67,6 @@ class FilterConfig:
                 "guaranteed",
                 stacklevel=3,  # past the dataclass __init__ to its caller
             )
-
-
-@dataclass(frozen=True)
-class AdaptiveParams:
-    """Per-evaluation-point filter parameters derived from jump distance."""
-
-    gamma: float
-    p: int
-    d: float
 
 
 def _series_terms(p_max: int, z_max: float) -> int:
@@ -187,19 +174,6 @@ def adaptive_param_arrays(xs, m: int, cfg: FilterConfig, jumps):
     gamma = np.sqrt(cfg.alpha * d_rule * m)
     p = np.floor(cfg.kappa * d_rule * m).astype(int)
     return gamma, p, d
-
-
-def adaptive_params(x: float, m: int, cfg: FilterConfig, jumps) -> AdaptiveParams:
-    """(gamma_x, p_x) of one point x in [0,1]; see adaptive_param_arrays."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("x must lie in [0,1]")
-    gamma, p, d = adaptive_param_arrays(x, m, cfg, jumps)
-    return AdaptiveParams(gamma=float(gamma), p=int(p), d=float(d))
-
-
-def frequency_weights(freqs: FrequencySet, params: AdaptiveParams) -> np.ndarray:
-    """Per-frequency weights sigma_{p,gamma}(lambda_j / m), in [0,1] up to roundoff."""
-    return _sigma(params.p, 0.5 * (freqs.frequencies / freqs.m * params.gamma) ** 2)
 
 
 def tail_bound_l2(n: int, m: int, p: int, gamma: float, f_sup: float) -> float:

@@ -72,14 +72,18 @@ def hybrid_reconstruct(
 
     degree, big_n = extrapolation_params_practical(filter_recon.operator.m, delta)
 
-    filter_values, imag_residual = filter_reconstruct(filter_recon, grid)
+    # row l holds the fit nodes of [xi_l, xi_{l+1}]; one filter evaluation
+    # covers the grid and every node, so (K^+)^T is folded once
+    nodes = np.linspace(jumps[:-1] + delta, jumps[1:] - delta, big_n + 1, axis=1)
+    points = np.concatenate([grid, nodes.ravel()])
+    all_values, all_imag = filter_reconstruct(filter_recon, points)
+    filter_values, imag_residual = all_values[:grid.size], all_imag[:grid.size]
+    node_values = all_values[grid.size:].reshape(nodes.shape)
     values = filter_values.copy()
     extrapolated = np.zeros(grid.shape, dtype=bool)
     fits = []
-    for left, right in zip(jumps[:-1], jumps[1:]):
-        nodes = np.linspace(left + delta, right - delta, big_n + 1)
-        node_values, _ = filter_reconstruct(filter_recon, nodes)
-        fit = chebyshev_fit(nodes, node_values, degree)
+    for left, right, sub_nodes, sub_values in zip(jumps[:-1], jumps[1:], nodes, node_values):
+        fit = chebyshev_fit(sub_nodes, sub_values, degree)
         fits.append(fit)
         # half-open ownership [left, right); the last subinterval also owns 1
         in_sub = (grid >= left) & ((grid < right) | (right == 1.0))

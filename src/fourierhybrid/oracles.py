@@ -186,7 +186,6 @@ class ErrorSummary:
 
     pointwise: np.ndarray
     sup: float
-    mean: float
     sup_interior: float | None = None
 
 
@@ -194,27 +193,23 @@ def ground_truth_error(
     grid,
     values,
     f: PiecewiseFunction,
-    jumps=None,
     delta: float | None = None,
 ) -> ErrorSummary:
-    """|recon - f| per grid point plus sup/mean summaries.
+    """|recon - f| per grid point and its sup.
 
-    Points within machine epsilon of a jump are excluded from the
-    summaries (the function value there is ambiguous).  When ``jumps`` and
-    ``delta`` are given, sup_interior is the sup over {x : d(x) >= delta}.
+    Points within machine epsilon of a jump of f (its breakpoints) are
+    excluded from the sups (the function value there is ambiguous).  When
+    ``delta`` is given, sup_interior is the sup over {x : d(x) >= delta}.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     truth = evaluate(f, grid)
     pointwise = np.abs(values - truth)
-    if jumps is None:
-        jumps = f.breakpoints
-    d = distance_to_set(grid, jumps)
+    d = distance_to_set(grid, f.breakpoints)
     keep = d > 8 * np.finfo(float).eps
     sup = float(np.max(pointwise[keep]))
-    mean = float(np.mean(pointwise[keep]))
     sup_interior = None
     if delta is not None:
         interior = keep & (d >= delta)
         sup_interior = float(np.max(pointwise[interior])) if np.any(interior) else 0.0
-    return ErrorSummary(pointwise=pointwise, sup=sup, mean=mean, sup_interior=sup_interior)
+    return ErrorSummary(pointwise=pointwise, sup=sup, sup_interior=sup_interior)

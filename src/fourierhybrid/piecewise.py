@@ -20,7 +20,6 @@ __all__ = [
     "SmoothPiece",
     "PiecewiseFunction",
     "evaluate",
-    "jump_set",
     "distance_to_set",
     "builtin_f1",
     "builtin_f2",
@@ -59,7 +58,9 @@ class PiecewiseFunction:
     """Ordered pieces tiling [0,1) exactly; immutable and safe to share."""
 
     pieces: tuple[SmoothPiece, ...]
-    # interior breakpoints plus 0 and 1, derived from the pieces
+    # the jump set: the interior breakpoints plus 0 and 1, derived from the
+    # pieces.  The periodic extension of a compactly supported function is
+    # generally discontinuous at the seam, so 0 and 1 count as jumps.
     breakpoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -75,6 +76,7 @@ class PiecewiseFunction:
                 )
         object.__setattr__(self, "pieces", pieces)
         breaks = np.array([p.a for p in pieces] + [1.0])
+        breaks.setflags(write=False)
         object.__setattr__(self, "breakpoints", breaks)
 
     def piece_index(self, x):
@@ -83,9 +85,6 @@ class PiecewiseFunction:
         return np.minimum(
             np.searchsorted(interior, x, side="right"), len(self.pieces) - 1
         )
-
-    def __call__(self, x):
-        return evaluate(self, x)
 
 
 def evaluate(f: PiecewiseFunction, x):
@@ -102,15 +101,6 @@ def evaluate(f: PiecewiseFunction, x):
         if np.any(mask):
             out[mask] = piece(x_arr[mask])
     return out
-
-
-def jump_set(f: PiecewiseFunction) -> np.ndarray:
-    """Sorted breakpoints, the endpoints 0 and 1 included.
-
-    The periodic extension of a compactly supported function is generally
-    discontinuous at the seam, so 0 and 1 count as jumps.
-    """
-    return np.concatenate(([0.0], f.breakpoints[1:-1], [1.0]))
 
 
 def distance_to_set(x, jumps) -> np.ndarray | float:

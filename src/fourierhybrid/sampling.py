@@ -33,7 +33,6 @@ __all__ = [
     "jittered_frequencies",
     "log_frequencies",
     "uniform_frequencies",
-    "fourier_sample",
     "fourier_samples",
 ]
 
@@ -238,12 +237,6 @@ def _segment_integrals(
         )
     return (_segment_integrals(piece, lams, lo, mid, halvings - 1, scale)
             + _segment_integrals(piece, lams, mid, hi, halvings - 1, scale))
-
-
-def fourier_sample(f: PiecewiseFunction, lam: float) -> complex:
-    """hat f(lam): fourier_samples on the one-frequency set {lam}."""
-    one = FrequencySet(m=0, frequencies=np.array([float(lam)]))
-    return complex(fourier_samples(f, one).values[0])
 
 
 def fourier_samples(f: PiecewiseFunction, freqs: FrequencySet) -> FourierSamples:

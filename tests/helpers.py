@@ -40,7 +40,7 @@ def pipeline(function: str = "f1", scheme: str = "jittered", m: int = 128,
              seed: int = 42, n: int | None = None):
     """Build (and memoize) the full filter pipeline for one configuration."""
     f = fh.builtin_function(function)
-    jumps = fh.jump_set(f)
+    jumps = f.breakpoints
     freqs = frequency_set(scheme, m, seed)
     samples = fh.fourier_samples(f, freqs)
     if n is None:

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 import fourierhybrid as fh
 from fourierhybrid.experiments import ExperimentConfig, run_experiment
+from fourierhybrid.filters import sigma_weight_matrix
 from fourierhybrid.oracles import (
     classical_filtered_sum,
     mollified_tail_energy,
@@ -33,11 +34,10 @@ def test_criterion_01_uniform_degeneration(capsys):
     pipe = pipeline("f1", "uniform", 64)
     values, _ = fh.filter_reconstruct(pipe.recon, GRID_1024)
     f_hat = projection_coefficients(pipe.f, 64)
-    cfg = fh.FilterConfig()
+    gammas, ps, _ = fh.adaptive_param_arrays(GRID_1024, 64, fh.FilterConfig(), pipe.jumps)
     worst = 0.0
     for k, x in enumerate(GRID_1024):
-        params = fh.adaptive_params(float(x), 64, cfg, pipe.jumps)
-        oracle = classical_filtered_sum(f_hat, params.p, params.gamma, 64, 64, float(x))
+        oracle = classical_filtered_sum(f_hat, int(ps[k]), float(gammas[k]), 64, 64, float(x))
         worst = max(worst, abs(values[k] - oracle))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -244,17 +244,19 @@ def test_criterion_10_monotone_filter_properties(capsys):
         if not np.all(vals_up >= vals - 1e-14):
             monotone_p = False
 
+    # one row of weights per jump distance d
+    gammas, ps, _ = fh.adaptive_param_arrays(
+        np.array([0.0, 0.05, 0.25, 0.5]), 64, fh.FilterConfig(), [0.0, 1.0]
+    )
     weights_ok = True
     for freqs in (
         fh.uniform_frequencies(64),
         fh.jittered_frequencies(64, seed=42),
         fh.log_frequencies(64),
     ):
-        for d in (0.0, 0.05, 0.25, 0.5):
-            params = fh.adaptive_params(d, 64, fh.FilterConfig(), [0.0, 1.0])
-            w = fh.frequency_weights(freqs, params)
-            if not (np.all(w > 0.0) and np.all(w <= 1.0)):
-                weights_ok = False
+        w = sigma_weight_matrix(ps, gammas, freqs.frequencies, 64)
+        if not (np.all(w > 0.0) and np.all(w <= 1.0)):
+            weights_ok = False
     ok = monotone_w and monotone_p and weights_ok
     assert report(
         capsys, 10, "monotone filter properties", ok,

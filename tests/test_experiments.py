@@ -144,7 +144,7 @@ class TestRunExperiment:
             ops = [fourierhybrid.assemble_omega(freqs, 32)]
         recon = fourierhybrid.FilterReconstruction(
             operator=ops[0], samples=fourierhybrid.fourier_samples(f, freqs),
-            filter_cfg=fourierhybrid.FilterConfig(), jumps=fourierhybrid.jump_set(f),
+            filter_cfg=fourierhybrid.FilterConfig(), jumps=f.breakpoints,
         )
         hyb = fourierhybrid.hybrid_reconstruct(recon, midpoint_grid(64), cfg.delta)
         lines = [
@@ -416,7 +416,7 @@ def test_frame_solve_leaves_scipy_linalg_unloaded():
         "f = fh.builtin_function('f1'); freqs = fh.jittered_frequencies(8, seed=1); "
         "recon = fh.FilterReconstruction(operator=fh.assemble_omega(freqs, 4), "
         "samples=fh.fourier_samples(f, freqs), filter_cfg=fh.FilterConfig(), "
-        "jumps=fh.jump_set(f)); "
+        "jumps=f.breakpoints); "
         "values, _ = fh.filter_reconstruct(recon, np.linspace(0, 1, 9)); "
         "print(values.size, 'scipy.linalg' in sys.modules)"
     )
@@ -505,6 +505,24 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert f"numerical failure: {step}: did not converge" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_memory_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        # the error is raised, not provoked: a grid of 10^11 points would end
+        # the same way, in numpy's MemoryError, but only after trying to allocate
+        def fail(size):
+            raise MemoryError(f"Unable to allocate the {size}-point grid")
+
+        monkeypatch.setattr(fourierhybrid.experiments, "midpoint_grid", fail)
+        code = main([
+            "--function", "f1", "--m", "8", "--grid", "100000000000",
+            "--out", str(tmp_path / "out"), "--formats", "csv",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: out of memory: "
+            "Unable to allocate the 100000000000-point grid\n"
+        )
         assert not any(tmp_path.iterdir())
 
     def test_io_failure_exits_four(self, tmp_path, capsys):

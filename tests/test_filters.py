@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from fourierhybrid import (
-    AdaptiveParams,
     FilterConfig,
-    adaptive_params,
+    adaptive_param_arrays,
     filter_sigma,
-    frequency_weights,
     jittered_frequencies,
     tail_bound_l2,
     uniform_frequencies,
@@ -127,36 +125,39 @@ class TestSigma:
             filter_sigma(2, 1.0, math.nan)
 
 
+def point_params(x: float, m: int, jumps):
+    """(gamma, p, d) of the default adaptive rule at the one point x, as Python numbers."""
+    gamma, p, d = adaptive_param_arrays(np.array([x]), m, FilterConfig(), jumps)
+    return float(gamma[0]), int(p[0]), float(d[0])
+
+
+def row_weights(freqs, p: int, gamma: float) -> np.ndarray:
+    """sigma_{p,gamma}(lambda_j / m) for every frequency: sigma_weight_matrix's one row."""
+    return sigma_weight_matrix(np.array([p]), np.array([gamma]), freqs.frequencies, freqs.m)[0]
+
+
 class TestAdaptiveParams:
     def test_spot_values(self):
-        cfg = FilterConfig()
         f1_jumps = np.array([0.0, 0.5, 1.0])
-        params = adaptive_params(0.25, 128, cfg, f1_jumps)
-        assert params == AdaptiveParams(gamma=math.sqrt(32.0), p=2, d=0.25)
-        params = adaptive_params(0.5, 512, cfg, np.array([0.0, 1.0]))
-        assert params.gamma == 16.0
-        assert params.p == 17
+        assert point_params(0.25, 128, f1_jumps) == (math.sqrt(32.0), 2, 0.25)
+        gamma, p, _ = point_params(0.5, 512, np.array([0.0, 1.0]))
+        assert gamma == 16.0
+        assert p == 17
         # on a jump and with no jumps the rule degenerates to the identity filter
-        params = adaptive_params(0.5, 128, cfg, f1_jumps)
-        assert params == AdaptiveParams(gamma=0.0, p=0, d=0.0)
-        params = adaptive_params(0.25, 128, cfg, np.array([]))
-        assert params == AdaptiveParams(gamma=0.0, p=0, d=math.inf)
+        assert point_params(0.5, 128, f1_jumps) == (0.0, 0, 0.0)
+        assert point_params(0.25, 128, np.array([])) == (0.0, 0, math.inf)
 
     def test_at_jump_degenerates(self):
-        params = adaptive_params(0.5, 256, FilterConfig(), [0.0, 0.5, 1.0])
-        assert params.gamma == 0.0
-        assert params.p == 0
-        assert params.d == 0.0
+        gamma, p, d = point_params(0.5, 256, [0.0, 0.5, 1.0])
+        assert gamma == 0.0
+        assert p == 0
+        assert d == 0.0
 
     def test_empty_jump_set_is_no_filter_mode(self):
-        params = adaptive_params(0.3, 128, FilterConfig(), np.array([]))
-        assert params.gamma == 0.0
-        assert params.p == 0
-        assert math.isinf(params.d)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            adaptive_params(1.5, 128, FilterConfig(), [0.0, 1.0])
+        gamma, p, d = point_params(0.3, 128, np.array([]))
+        assert gamma == 0.0
+        assert p == 0
+        assert math.isinf(d)
 
 
 class TestFilterConfig:
@@ -184,49 +185,47 @@ class TestFilterConfig:
 class TestFrequencyWeights:
     def test_identity_when_gamma_zero(self):
         freqs = uniform_frequencies(8)
-        w = frequency_weights(freqs, AdaptiveParams(gamma=0.0, p=0, d=0.0))
+        w = row_weights(freqs, 0, 0.0)
         np.testing.assert_array_equal(w, np.ones(17))
 
     def test_band_edge_value(self):
         # lambda = m with gamma = sqrt(alpha d m): z = alpha d m / 2 = 16
         m = 128
         freqs = uniform_frequencies(m)
-        params = adaptive_params(0.25, m, FilterConfig(), [0.0, 0.5, 1.0])
-        w = frequency_weights(freqs, params)
+        gamma, p, _ = point_params(0.25, m, [0.0, 0.5, 1.0])
+        w = row_weights(freqs, p, gamma)
         assert w[-1] == pytest.approx(math.exp(-16.0) * (1 + 16 + 128), rel=1e-12)
 
     def test_even_and_in_unit_interval(self):
         freqs = jittered_frequencies(32, seed=4)
-        params = adaptive_params(0.4, 32, FilterConfig(), [0.0, 1.0])
-        w = frequency_weights(freqs, params)
+        gamma, p, _ = point_params(0.4, 32, [0.0, 1.0])
+        w = row_weights(freqs, p, gamma)
         assert np.all(w > 0) and np.all(w <= 1)
-        direct = np.array(
-            [filter_sigma(params.p, params.gamma, lam / 32) for lam in freqs.frequencies]
-        )
+        direct = np.array([filter_sigma(p, gamma, lam / 32) for lam in freqs.frequencies])
         np.testing.assert_array_equal(w, direct)
-        sym = np.array(
-            [filter_sigma(params.p, params.gamma, -lam / 32) for lam in freqs.frequencies]
-        )
+        sym = np.array([filter_sigma(p, gamma, -lam / 32) for lam in freqs.frequencies])
         np.testing.assert_array_equal(direct, sym)
         # at m = 4096 the band edge has z > 700: scalar and vector paths
         # still share one kernel there (every 128th frequency)
         m = 4096
         freqs = jittered_frequencies(m, seed=4)
-        params = adaptive_params(0.4, m, FilterConfig(), [0.0, 1.0])
+        gamma, p, _ = point_params(0.4, m, [0.0, 1.0])
         lams = freqs.frequencies[::128]
-        w = frequency_weights(freqs, params)[::128]
+        w = row_weights(freqs, p, gamma)[::128]
         assert np.all(w >= 0) and np.all(w <= 1 + 1e-12)
-        direct = np.array([filter_sigma(params.p, params.gamma, lam / m) for lam in lams])
+        direct = np.array([filter_sigma(p, gamma, lam / m) for lam in lams])
         np.testing.assert_array_equal(w, direct)
 
 
 def test_sigma_weight_matrix_matches_per_point_path():
+    # rows with smaller p share the Horner loop of the largest one; each
+    # must match the same point's weights computed alone
     freqs = jittered_frequencies(16, seed=2)
     ps = np.array([0, 1, 3, 7])
     gammas = np.array([0.0, 1.0, 2.5, 4.0])
     matrix = sigma_weight_matrix(ps, gammas, freqs.frequencies, 16)
     for i in range(len(ps)):
-        row = frequency_weights(freqs, AdaptiveParams(gamma=gammas[i], p=ps[i], d=0.0))
+        row = row_weights(freqs, ps[i], gammas[i])
         np.testing.assert_allclose(matrix[i], row, rtol=1e-14)
 
 
@@ -236,18 +235,17 @@ def test_large_m_weights_finite_and_match_reference(m, rtol):
     # where the direct series overflows while exp(-z) underflows
     d = 0.5
     freqs = jittered_frequencies(m, seed=11)
-    params = adaptive_params(d, m, FilterConfig(), [0.0, 1.0])
-    assert params.p == m // 30
-    matrix = sigma_weight_matrix(
-        np.array([params.p]), np.array([params.gamma]), freqs.frequencies, m
-    )[0]
-    w = frequency_weights(freqs, params)
+    gamma, p, _ = point_params(d, m, [0.0, 1.0])
+    assert p == m // 30
+    matrix = row_weights(freqs, p, gamma)
+    # the matrix path, which forms z in place, against the kernel on a 1-d z
+    w = _sigma(p, 0.5 * (freqs.frequencies / m * gamma) ** 2)
     np.testing.assert_array_equal(matrix, w)
     assert np.all(np.isfinite(w))
     assert np.all(w >= 0) and np.all(w <= 1 + 1e-12)
     stride = -(-len(freqs) // 200)
     lams = freqs.frequencies[::stride]
-    ref = np.array([sigma_reference(params.p, params.gamma, lam / m) for lam in lams])
+    ref = np.array([sigma_reference(p, gamma, lam / m) for lam in lams])
     resolved = ref > 1e-280
     assert resolved.sum() > 50
     # at p = 2184 the series' log-terms reach ~4e4, so both the fsum oracle

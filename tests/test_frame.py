@@ -27,6 +27,18 @@ def omega_entry(lam: float, l: float) -> complex:
     return complex(_omega_matrix(np.array([lam]), np.array([l]))[0, 0])
 
 
+def rule_params(x: float, m: int, cfg, jumps) -> tuple[float, int, float]:
+    """(gamma, p, d) of the adaptive rule at x, written out in Python floats.
+
+    d = min |x - xi|, gamma = sqrt(alpha d m) and p = floor(kappa d m); an
+    empty jump set gives d = inf with gamma = 0 and p = 0.
+    """
+    d = min((abs(x - float(xi)) for xi in jumps), default=math.inf)
+    if math.isinf(d):
+        return 0.0, 0, d
+    return math.sqrt(cfg.alpha * d * m), math.floor(cfg.kappa * d * m), d
+
+
 def oracle_value(recon, x: float, p: int | None = None, gamma: float | None = None):
     """(value, imaginary residual) of recon at x by the least-squares oracle.
 
@@ -34,8 +46,7 @@ def oracle_value(recon, x: float, p: int | None = None, gamma: float | None = No
     """
     op = recon.operator
     if p is None:
-        params = fh.adaptive_params(x, op.m, recon.filter_cfg, recon.jumps)
-        p, gamma = params.p, params.gamma
+        gamma, p, _ = rule_params(x, op.m, recon.filter_cfg, recon.jumps)
     total = frame_filtered_sum(
         recon.samples.freqs.frequencies, recon.samples.values, op.m, op.n,
         p, gamma, x, _REL_TOL,
@@ -290,6 +301,13 @@ class TestChooseN:
         assert fh.choose_n("log", 256) == 55
         assert fh.choose_n("uniform", 256) == 256
 
+    @pytest.mark.parametrize("scheme", ["jittered", "log", "uniform"])
+    def test_never_more_modes_than_samples(self, scheme):
+        # 2 m^0.6 exceeds m at m = 2; the cap keeps the frame determined
+        for m in range(2, 65):
+            assert fh.choose_n(scheme, m) <= m
+        assert fh.choose_n(scheme, 2) == {"jittered": 1, "log": 2, "uniform": 2}[scheme]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fh.choose_n("chebyshev", 64)
@@ -336,9 +354,9 @@ class TestFilterReconstruct:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_point_params_match_adaptive_params(self, seed):
         # the streamed path takes (gamma, p) from adaptive_param_arrays, the
-        # oracle checks take them from adaptive_params; alpha != 1 and m = 48 (not a
-        # power of two) make every product round, so a reordered expression
-        # would show.  The points include the jumps of f2 and a point next to one
+        # oracle checks from rule_params; alpha != 1 and m = 48 (not a power
+        # of two) make every product round, so a reordered expression would
+        # show.  The points include the jumps of f2 and a point next to one
         pipe = pipeline("f2", "jittered", 48)
         rng = np.random.default_rng(seed)
         xs = np.concatenate([
@@ -352,8 +370,8 @@ class TestFilterReconstruct:
             gammas, ps, ds = fh.adaptive_param_arrays(xs, pipe.m, recon.filter_cfg, recon.jumps)
             assert ps.dtype.kind == "i"
             for k, x in enumerate(xs):
-                ref = fh.adaptive_params(float(x), pipe.m, recon.filter_cfg, recon.jumps)
-                assert (gammas[k], ps[k], ds[k]) == (ref.gamma, ref.p, ref.d)  # bitwise
+                ref = rule_params(float(x), pipe.m, recon.filter_cfg, recon.jumps)
+                assert (gammas[k], ps[k], ds[k]) == ref  # bitwise
 
     def test_streamed_blocks_match_per_point_path(self):
         pipe = pipeline("f1", "jittered", 32)

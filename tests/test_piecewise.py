@@ -10,7 +10,6 @@ from fourierhybrid import (
     builtin_f2,
     builtin_function,
     evaluate,
-    jump_set,
     parse_expression,
     piecewise_from_expressions,
 )
@@ -58,18 +57,20 @@ def test_evaluate_array_matches_scalars():
 
 def test_jump_set_f1():
     f1 = builtin_f1()
-    assert jump_set(f1).tolist() == [0.0, 0.5, 1.0]
+    assert f1.breakpoints.tolist() == [0.0, 0.5, 1.0]
+    # shared by every caller, so no caller may write it
+    assert not f1.breakpoints.flags.writeable
 
 
 def test_jump_set_f2_uses_displayed_boundaries():
-    assert jump_set(builtin_f2()).tolist() == [0.0, 0.3, 0.7, 1.0]
+    assert builtin_f2().breakpoints.tolist() == [0.0, 0.3, 0.7, 1.0]
 
 
 def test_distance_to_set_values():
-    f1_jumps = jump_set(builtin_f1())
+    f1_jumps = builtin_f1().breakpoints
     assert distance_to_set(0.25, f1_jumps) == 0.25
     assert distance_to_set(0.5, f1_jumps) == 0.0
-    assert distance_to_set(0.55, jump_set(builtin_f2())) == pytest.approx(0.15)
+    assert distance_to_set(0.55, builtin_f2().breakpoints) == pytest.approx(0.15)
 
 
 def test_distance_to_empty_set_is_infinite():
@@ -81,8 +82,8 @@ def test_distance_is_one_lipschitz():
     rng = np.random.default_rng(7)
     xs = rng.uniform(0.0, 1.0, 200)
     ys = rng.uniform(0.0, 1.0, 200)
-    dx = distance_to_set(xs, jump_set(f2))
-    dy = distance_to_set(ys, jump_set(f2))
+    dx = distance_to_set(xs, f2.breakpoints)
+    dy = distance_to_set(ys, f2.breakpoints)
     assert np.all(np.abs(dx - dy) <= np.abs(xs - ys) + 1e-15)
 
 
@@ -136,10 +137,13 @@ def test_builtin_function_lookup():
     np.testing.assert_array_equal(f1.breakpoints, [0.0, 0.5, 1.0])
     np.testing.assert_array_equal(f2.breakpoints, [0.0, 0.3, 0.7, 1.0])
     xs = np.array([0.125, 0.75])
-    np.testing.assert_allclose(f1(xs), [np.sin(np.pi / 2), np.sin(1.5 * np.pi)], atol=1e-15)
+    np.testing.assert_allclose(
+        evaluate(f1, xs), [np.sin(np.pi / 2), np.sin(1.5 * np.pi)], atol=1e-15
+    )
     xs = np.array([0.2, 0.5, 0.8])
     np.testing.assert_allclose(
-        f2(xs), [np.exp(-0.2), np.cos(np.pi), np.exp(0.8) * np.sin(3.2 * np.pi)], atol=1e-15
+        evaluate(f2, xs), [np.exp(-0.2), np.cos(np.pi), np.exp(0.8) * np.sin(3.2 * np.pi)],
+        atol=1e-15,
     )
     with pytest.raises(ValueError, match="unknown built-in"):
         builtin_function("f3")
