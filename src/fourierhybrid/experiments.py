@@ -88,7 +88,6 @@ class ExperimentConfig:
     delta: float = 0.025
     alpha: float = FilterConfig.alpha
     kappa: float = FilterConfig.kappa
-    n_override: int | None = None
     grid_size: int = 1024
     output_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "svg")
@@ -100,6 +99,8 @@ class ExperimentConfig:
             raise ValueError("m_list must be non-empty")
         if any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
             raise ValueError("m_list must be strictly ascending (no repeated m)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.grid_size < 64:
             raise ValueError("grid_size must be at least 64")
         for key in ("delta", "alpha", "kappa"):
@@ -118,7 +119,9 @@ class ExperimentConfig:
         f = self.resolve_function()
         breaks = f.breakpoints
         widths = np.diff(breaks)
-        if self.delta <= 0 or np.any(widths <= 2 * self.delta):
+        if self.delta <= 0:
+            raise ValueError(f"delta must be positive, got {self.delta!r}")
+        if np.any(widths <= 2 * self.delta):
             k = int(np.argmin(widths))
             raise ValueError(
                 f"delta = {self.delta} must lie in (0, half the narrowest "
@@ -143,7 +146,6 @@ class ExperimentConfig:
             f"# delta={self.delta!r}",
             f"# alpha={self.alpha!r}",
             f"# kappa={self.kappa!r}",
-            f"# n_override={self.n_override}",
             f"# grid_size={self.grid_size}",
         ]
         for a, b, expr in self.pieces:
@@ -201,7 +203,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         freqs = _SCHEMES[cfg.scheme].frequencies(m, cfg.seed)
         freq_hash = hashlib.sha256(freqs.frequencies.tobytes()).hexdigest()[:16]
         samples = fourier_samples(f, freqs)
-        n = cfg.n_override if cfg.n_override is not None else choose_n(cfg.scheme, m)
+        n = choose_n(cfg.scheme, m)
         operator = assemble_omega(freqs, n)
         recon = FilterReconstruction(
             operator=operator, samples=samples, filter_cfg=filter_cfg, jumps=f.breakpoints
@@ -603,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--delta", type=float)
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--kappa", type=float)
-    parser.add_argument("--n-override", type=int)
     parser.add_argument("--grid", dest="grid_size", type=int)
     parser.add_argument("--out", dest="output_dir")
     parser.add_argument("--formats", type=_parse_formats,

@@ -189,15 +189,25 @@ def _bessel_sum(omega: np.ndarray, coef: np.ndarray) -> np.ndarray:
     coef has k >= 2 entries.  Rows with omega >= k take the upward
     recurrence, which is stable there for every q < k; rows with
     1/_HUGE <= omega < k take Miller's; below 1/_HUGE omega counts as 0,
-    where j_0 = 1 and every other j_q vanishes.
+    where j_0 = 1 and every other j_q vanishes.  The sums run on coef
+    scaled by a power of two to at most 1 in magnitude, so Miller's products
+    coef[q] * cur stay below _HUGE; the scaling is exact, and undone on the
+    result, wherever nothing under- or overflows.
     """
+    _, power = np.frexp(np.max(np.abs(coef)))
+    coef = _ldexp(coef, -power)
     zero, upward = omega < 1 / _HUGE, omega >= len(coef)
     out = np.zeros(omega.shape, dtype=np.result_type(coef, float))
     out[zero] = coef[0]
     for rows, recurrence in ((upward, _forward_sum), (~zero & ~upward, _miller_sum)):
         if rows.any():
             out[rows] = recurrence(omega[rows], coef)
-    return out
+    return _ldexp(out, power)
+
+
+def _ldexp(a: np.ndarray, power) -> np.ndarray:
+    """a * 2**power, a a contiguous real or complex array; each part keeps its zero sign."""
+    return np.ldexp(a.view(float), power).view(a.dtype)
 
 
 def _segment_integrals(

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -19,13 +20,14 @@ from fourierhybrid.experiments import (
     _m4_points,
     _write_grid_csv,
     build_parser,
+    choose_n,
     convergence_table,
     main,
     midpoint_grid,
     run_experiment,
     write_line_svg,
 )
-from fourierhybrid.frame import _REL_TOL
+from fourierhybrid.frame import _GRAM_MIN_RATIO
 
 SMALL = dict(m_list=(16, 24), grid_size=64, formats=("csv",))
 
@@ -134,14 +136,15 @@ class TestRunExperiment:
         assert [row.split(",")[0] for row in rows[1:]] == ["16", "24"]
 
     def test_summary_reports_frame_health(self, tmp_path):
-        # n = m on the log frame of m = 32 keeps 53 of 65 singular values, so
-        # cond is s_max over the last kept value
-        cfg = small_config(output_dir=str(tmp_path), scheme="log", m_list=(32,), n_override=32)
-        with pytest.warns(UserWarning, match="effective rank 53 < 65"):
+        # the log frame of m = 7 has cond(K) ~ 204, past the Gram route's
+        # bound, so the SVD route factors it and keeps all 13 singular values
+        cfg = small_config(output_dir=str(tmp_path), scheme="log", m_list=(7,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = run_experiment(cfg)
             f = fourierhybrid.builtin_f1()
-            freqs = fourierhybrid.log_frequencies(32)
-            ops = [fourierhybrid.assemble_omega(freqs, 32)]
+            freqs = fourierhybrid.log_frequencies(7)
+            ops = [fourierhybrid.assemble_omega(freqs, choose_n("log", 7))]
         recon = fourierhybrid.FilterReconstruction(
             operator=ops[0], samples=fourierhybrid.fourier_samples(f, freqs),
             filter_cfg=fourierhybrid.FilterConfig(), jumps=f.breakpoints,
@@ -155,9 +158,9 @@ class TestRunExperiment:
         assert header[:8] == ["m", "n", "M", "N", "rank", "cond", "imag_residual", "fit_residual"]
         for row, rec, op in zip(lines[1:], report.records, ops):
             columns = dict(zip(header, row.split(",")))
-            assert int(columns["rank"]) == rec.rank == op.effective_rank < 2 * rec.n + 1
-            assert float(columns["cond"]) == rec.cond == op.s[0] / op.s[rec.rank - 1]
-            assert rec.cond <= 1.0 / _REL_TOL
+            assert int(columns["rank"]) == rec.rank == op.effective_rank == 2 * rec.n + 1
+            assert float(columns["cond"]) == rec.cond == op.s[0] / op.s[-1]
+            assert rec.cond > 1.0 / _GRAM_MIN_RATIO
             # sup of the grid's imaginary residual, largest fit residual
             assert float(columns["imag_residual"]) == rec.imag_residual
             assert rec.imag_residual == np.max(hyb.imag_residual)
@@ -440,6 +443,8 @@ class TestCli:
             (["--alpha", "nan"], "alpha must be finite"),
             (["--kappa", "inf"], "kappa must be finite"),
             (["--delta", "nan"], "delta must be finite"),
+            (["--delta", "0"], "delta must be positive, got 0.0"),
+            (["--delta", "-1"], "delta must be positive, got -1.0"),
             # constants whose filter parameters overflow; validate() rejects
             # them before the alpha*kappa warning could print
             (["--alpha", "1e308"], "configuration error: alpha = 1e+308"),
@@ -449,12 +454,15 @@ class TestCli:
             (["--m", "abc"], "argument --m: expected comma-separated integers"),
             (["--pieces", "0:1"], "argument --pieces: expected 'a:b:expr' pieces"),
             # a flag the parser does not know, such as the retired --svd-tol
+            # and --n-override
             (["--svd-tol", "1e-8"], "unrecognized arguments: --svd-tol 1e-8"),
-            # these surface at the first m, not in validate(), and must still
+            (["--n-override", "8"], "unrecognized arguments: --n-override 8"),
+            # one seed rule for every scheme, checked before any work
+            (["--seed", "-1"], "seed must be non-negative, got -1"),
+            (["--scheme", "log", "--seed", "-1"], "seed must be non-negative, got -1"),
+            # this surfaces at the first m, not in validate(), and must still
             # leave no output directory
             (["--m", "1"], "m must be at least 2"),
-            (["--n-override", "0"], "n must be at least 1"),
-            (["--seed", "-1"], "non-negative"),
             # a piece that is NaN on part of its interval, or overflows to inf;
             # a numpy warning in front of the message would fail here
             (["--function", "custom", "--pieces", "0:1:(x-0.5)^0.5"],
@@ -488,8 +496,8 @@ class TestCli:
 
     @pytest.mark.parametrize("frame, solver, step", [
         (["--m", "16"], "eigvalsh", "frame: eigenvalues of K^T K failed"),
-        # rank 53 of 65: the Gram route declines it and the SVD truncates
-        (["--scheme", "log", "--m", "32", "--n-override", "32"], "svd",
+        # cond(K) ~ 204: the Gram route declines it and the SVD factors it
+        (["--scheme", "log", "--m", "7"], "svd",
          "frame: SVD of K failed"),
     ], ids=["gram", "svd"])
     def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch,
@@ -551,20 +559,22 @@ class TestCli:
 
     def test_config_file_unknown_key(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        for line in ("functions=f1", "func=f1"):
-            config.write_text(line + "\n")
+        # n_override is the field name of a retired flag
+        for line in ("functions=f1", "func=f1", "n_override=8"):
+            config.write_text(f"{line}\nout={tmp_path / 'out'}\n")
             assert main(["--config", str(config)]) == 2
             assert "unknown config key" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_config_file_keys_by_field_name(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(
             f"m_list=16\ngrid_size=64\noutput_dir={tmp_path / 'out'}\n"
-            "n-override=8\nformats=csv\n"
+            "formats=csv\n"
         )
         assert main(["--config", str(config)]) == 0
         summary = (tmp_path / "out" / "summary.csv").read_text()
-        assert "# grid_size=64" in summary and "\n16,8," in summary
+        assert "# grid_size=64" in summary and "\n16,9," in summary
         # a value the flag's type rejects is a configuration error here too
         config.write_text("seed=abc\n")
         assert main(["--config", str(config)]) == 2

@@ -212,6 +212,18 @@ def test_full_width_piece_at_large_frequency(lam):
     assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
+@pytest.mark.parametrize("m", [16, 512])
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_huge_piece_does_not_overflow(scale, m):
+    # unscaled, Legendre coefficients past 1.8e158 overflow Miller's products
+    freqs = jittered_frequencies(m, seed=42)
+    f = piecewise_from_expressions([(0.0, 1.0, f"{scale!r}*x")])
+    got = fourier_samples(f, freqs).values / scale
+    w = -2j * np.pi * freqs.frequencies
+    exact = (np.exp(w) * (w - 1.0) + 1.0) / w**2
+    assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
 def test_fast_oscillating_piece_matches_closed_form():
     f = piecewise_from_expressions([(0.0, 1.0, "sin(2*pi*1000*x)")])
     lams = np.array([0.0, 3.7, 999.3, 1000.0, -1000.0, 5000.2, -20000.5])
