@@ -13,7 +13,6 @@ from .chebfit import (
 )
 from .experiments import choose_n
 from .filters import (
-    FilterConfig,
     adaptive_param_arrays,
     filter_sigma,
     tail_bound_l2,

@@ -67,7 +67,11 @@ def chebyshev_fit(xs, ys, degree: int) -> ChebyshevFit:
             f"rank-deficient Chebyshev-Vandermonde system (rank {rank} < {degree + 1})"
         )
     residual = vander @ coeffs - ys
-    rms = float(np.sqrt(np.mean(residual**2)))
+    # squared at a power-of-two scale, so it cannot overflow; the scaling is
+    # exact, undone on the result, and done in place, adding no array
+    _, power = np.frexp(max(residual.max(), -residual.min()))
+    np.ldexp(residual, -power, out=residual)
+    rms = float(np.ldexp(np.sqrt(np.mean(residual**2)), power))
     return ChebyshevFit(coefficients=coeffs, a=a, b=b, residual_norm=rms)
 
 

@@ -22,10 +22,11 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from .filters import FilterConfig, check_rule_range
+from .filters import ALPHA, KAPPA
 from .frame import FilterReconstruction, assemble_omega
 from .hybrid import hybrid_reconstruct
 from .oracles import ground_truth_error
@@ -86,11 +87,12 @@ class ExperimentConfig:
     m_list: tuple[int, ...] = (128, 256, 512)
     seed: int = 42
     delta: float = 0.025
-    alpha: float = FilterConfig.alpha
-    kappa: float = FilterConfig.kappa
     grid_size: int = 1024
     output_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "svg")
+    # the filter's constants, not settable: echoed into every output file
+    alpha: ClassVar[float] = ALPHA
+    kappa: ClassVar[float] = KAPPA
 
     def validate(self) -> None:
         if self.scheme not in _SCHEMES:
@@ -103,10 +105,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.grid_size < 64:
             raise ValueError("grid_size must be at least 64")
-        for key in ("delta", "alpha", "kappa"):
-            value = getattr(self, key)
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta!r}")
         unknown = set(self.formats) - {"csv", "svg"}
         if unknown:
             raise ValueError(f"unknown output formats {sorted(unknown)}")
@@ -127,8 +127,6 @@ class ExperimentConfig:
                 f"delta = {self.delta} must lie in (0, half the narrowest "
                 f"subinterval); [{breaks[k]}, {breaks[k + 1]}] is too narrow"
             )
-        # no point lies farther than half a subinterval from a jump
-        check_rule_range(self.alpha, self.kappa, float(np.max(widths)) / 2, max(self.m_list))
 
     def resolve_function(self) -> PiecewiseFunction:
         if self.function == "custom":
@@ -193,7 +191,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     f = cfg.resolve_function()
     grid = midpoint_grid(cfg.grid_size)
     truth = evaluate(f, grid)
-    filter_cfg = FilterConfig(alpha=cfg.alpha, kappa=cfg.kappa)
     out_dir = Path(cfg.output_dir)
 
     records = []
@@ -205,9 +202,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         samples = fourier_samples(f, freqs)
         n = choose_n(cfg.scheme, m)
         operator = assemble_omega(freqs, n)
-        recon = FilterReconstruction(
-            operator=operator, samples=samples, filter_cfg=filter_cfg, jumps=f.breakpoints
-        )
+        recon = FilterReconstruction(operator=operator, samples=samples, jumps=f.breakpoints)
         hyb = hybrid_reconstruct(recon, grid, cfg.delta)
 
         err_filter = ground_truth_error(grid, hyb.filter_values, f, cfg.delta)
@@ -222,7 +217,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             degree=hyb.degree,
             fit_samples=hyb.fit_sample_count,
             rank=operator.effective_rank,
-            cond=float(operator.s[0] / operator.s[operator.effective_rank - 1]),
+            cond=float(operator.s[0] / operator.s[-1]),
             imag_residual=float(np.max(hyb.imag_residual)),
             fit_residual=float(max(fit.residual_norm for fit in hyb.fits)),
             sup_err_filter_interior=err_filter.sup_interior,
@@ -603,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated m values")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--delta", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--kappa", type=float)
     parser.add_argument("--grid", dest="grid_size", type=int)
     parser.add_argument("--out", dest="output_dir")
     parser.add_argument("--formats", type=_parse_formats,

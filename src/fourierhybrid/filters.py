@@ -4,7 +4,8 @@ The frequency response sigma_{p,gamma}(w) = exp(-z) sum_{l<=p} z^l / l!
 with z = (w gamma)^2 / 2 is the workhorse: reconstruction weights at
 frequency lambda are sigma_{p,gamma}(lambda / m).  The per-point
 parameters (gamma_x, p_x) grow with the distance d(x) to the nearest
-jump: gamma_x = sqrt(alpha d m), p_x = floor(kappa d m).
+jump: gamma_x = sqrt(ALPHA d m), p_x = floor(KAPPA d m), with the constants
+of the paper's numerical studies.
 
 The response is the regularized upper incomplete gamma function
 Q(p + 1, z) (DLMF 8.4.10), and one kernel, _sigma, evaluates it for every
@@ -21,52 +22,28 @@ with all constants caller-supplied.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .piecewise import distance_to_set
 
 __all__ = [
-    "FilterConfig",
+    "ALPHA",
+    "KAPPA",
     "filter_sigma",
     "sigma_weight_matrix",
     "adaptive_param_arrays",
-    "check_rule_range",
     "tail_bound_l2",
 ]
 
-# alpha * kappa must stay below this for the adaptive rule's exponential
-# accuracy regime
-ALPHA_KAPPA_LIMIT = 1.0 / (2.0 * math.log(1.0 + math.sqrt(2.0)))
+# the adaptive rule's constants; its exponential accuracy regime needs
+# ALPHA * KAPPA < 1 / (2 log(1 + sqrt 2)) ~ 0.567
+ALPHA = 1.0
+KAPPA = 1.0 / 15.0
 
 _LOG_SPACE_Z = 700.0
 # below half an ulp of 1, so adding it to a sum >= 1 rounds back
 _NEGLIGIBLE_TERM = 2.0**-54
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    """Adaptive filter constants; defaults follow the numerical studies."""
-
-    alpha: float = 1.0
-    kappa: float = 1.0 / 15.0
-
-    def __post_init__(self):
-        # written so that NaN fails too
-        if not (0 < self.alpha < math.inf and 0 < self.kappa < math.inf):
-            raise ValueError(
-                f"alpha and kappa must be positive and finite, got "
-                f"alpha={self.alpha!r}, kappa={self.kappa!r}"
-            )
-        if self.alpha * self.kappa >= ALPHA_KAPPA_LIMIT:
-            warnings.warn(
-                f"alpha*kappa = {self.alpha * self.kappa:.6g} >= "
-                f"{ALPHA_KAPPA_LIMIT:.6g}; exponential-accuracy regime not "
-                "guaranteed",
-                stacklevel=3,  # past the dataclass __init__ to its caller
-            )
 
 
 def _series_terms(p_max: int, z_max: float) -> int:
@@ -144,35 +121,18 @@ def sigma_weight_matrix(
     return _sigma(p[:, None], z, out=z)
 
 
-def check_rule_range(alpha: float, kappa: float, d_max: float, m: int) -> None:
-    """Raise ValueError naming alpha or kappa if the rule overflows at distance d_max.
-
-    gamma^2 = alpha d m must be finite and p = floor(kappa d m) must fit int64.
-    """
-    if not math.isfinite(alpha * d_max * m):
-        raise ValueError(f"alpha = {alpha!r} overflows gamma^2 = alpha*d*m at m = {m}")
-    if not kappa * d_max * m < 2.0**63:
-        raise ValueError(
-            f"kappa = {kappa!r} puts p = floor(kappa*d*m) outside int64 at m = {m}"
-        )
-
-
-def adaptive_param_arrays(xs, m: int, cfg: FilterConfig, jumps):
+def adaptive_param_arrays(xs, m: int, jumps):
     """Arrays (gamma, p, d) of the adaptive rule at points xs; d is the jump distance.
 
     This is the only implementation of the rule.  An empty jump set
     (d = +inf, reported as such) is the no-filter diagnostic mode: gamma = 0
     and p = 0, so all weights degenerate to 1.  d = 0 likewise yields
     identity weights; the hybrid never uses filter values at a jump.
-    A constant so large that gamma^2 overflows or p leaves the int64 range
-    raises ValueError naming it.
     """
     d = distance_to_set(xs, jumps)
     d_rule = np.where(np.isfinite(d), d, 0.0)
-    # Python floats overflow to inf silently, so this runs before numpy warns
-    check_rule_range(cfg.alpha, cfg.kappa, float(np.max(d_rule, initial=0.0)), m)
-    gamma = np.sqrt(cfg.alpha * d_rule * m)
-    p = np.floor(cfg.kappa * d_rule * m).astype(int)
+    gamma = np.sqrt(ALPHA * d_rule * m)
+    p = np.floor(KAPPA * d_rule * m).astype(int)
     return gamma, p, d
 
 

@@ -11,18 +11,18 @@ t = lambda_j - l.  The modes l are integers, so e^{-i pi l} = (-1)^l and
 a unitary diagonal, a real kernel and a sign diagonal.  Omega and K share
 their singular values, so the frame is factored through the real K alone,
 and assemble_omega keeps one matrix per sample set, the real (2m+1, 2n+1)
-transpose (K^+)^T of K's truncated pseudo-inverse.  m and Omega itself are
-read from the frequency set on request (FrameOperator.m, .omega).
+transpose (K^+)^T of K's pseudo-inverse.  m and Omega itself are read from
+the frequency set on request (FrameOperator.m, .omega).
 
 A stable frame section, the generalized-sampling setting of Adcock,
-Gataric & Hansen, has a well-conditioned K, and there the SVD is not
-needed: when K is tall or square and s_min / s_max >= _GRAM_MIN_RATIO
-(cond(K) <= 100), the singular values come from the eigenvalues of the
-(2n+1)^2 Gram matrix G = K^T K and (K^+)^T = K G^{-1} from one solve with
-G.  Every other frame (rank-deficient, ill-conditioned or underdetermined)
-takes the SVD of K, truncated at _REL_TOL.  The module takes a frequency
-set and a mode count n and nothing else; the rules that choose them live
-with the caller.
+Gataric & Hansen, has full column rank (2n+1 <= 2m+1), so any other frame
+is refused: n > m raises ValueError, and a K with s_min < _REL_TOL * s_max
+raises RuntimeError naming both singular values.  When s_min / s_max >=
+_GRAM_MIN_RATIO (cond(K) <= 100), the SVD is not needed: the singular
+values come from the eigenvalues of the (2n+1)^2 Gram matrix G = K^T K and
+(K^+)^T = K G^{-1} from one solve with G.  An ill-conditioned frame takes
+the SVD of K.  The module takes a frequency set and a mode count n and
+nothing else; the rules that choose them live with the caller.
 
 Reconstruction applies the pseudo-inverse of Omega to the filtered sample
 vector and sums the resulting 2n+1 Fourier modes.  filter_reconstruct, the
@@ -34,16 +34,11 @@ O(points x m).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import (
-    FilterConfig,
-    adaptive_param_arrays,
-    sigma_weight_matrix,
-)
+from .filters import adaptive_param_arrays, sigma_weight_matrix
 from .sampling import FourierSamples, FrequencySet
 
 __all__ = [
@@ -62,9 +57,9 @@ _BLOCK_BYTES = 1 << 20
 # cond(K) <= 100 keeps it near 1e-12
 _GRAM_MIN_RATIO = 1e-2
 
-# singular values of K below _REL_TOL * s_max are dropped from the
-# pseudo-inverse; only the SVD route can drop one, since the Gram route
-# requires s_min >= _GRAM_MIN_RATIO * s_max
+# a K with s_min < _REL_TOL * s_max is refused as rank-deficient; only the
+# SVD route can meet one, since the Gram route requires
+# s_min >= _GRAM_MIN_RATIO * s_max
 _REL_TOL = 1e-12
 
 
@@ -118,9 +113,9 @@ class FrameOperator:
     """The frame section's pseudo-inverse; immutable and shareable across threads.
 
     Omega = phase[:, None] * K * (-1)^l with the real kernel K; pinv_t is the
-    real (2m+1, 2n+1) matrix (K^+)^T of K's truncated pseudo-inverse, and s
-    holds the singular values of K, which are those of Omega.  m and Omega
-    are not stored: ``m`` reads freqs.m, and ``omega`` builds Omega from the
+    real (2m+1, 2n+1) matrix (K^+)^T of K's pseudo-inverse, and s holds the
+    singular values of K, which are those of Omega.  m and Omega are not
+    stored: ``m`` reads freqs.m, and ``omega`` builds Omega from the
     frequencies on each access.  Every stored array is read-only.
     """
 
@@ -129,7 +124,6 @@ class FrameOperator:
     phase: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
     pinv_t: np.ndarray = field(repr=False)
-    effective_rank: int
 
     def __post_init__(self):
         for array in (self.phase, self.s, self.pinv_t):
@@ -138,6 +132,11 @@ class FrameOperator:
     @property
     def m(self) -> int:
         return self.freqs.m
+
+    @property
+    def effective_rank(self) -> int:
+        """Omega's rank: assemble_omega refuses any frame below full column rank 2n+1."""
+        return 2 * self.n + 1
 
     @property
     def omega(self) -> np.ndarray:
@@ -154,55 +153,41 @@ def _linalg_step(step: str, solver, *args, **kwargs):
 
 
 def assemble_omega(freqs: FrequencySet, n: int) -> FrameOperator:
-    """Factor the real kernel K of Omega and keep its truncated pseudo-inverse.
+    """Factor the real kernel K of Omega and keep its pseudo-inverse.
 
     K = sinc(lambda_j - l) has the singular values of Omega (see the module
-    docstring), so the rank and the truncation are those of Omega.  Two
+    docstring).  n must lie in [1, m], so that K is tall or square.  Two
     routes give the singular values s and (K^+)^T:
 
-    * Gram route, for a tall or square K (2n+1 <= 2m+1) whose
-      s_min / s_max reaches _GRAM_MIN_RATIO: s from the eigenvalues of
-      G = K^T K, and (K^+)^T = K G^{-1} by one solve with G.  K has full
-      column rank here.
-    * Truncated-SVD route, for every other frame: singular values below
-      _REL_TOL * s_max are dropped from the pseudo-inverse, and a drop below
-      full column rank is reported as a warning (ill-posed frame section),
-      not an error.
+    * Gram route, when s_min / s_max reaches _GRAM_MIN_RATIO: s from the
+      eigenvalues of G = K^T K, and (K^+)^T = K G^{-1} by one solve with G.
+    * SVD route, for every other frame: (K^+)^T = U diag(1/s) V^T.  A K with
+      s_min < _REL_TOL * s_max is rank-deficient, its pseudo-inverse would
+      amplify roundoff past 1e12, and it raises RuntimeError instead.
 
     A LinAlgError from either route is raised as a RuntimeError that names
     the failed step.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if 2 * n + 1 > 2 * freqs.m + 1:
-        warnings.warn(
-            f"2n+1 = {2*n+1} exceeds the sample count {2*freqs.m+1}; the "
-            "frame section is underdetermined",
-            stacklevel=2,
+    if not 1 <= n <= freqs.m:
+        raise ValueError(
+            f"n must lie in [1, m] = [1, {freqs.m}], since the 2n+1 modes may not "
+            f"outnumber the 2m+1 samples; got n = {n}"
         )
     modes = np.arange(-n, n + 1, dtype=float)
     phase, kernel, _ = _omega_factors(freqs.frequencies, modes)
-    if 2 * n + 1 <= 2 * freqs.m + 1:
-        gram = kernel.T @ kernel
-        eigenvalues = _linalg_step("eigenvalues of K^T K", np.linalg.eigvalsh, gram)
-        s = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
-        if s[-1] >= _GRAM_MIN_RATIO * s[0]:
-            pinv = _linalg_step("solve with K^T K", np.linalg.solve, gram, kernel.T)
-            return FrameOperator(
-                freqs=freqs, n=n, phase=phase, s=s, pinv_t=pinv.T,
-                effective_rank=2 * n + 1,
-            )
+    gram = kernel.T @ kernel
+    eigenvalues = _linalg_step("eigenvalues of K^T K", np.linalg.eigvalsh, gram)
+    s = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
+    if s[-1] >= _GRAM_MIN_RATIO * s[0]:
+        pinv = _linalg_step("solve with K^T K", np.linalg.solve, gram, kernel.T)
+        return FrameOperator(freqs=freqs, n=n, phase=phase, s=s, pinv_t=pinv.T)
     u, s, vh = _linalg_step("SVD of K", np.linalg.svd, kernel, full_matrices=False)
-    rank = int(np.count_nonzero(s >= _REL_TOL * s[0]))
-    if rank < 2 * n + 1:
-        warnings.warn(
-            f"Omega effective rank {rank} < {2*n+1}: ill-posed frame section",
-            stacklevel=2,
+    if s[-1] < _REL_TOL * s[0]:
+        raise RuntimeError(
+            f"frame: rank-deficient Omega: s_min = {s[-1]:.3e} < "
+            f"{_REL_TOL:g} * s_max, s_max = {s[0]:.3e}"
         )
-    return FrameOperator(
-        freqs=freqs, n=n, phase=phase, s=s,
-        pinv_t=(u[:, :rank] / s[:rank]) @ vh[:rank], effective_rank=rank,
-    )
+    return FrameOperator(freqs=freqs, n=n, phase=phase, s=s, pinv_t=(u / s) @ vh)
 
 
 @dataclass(frozen=True)
@@ -215,7 +200,6 @@ class FilterReconstruction:
 
     operator: FrameOperator
     samples: FourierSamples
-    filter_cfg: FilterConfig
     jumps: np.ndarray
 
     def __post_init__(self):
@@ -263,7 +247,7 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     n = op.n
     lam = recon.samples.freqs.frequencies
     psi = op.phase * recon.samples.values
-    gammas, ps, _ = adaptive_param_arrays(xs, op.m, recon.filter_cfg, recon.jumps)
+    gammas, ps, _ = adaptive_param_arrays(xs, op.m, recon.jumps)
     # columns [0, n] give c_l + c_{-l} and [n+1, 2n+1] c_l - c_{-l} for
     # l = 0..n, from Re psi; columns [2n+2, 4n+3] the same from Im psi
     pos = op.pinv_t[:, n:]  # modes 0..n

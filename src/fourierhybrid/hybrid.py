@@ -2,10 +2,10 @@
 extrapolation inside delta-buffer zones around them.
 
 hybrid_reconstruct takes a FilterReconstruction, which already fixes the
-samples, the jump set, the frame operator and the filter constants, and
-the buffer width delta.  Each subinterval [xi_l, xi_{l+1}] gets one
-Chebyshev fit on [xi_l + delta, xi_{l+1} - delta] that serves both of its
-buffer zones; its degree M and node count N + 1 follow the practical rule,
+samples, the jump set and the frame operator, and the buffer width delta.
+Each subinterval [xi_l, xi_{l+1}] gets one Chebyshev fit on
+[xi_l + delta, xi_{l+1} - delta] that serves both of its buffer zones; its
+degree M and node count N + 1 follow the practical rule,
 extrapolation_params_practical(m, delta).
 Buffer zones are open: a grid point at distance exactly delta from its
 bounding jumps keeps the filter value.

@@ -46,9 +46,7 @@ def pipeline(function: str = "f1", scheme: str = "jittered", m: int = 128,
     if n is None:
         n = fh.choose_n(scheme, m)
     operator = fh.assemble_omega(freqs, n)
-    recon = fh.FilterReconstruction(
-        operator=operator, samples=samples, filter_cfg=fh.FilterConfig(), jumps=jumps
-    )
+    recon = fh.FilterReconstruction(operator=operator, samples=samples, jumps=jumps)
     return SimpleNamespace(
         f=f, jumps=jumps, freqs=freqs, samples=samples, operator=operator,
         recon=recon, m=m, n=n,

@@ -34,7 +34,7 @@ def test_criterion_01_uniform_degeneration(capsys):
     pipe = pipeline("f1", "uniform", 64)
     values, _ = fh.filter_reconstruct(pipe.recon, GRID_1024)
     f_hat = projection_coefficients(pipe.f, 64)
-    gammas, ps, _ = fh.adaptive_param_arrays(GRID_1024, 64, fh.FilterConfig(), pipe.jumps)
+    gammas, ps, _ = fh.adaptive_param_arrays(GRID_1024, 64, pipe.jumps)
     worst = 0.0
     for k, x in enumerate(GRID_1024):
         oracle = classical_filtered_sum(f_hat, int(ps[k]), float(gammas[k]), 64, 64, float(x))
@@ -53,9 +53,7 @@ def test_criterion_02_in_span_exactness(capsys):
     freqs = fh.jittered_frequencies(64, seed=42)
     samples = fh.fourier_samples(f, freqs)
     op = fh.assemble_omega(freqs, 38)
-    recon = fh.FilterReconstruction(
-        operator=op, samples=samples, filter_cfg=fh.FilterConfig(), jumps=np.array([])
-    )
+    recon = fh.FilterReconstruction(operator=op, samples=samples, jumps=np.array([]))
     values, _ = fh.filter_reconstruct(recon, GRID_1024)
     sup = float(np.max(np.abs(values - np.sin(2 * np.pi * GRID_1024))))
     elapsed = time.perf_counter() - started
@@ -245,9 +243,7 @@ def test_criterion_10_monotone_filter_properties(capsys):
             monotone_p = False
 
     # one row of weights per jump distance d
-    gammas, ps, _ = fh.adaptive_param_arrays(
-        np.array([0.0, 0.05, 0.25, 0.5]), 64, fh.FilterConfig(), [0.0, 1.0]
-    )
+    gammas, ps, _ = fh.adaptive_param_arrays(np.array([0.0, 0.05, 0.25, 0.5]), 64, [0.0, 1.0])
     weights_ok = True
     for freqs in (
         fh.uniform_frequencies(64),

@@ -51,6 +51,13 @@ class TestFit:
         for lo, hi in zip(residuals[1:], residuals[:-1]):
             assert lo <= hi + 1e-12
 
+    def test_residual_norm_scales_without_overflow(self):
+        # squaring residuals of 2**600 would overflow; the scaled RMS is exact
+        xs = np.linspace(0.0, 1.0, 200)
+        ys = np.exp(np.sin(3 * xs))
+        unscaled = chebyshev_fit(xs, ys, 6).residual_norm
+        assert chebyshev_fit(xs, ys * 2.0**600, 6).residual_norm == unscaled * 2.0**600
+
     def test_least_squares_optimality_probe(self):
         xs = np.linspace(0.0, 1.0, 100)
         ys = np.sin(5 * xs) + 0.01 * np.cos(40 * xs)

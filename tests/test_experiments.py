@@ -27,6 +27,7 @@ from fourierhybrid.experiments import (
     run_experiment,
     write_line_svg,
 )
+from fourierhybrid.filters import ALPHA, KAPPA
 from fourierhybrid.frame import _GRAM_MIN_RATIO
 
 SMALL = dict(m_list=(16, 24), grid_size=64, formats=("csv",))
@@ -63,7 +64,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="grid_size"):
             small_config(grid_size=32).validate()
 
-    @pytest.mark.parametrize("key", ["delta", "alpha", "kappa"])
+    @pytest.mark.parametrize("key", ["delta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_number_names_key(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
@@ -146,8 +147,7 @@ class TestRunExperiment:
             freqs = fourierhybrid.log_frequencies(7)
             ops = [fourierhybrid.assemble_omega(freqs, choose_n("log", 7))]
         recon = fourierhybrid.FilterReconstruction(
-            operator=ops[0], samples=fourierhybrid.fourier_samples(f, freqs),
-            filter_cfg=fourierhybrid.FilterConfig(), jumps=f.breakpoints,
+            operator=ops[0], samples=fourierhybrid.fourier_samples(f, freqs), jumps=f.breakpoints,
         )
         hyb = fourierhybrid.hybrid_reconstruct(recon, midpoint_grid(64), cfg.delta)
         lines = [
@@ -418,12 +418,26 @@ def test_frame_solve_leaves_scipy_linalg_unloaded():
         "import sys, numpy as np, fourierhybrid as fh; "
         "f = fh.builtin_function('f1'); freqs = fh.jittered_frequencies(8, seed=1); "
         "recon = fh.FilterReconstruction(operator=fh.assemble_omega(freqs, 4), "
-        "samples=fh.fourier_samples(f, freqs), filter_cfg=fh.FilterConfig(), "
-        "jumps=f.breakpoints); "
+        "samples=fh.fourier_samples(f, freqs), jumps=f.breakpoints); "
         "values, _ = fh.filter_reconstruct(recon, np.linspace(0, 1, 9)); "
         "print(values.size, 'scipy.linalg' in sys.modules)"
     )
     assert run_probe(probe).split() == ["9", "False"]
+
+
+def test_names_the_benchmark_reads():
+    # perfbench computes the fine-grid oracle's (gamma, p) from cfg.alpha and
+    # cfg.kappa, and its frame-health probe reads s, effective_rank and
+    # omega; without one of them every checked or traced sweep would fail
+    cfg = ExperimentConfig()
+    echo = dict(line[2:].split("=", 1) for line in cfg.echo_lines())
+    assert float(echo["alpha"]) == cfg.alpha == ALPHA
+    assert float(echo["kappa"]) == cfg.kappa == KAPPA
+    # constants, not settings
+    assert {"alpha", "kappa"}.isdisjoint(f.name for f in fields(ExperimentConfig))
+    op = fourierhybrid.assemble_omega(fourierhybrid.jittered_frequencies(8, seed=1), 4)
+    assert op.s.shape == (9,)
+    assert op.effective_rank == op.omega.shape[1] == 9
 
 
 class TestCli:
@@ -439,24 +453,20 @@ class TestCli:
     def test_configuration_error_exits_two(self, tmp_path, capsys):
         cases = [
             (["--function", "f2", "--delta", "0.4"], "delta"),
-            # non-finite numbers are named, not passed on as NaN output
-            (["--alpha", "nan"], "alpha must be finite"),
-            (["--kappa", "inf"], "kappa must be finite"),
+            # a non-finite number is named, not passed on as NaN output
             (["--delta", "nan"], "delta must be finite"),
             (["--delta", "0"], "delta must be positive, got 0.0"),
             (["--delta", "-1"], "delta must be positive, got -1.0"),
-            # constants whose filter parameters overflow; validate() rejects
-            # them before the alpha*kappa warning could print
-            (["--alpha", "1e308"], "configuration error: alpha = 1e+308"),
-            (["--kappa", "1e308"], "configuration error: kappa = 1e+308"),
             # a value the flag's type rejects; the message names the format
             (["--seed", "abc"], "--seed"),
             (["--m", "abc"], "argument --m: expected comma-separated integers"),
             (["--pieces", "0:1"], "argument --pieces: expected 'a:b:expr' pieces"),
-            # a flag the parser does not know, such as the retired --svd-tol
-            # and --n-override
+            # a flag the parser does not know, such as the retired --svd-tol,
+            # --n-override, --alpha and --kappa
             (["--svd-tol", "1e-8"], "unrecognized arguments: --svd-tol 1e-8"),
             (["--n-override", "8"], "unrecognized arguments: --n-override 8"),
+            (["--alpha", "2"], "unrecognized arguments: --alpha 2"),
+            (["--kappa", "0.1"], "unrecognized arguments: --kappa 0.1"),
             # one seed rule for every scheme, checked before any work
             (["--seed", "-1"], "seed must be non-negative, got -1"),
             (["--scheme", "log", "--seed", "-1"], "seed must be non-negative, got -1"),
@@ -559,8 +569,8 @@ class TestCli:
 
     def test_config_file_unknown_key(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        # n_override is the field name of a retired flag
-        for line in ("functions=f1", "func=f1", "n_override=8"):
+        # n_override and alpha name retired settings
+        for line in ("functions=f1", "func=f1", "n_override=8", "alpha=1"):
             config.write_text(f"{line}\nout={tmp_path / 'out'}\n")
             assert main(["--config", str(config)]) == 2
             assert "unknown config key" in capsys.readouterr().err
@@ -586,11 +596,12 @@ class TestCli:
         names = {f.name for f in fields(ExperimentConfig)}
         dests = {action.dest for action in build_parser()._actions}
         assert dests - {"help", "config"} == names
-        # and every field that shapes the numbers is echoed into each CSV;
-        # pieces echo as one "# piece=a:b:expr" line each
+        # and every field that shapes the numbers is echoed into each CSV,
+        # with the filter constants; pieces echo as one "# piece=a:b:expr"
+        # line each
         cfg = ExperimentConfig(function="custom", pieces=((0.0, 1.0, "x"),))
         echoed = {line[2:].split("=", 1)[0] for line in cfg.echo_lines()}
-        assert echoed == names - {"output_dir", "formats", "pieces"} | {"piece"}
+        assert echoed == names - {"output_dir", "formats", "pieces"} | {"piece", "alpha", "kappa"}
 
     def test_custom_pieces_via_cli(self, tmp_path):
         code = main([

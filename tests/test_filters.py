@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from fourierhybrid import (
-    FilterConfig,
     adaptive_param_arrays,
     filter_sigma,
     jittered_frequencies,
     tail_bound_l2,
     uniform_frequencies,
 )
-from fourierhybrid.filters import ALPHA_KAPPA_LIMIT, _sigma, sigma_weight_matrix
+from fourierhybrid.filters import ALPHA, KAPPA, _sigma, sigma_weight_matrix
 from fourierhybrid.oracles import sigma_reference
 
 
@@ -126,8 +125,8 @@ class TestSigma:
 
 
 def point_params(x: float, m: int, jumps):
-    """(gamma, p, d) of the default adaptive rule at the one point x, as Python numbers."""
-    gamma, p, d = adaptive_param_arrays(np.array([x]), m, FilterConfig(), jumps)
+    """(gamma, p, d) of the adaptive rule at the one point x, as Python numbers."""
+    gamma, p, d = adaptive_param_arrays(np.array([x]), m, jumps)
     return float(gamma[0]), int(p[0]), float(d[0])
 
 
@@ -161,25 +160,10 @@ class TestAdaptiveParams:
 
 
 class TestFilterConfig:
-    def test_rejects_nonpositive_constants(self):
-        with pytest.raises(ValueError):
-            FilterConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            FilterConfig(kappa=-1.0)
-        for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                FilterConfig(alpha=value)
-            with pytest.raises(ValueError, match="finite"):
-                FilterConfig(kappa=value)
-
-    def test_warns_outside_accuracy_regime(self):
-        with pytest.warns(UserWarning, match="exponential-accuracy") as record:
-            FilterConfig(alpha=1.0, kappa=ALPHA_KAPPA_LIMIT)
-        # the line that built the config, not the dataclass-generated __init__ ("<string>")
-        assert record[0].filename == __file__
-
     def test_paper_constants_satisfy_regime(self):
-        assert 1.0 * (1.0 / 15.0) < ALPHA_KAPPA_LIMIT
+        # the adaptive rule's exponential accuracy regime
+        assert (ALPHA, KAPPA) == (1.0, 1.0 / 15.0)
+        assert ALPHA * KAPPA < 1.0 / (2.0 * math.log(1.0 + math.sqrt(2.0)))
 
 
 class TestFrequencyWeights:
@@ -189,7 +173,7 @@ class TestFrequencyWeights:
         np.testing.assert_array_equal(w, np.ones(17))
 
     def test_band_edge_value(self):
-        # lambda = m with gamma = sqrt(alpha d m): z = alpha d m / 2 = 16
+        # lambda = m with gamma = sqrt(ALPHA d m): z = ALPHA d m / 2 = 16
         m = 128
         freqs = uniform_frequencies(m)
         gamma, p, _ = point_params(0.25, m, [0.0, 0.5, 1.0])

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 import fourierhybrid as fh
+from fourierhybrid.filters import ALPHA, KAPPA
 from fourierhybrid.frame import _REL_TOL, _block_points, _omega_factors, _omega_matrix
 from fourierhybrid.oracles import frame_filtered_sum
 from helpers import GRID_1024, frequency_set, pipeline
@@ -27,16 +29,16 @@ def omega_entry(lam: float, l: float) -> complex:
     return complex(_omega_matrix(np.array([lam]), np.array([l]))[0, 0])
 
 
-def rule_params(x: float, m: int, cfg, jumps) -> tuple[float, int, float]:
+def rule_params(x: float, m: int, jumps) -> tuple[float, int, float]:
     """(gamma, p, d) of the adaptive rule at x, written out in Python floats.
 
-    d = min |x - xi|, gamma = sqrt(alpha d m) and p = floor(kappa d m); an
+    d = min |x - xi|, gamma = sqrt(ALPHA d m) and p = floor(KAPPA d m); an
     empty jump set gives d = inf with gamma = 0 and p = 0.
     """
     d = min((abs(x - float(xi)) for xi in jumps), default=math.inf)
     if math.isinf(d):
         return 0.0, 0, d
-    return math.sqrt(cfg.alpha * d * m), math.floor(cfg.kappa * d * m), d
+    return math.sqrt(ALPHA * d * m), math.floor(KAPPA * d * m), d
 
 
 def oracle_value(recon, x: float, p: int | None = None, gamma: float | None = None):
@@ -46,7 +48,7 @@ def oracle_value(recon, x: float, p: int | None = None, gamma: float | None = No
     """
     op = recon.operator
     if p is None:
-        gamma, p, _ = rule_params(x, op.m, recon.filter_cfg, recon.jumps)
+        gamma, p, _ = rule_params(x, op.m, recon.jumps)
     total = frame_filtered_sum(
         recon.samples.freqs.frequencies, recon.samples.values, op.m, op.n,
         p, gamma, x, _REL_TOL,
@@ -215,22 +217,21 @@ class TestAssembleOmega:
         defect = np.linalg.norm(recon - omega)
         assert defect <= 10 * _REL_TOL * op.s[0] * math.sqrt(op.effective_rank)
 
-    @pytest.mark.parametrize("freqs, n, rank", [
-        (fh.uniform_frequencies(4), 6, 9),  # underdetermined: 9 samples, 13 modes
+    def test_rank_deficient_frame_is_refused(self):
         # square, with 12 singular values below 1e-12 s_max (the largest 8.5e-14
-        # s_max) and the smallest kept one at 4.9e-12 s_max
-        (fh.log_frequencies(32), 32, 53),
-    ], ids=["underdetermined", "truncated"])
-    def test_rank_deficient_frame_truncates_pseudo_inverse(self, freqs, n, rank):
-        with pytest.warns(UserWarning) as record:
-            op = fh.assemble_omega(freqs, n)
-        assert f"effective rank {rank} < {2 * n + 1}" in " ".join(str(w.message) for w in record)
-        assert op.effective_rank == rank
-        kernel = self.kernel(freqs, n)
-        truncated = np.linalg.pinv(kernel, rtol=_REL_TOL)
-        assert np.max(np.abs(op.pinv_t - truncated.T)) <= 1e-13 * np.max(np.abs(truncated))
-        s = np.linalg.svd(kernel, compute_uv=False)
-        np.testing.assert_allclose(op.s, s, rtol=0, atol=1e-14 * s[0])
+        # s_max); its pseudo-inverse gave f1 a sup error of 21.4
+        freqs, n = fh.log_frequencies(32), 32
+        with pytest.raises(RuntimeError, match="rank-deficient Omega") as info:
+            fh.assemble_omega(freqs, n)
+        # the roundoff-level s_min differs between LAPACK drivers; s_max does not
+        found = re.fullmatch(
+            r"frame: rank-deficient Omega: s_min = (\S+) < 1e-12 \* s_max, s_max = (\S+)",
+            str(info.value),
+        )
+        s_min, s_max = float(found[1]), float(found[2])
+        s = np.linalg.svd(self.kernel(freqs, n), compute_uv=False)
+        assert s_max == pytest.approx(s[0], rel=1e-3)
+        assert s_min < _REL_TOL * s_max
 
     def test_operator_arrays_are_read_only(self):
         op = pipeline("f1", "jittered", 32, n=19).operator
@@ -245,7 +246,7 @@ class TestAssembleOmega:
         # the traced peak, 18.3 MiB, is filter_reconstruct holding (K^+)^T, its
         # folded matrix and one block; assemble_omega peaks at 12.5 MiB (K,
         # K^T K and (K^+)^T on the Gram route).  Building K with np.sinc's
-        # temporaries peaked at 19.3 MiB here, the truncated SVD that the Gram
+        # temporaries peaked at 19.3 MiB here, the SVD that the Gram
         # route skips at 22.2, and the stored complex Omega, SVD factors and
         # folded synthesis matrix before it at 46.3
         pipe = pipeline("f1", "jittered", 512)
@@ -254,8 +255,7 @@ class TestAssembleOmega:
         try:
             op = fh.assemble_omega(pipe.freqs, pipe.n)
             recon = fh.FilterReconstruction(
-                operator=op, samples=pipe.samples, filter_cfg=fh.FilterConfig(),
-                jumps=pipe.jumps,
+                operator=op, samples=pipe.samples, jumps=pipe.jumps,
             )
             fh.filter_reconstruct(recon, np.linspace(0.0, 1.0, 257))
             _, peak = tracemalloc.get_traced_memory()
@@ -263,11 +263,12 @@ class TestAssembleOmega:
             tracemalloc.stop()
         assert peak < 20 * 2**20
 
-    def test_underdetermined_warns(self):
-        # the 9 samples also leave Omega's rank below 2n+1 = 13
-        with pytest.warns(UserWarning, match="effective rank 9 < 13"):
-            with pytest.warns(UserWarning, match="underdetermined"):
-                fh.assemble_omega(fh.uniform_frequencies(4), 6)
+    def test_underdetermined_frame_is_refused(self, monkeypatch):
+        # 9 samples cannot determine 13 modes; nothing is factored
+        for solver in ("eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, solver, self.refuse)
+        with pytest.raises(ValueError, match=r"n must lie in \[1, m\] = \[1, 4\].*got n = 6"):
+            fh.assemble_omega(fh.uniform_frequencies(4), 6)
 
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError):
@@ -322,8 +323,7 @@ class TestFilterReconstruct:
         samples = fh.fourier_samples(f, freqs)
         op = fh.assemble_omega(freqs, 4)
         recon = fh.FilterReconstruction(
-            operator=op, samples=samples, filter_cfg=fh.FilterConfig(),
-            jumps=np.array([]),
+            operator=op, samples=samples, jumps=np.array([]),
         )
         values, imag = fh.filter_reconstruct(recon, np.linspace(0, 1, 101))
         np.testing.assert_allclose(values, 1.0, atol=1e-12)
@@ -335,8 +335,7 @@ class TestFilterReconstruct:
         samples = fh.fourier_samples(f, freqs)
         op = fh.assemble_omega(freqs, 38)
         recon = fh.FilterReconstruction(
-            operator=op, samples=samples, filter_cfg=fh.FilterConfig(),
-            jumps=np.array([]),
+            operator=op, samples=samples, jumps=np.array([]),
         )
         values, _ = fh.filter_reconstruct(recon, GRID_1024)
         truth = np.sin(2 * np.pi * GRID_1024)
@@ -354,24 +353,23 @@ class TestFilterReconstruct:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_point_params_match_adaptive_params(self, seed):
         # the streamed path takes (gamma, p) from adaptive_param_arrays, the
-        # oracle checks from rule_params; alpha != 1 and m = 48 (not a power
-        # of two) make every product round, so a reordered expression would
-        # show.  The points include the jumps of f2 and a point next to one
-        pipe = pipeline("f2", "jittered", 48)
+        # oracle checks from rule_params.  At x = xi +- 15 k / m, KAPPA d m
+        # lies within an ulp of the integer k, so a reordered product would
+        # floor differently at some of them (at m = 105, 1/7 is one).  The
+        # points include the jumps of f2 and a point next to one
+        m = 105
+        f2_jumps = fh.builtin_f2().breakpoints
+        near_integer = np.add.outer(f2_jumps, 15.0 * np.arange(-7, 8) / m).ravel()
         rng = np.random.default_rng(seed)
         xs = np.concatenate([
             np.linspace(0.0, 1.0, 257), rng.uniform(0.0, 1.0, 500), [0.3, 0.7, 0.30000001],
+            near_integer[(near_integer >= 0.0) & (near_integer <= 1.0)],
         ])
-        for jumps in (pipe.jumps, np.array([])):
-            recon = fh.FilterReconstruction(
-                operator=pipe.operator, samples=pipe.samples,
-                filter_cfg=fh.FilterConfig(alpha=0.7, kappa=0.09), jumps=jumps,
-            )
-            gammas, ps, ds = fh.adaptive_param_arrays(xs, pipe.m, recon.filter_cfg, recon.jumps)
+        for jumps in (f2_jumps, np.array([])):
+            gammas, ps, ds = fh.adaptive_param_arrays(xs, m, jumps)
             assert ps.dtype.kind == "i"
             for k, x in enumerate(xs):
-                ref = rule_params(float(x), pipe.m, recon.filter_cfg, recon.jumps)
-                assert (gammas[k], ps[k], ds[k]) == ref  # bitwise
+                assert (gammas[k], ps[k], ds[k]) == rule_params(float(x), m, jumps)  # bitwise
 
     def test_streamed_blocks_match_per_point_path(self):
         pipe = pipeline("f1", "jittered", 32)
@@ -414,7 +412,7 @@ class TestFilterReconstruct:
         pipe = pipeline("f1", "jittered", 32)
         no_jump = fh.FilterReconstruction(
             operator=pipe.operator, samples=pipe.samples,
-            filter_cfg=fh.FilterConfig(), jumps=np.array([]),
+            jumps=np.array([]),
         )
         xs = np.linspace(0.05, 0.95, 7)
         a, _ = fh.filter_reconstruct(no_jump, xs)
@@ -427,7 +425,7 @@ class TestFilterReconstruct:
         pipe = pipeline("f1", "jittered", 32)
         no_jump = fh.FilterReconstruction(
             operator=pipe.operator, samples=pipe.samples,
-            filter_cfg=fh.FilterConfig(), jumps=np.array([]),
+            jumps=np.array([]),
         )
         filtered, _ = fh.filter_reconstruct(pipe.recon, np.array([0.25]))
         plain, _ = fh.filter_reconstruct(no_jump, np.array([0.25]))
@@ -444,7 +442,7 @@ class TestFilterReconstruct:
         with pytest.raises(ValueError, match="frequency set"):
             fh.FilterReconstruction(
                 operator=pipe.operator, samples=other,
-                filter_cfg=fh.FilterConfig(), jumps=pipe.jumps,
+                jumps=pipe.jumps,
             )
 
     def test_grid_domain_validation(self):
