@@ -233,6 +233,23 @@ class TestAssembleOmega:
         assert s_max == pytest.approx(s[0], rel=1e-3)
         assert s_min < _REL_TOL * s_max
 
+    @pytest.mark.parametrize("freqs, n, rank", [
+        (fh.uniform_frequencies(4), 6, 9),  # underdetermined: 9 samples, 13 modes
+    ], ids=["underdetermined"])
+    def test_rank_deficient_frame_truncates_pseudo_inverse(self, freqs, n, rank):
+        # the name dates from when such a frame was truncated to its rank; now
+        # the largest admissible n keeps full rank and any larger n is refused
+        n_max = freqs.m
+        assert 2 * n_max + 1 == rank < 2 * n + 1
+        op = fh.assemble_omega(freqs, n_max)
+        assert op.effective_rank == op.s.size == rank
+        assert op.s[-1] >= _REL_TOL * op.s[0]
+        kernel = self.kernel(freqs, n_max)
+        np.testing.assert_allclose(op.pinv_t, np.linalg.pinv(kernel).T, rtol=0, atol=1e-13)
+        for too_many in range(n_max + 1, n + 1):
+            with pytest.raises(ValueError, match="n must lie in"):
+                fh.assemble_omega(freqs, too_many)
+
     def test_operator_arrays_are_read_only(self):
         op = pipeline("f1", "jittered", 32, n=19).operator
         for name in ("phase", "s", "pinv_t"):
@@ -263,12 +280,16 @@ class TestAssembleOmega:
             tracemalloc.stop()
         assert peak < 20 * 2**20
 
-    def test_underdetermined_frame_is_refused(self, monkeypatch):
-        # 9 samples cannot determine 13 modes; nothing is factored
+    def test_underdetermined_warns(self, monkeypatch):
+        # the name dates from when n > m only warned and truncated Omega; now
+        # 9 samples for 13 modes is an error, not a warning, and nothing is
+        # factored
         for solver in ("eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, solver, self.refuse)
-        with pytest.raises(ValueError, match=r"n must lie in \[1, m\] = \[1, 4\].*got n = 6"):
-            fh.assemble_omega(fh.uniform_frequencies(4), 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"n must lie in \[1, m\] = \[1, 4\].*got n = 6"):
+                fh.assemble_omega(fh.uniform_frequencies(4), 6)
 
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError):
