@@ -4,10 +4,18 @@ Fits use equispaced nodes with heavy oversampling (N + 1 nodes, N = 4 M^2,
 for degree M); stability comes from the oversampling, not from the node
 placement.  evaluate_fit (numpy's chebval, a Clenshaw recurrence) is valid
 outside the fit interval, which is the whole point.
+
+The extrapolation's amplification A(M), the infinity-norm of the map from
+the node values to the fit's values at the subinterval's ends, grows with M
+much faster than the data error falls (Demanet & Townsend, "Stable
+extrapolation of analytic functions", FoCM 2019).  So the degree is not the
+paper's practical M = round(4 + m delta) but the largest M below it with
+A(k) <= A_MAX for every k <= M (extrapolation_params_bounded).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,9 +25,15 @@ __all__ = [
     "ChebyshevFit",
     "chebyshev_fit",
     "evaluate_fit",
+    "extrapolation_amplification",
+    "extrapolation_params_bounded",
     "extrapolation_params_practical",
     "extrapolation_params_theoretical",
 ]
+
+# the largest amplification A(M) that extrapolation_params_bounded accepts:
+# data errors at the fit nodes reach the buffer values at most 100-fold
+A_MAX = 100.0
 
 
 @dataclass(frozen=True)
@@ -87,6 +101,51 @@ def extrapolation_params_practical(m: int, delta: float) -> tuple[int, int]:
         raise ValueError(f"need m >= 0 and finite delta >= 0, got m={m!r}, delta={delta!r}")
     big_m = int(round(4.0 + m * delta))
     return big_m, 4 * big_m**2
+
+
+def _node_count(degree: int) -> int:
+    """N = 4 M^2, and N = 1 at M = 0, so the nodes still span the fit interval."""
+    return max(4 * degree**2, 1)
+
+
+# a sweep over m and sampling schemes meets the same few (width, delta, M)
+# again and again; each costs a pseudo-inverse
+@functools.lru_cache(maxsize=1024)
+def extrapolation_amplification(width: float, delta: float, degree: int) -> float:
+    """A(M) for a subinterval [0, width] fitted on [delta, width - delta].
+
+    The infinity-norm of the linear map from the N + 1 equispaced node
+    values, N from the degree as in extrapolation_params_bounded, to the
+    degree-M least-squares fit's values at 0 and width, the two jump ends
+    of the buffer zones.  It depends only on width / delta and M;
+    A(0) = 1.  width must exceed 2 delta.
+    """
+    t_end = width / (width - 2.0 * delta)
+    nodes = np.linspace(-1.0, 1.0, _node_count(degree) + 1)
+    to_ends = np.polynomial.chebyshev.chebvander(np.array([-t_end, t_end]), degree)
+    rows = to_ends @ np.linalg.pinv(np.polynomial.chebyshev.chebvander(nodes, degree))
+    return float(np.max(np.sum(np.abs(rows), axis=1)))
+
+
+def extrapolation_params_bounded(m: int, delta: float, widths) -> tuple[int, int, float]:
+    """(M, N, A): the degree rule of the hybrid's fits.
+
+    M is the largest degree up to the practical rule's round(4 + m delta)
+    for which A(k) <= A_MAX holds for every k <= M on every subinterval
+    width, and A is the largest A(M) over the widths.  The search runs
+    upward from M = 0, where A = 1, so it costs one small pseudo-inverse per
+    degree and width up to the first that fails.  N = 4 M^2 (N = 1 at
+    M = 0).
+    """
+    cap, _ = extrapolation_params_practical(m, delta)
+    widths = np.unique(np.asarray(widths, dtype=float))
+    degree, amplification = 0, 1.0
+    for trial in range(1, cap + 1):
+        worst = max(extrapolation_amplification(w, delta, trial) for w in widths)
+        if worst > A_MAX:
+            break
+        degree, amplification = trial, worst
+    return degree, _node_count(degree), amplification
 
 
 def extrapolation_params_theoretical(Q: float, eps: float, rho: float) -> tuple[int, int]:

@@ -161,6 +161,7 @@ class RunRecord:
     cond: float
     imag_residual: float
     fit_residual: float
+    amplification: float
     sup_err_filter_interior: float
     sup_err_filter_global: float
     sup_err_hybrid_global: float
@@ -220,6 +221,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             cond=float(operator.s[0] / operator.s[-1]),
             imag_residual=float(np.max(hyb.imag_residual)),
             fit_residual=float(max(fit.residual_norm for fit in hyb.fits)),
+            amplification=hyb.amplification,
             sup_err_filter_interior=err_filter.sup_interior,
             sup_err_filter_global=err_filter.sup,
             sup_err_hybrid_global=err_hybrid.sup,
@@ -441,7 +443,7 @@ def _write_summary_csv(path, cfg, records):
         for line in cfg.echo_lines():
             fh.write(line + "\n")
         fh.write(
-            "m,n,M,N,rank,cond,imag_residual,fit_residual,sup_err_filter_interior,"
+            "m,n,M,N,rank,cond,imag_residual,fit_residual,amplification,sup_err_filter_interior,"
             "sup_err_filter_global,sup_err_hybrid_global,sup_err_hybrid_buffers,freq_hash\n"
         )
         for r in records:
@@ -449,6 +451,7 @@ def _write_summary_csv(path, cfg, records):
                 ",".join([
                     str(r.m), str(r.n), str(r.degree), str(r.fit_samples - 1),
                     str(r.rank), _fmt(r.cond), _fmt(r.imag_residual), _fmt(r.fit_residual),
+                    _fmt(r.amplification),
                     _fmt(r.sup_err_filter_interior), _fmt(r.sup_err_filter_global),
                     _fmt(r.sup_err_hybrid_global), _fmt(r.sup_err_hybrid_buffers),
                     r.freq_hash,

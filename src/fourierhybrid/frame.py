@@ -10,26 +10,35 @@ t = lambda_j - l.  The modes l are integers, so e^{-i pi l} = (-1)^l and
 
 a unitary diagonal, a real kernel and a sign diagonal.  Omega and K share
 their singular values, so the frame is factored through the real K alone,
-and assemble_omega keeps one matrix per sample set, the real (2m+1, 2n+1)
-transpose (K^+)^T of K's pseudo-inverse.  m and Omega itself are read from
-the frequency set on request (FrameOperator.m, .omega).
+and assemble_omega keeps one matrix per sample set: the real
+(2m+1, 2(n+1)) matrix F, the columns of the transpose (K^+)^T of K's
+pseudo-inverse folded over +-l and signed,
+
+    F[:, l] = (-1)^l (P[:, l] + P[:, -l]),  F[:, n+1+l] = (-1)^l (P[:, l] - P[:, -l]),
+
+for l = 0..n with P = (K^+)^T indexed by mode (the l = 0 column holds
+P[:, 0] once).  The mode sum of a coefficient vector c = sign * (K^+ v)
+is then sum_l (c_l + c_{-l}) cos 2 pi l x + i (c_l - c_{-l}) sin 2 pi l x
+with both brackets read from F.  m, Omega and (K^+)^T itself are rebuilt
+on request (FrameOperator.m, .omega, .pinv_t).
 
 A stable frame section, the generalized-sampling setting of Adcock,
 Gataric & Hansen, has full column rank (2n+1 <= 2m+1), so any other frame
 is refused: n > m raises ValueError, and a K with s_min < _REL_TOL * s_max
 raises RuntimeError naming both singular values.  When s_min / s_max >=
 _GRAM_MIN_RATIO (cond(K) <= 100), the SVD is not needed: the singular
-values come from the eigenvalues of the (2n+1)^2 Gram matrix G = K^T K and
-(K^+)^T = K G^{-1} from one solve with G.  An ill-conditioned frame takes
-the SVD of K.  The module takes a frequency set and a mode count n and
+values come from the eigenvalues of the (2n+1)^2 Gram matrix G = K^T K, and
+F = K fold(G^{-1}) from the inverse of G, since (K^+)^T = K G^{-1} and the
+fold acts on columns.  An ill-conditioned frame takes the SVD of K and
+F = (U / s) fold(V^T).  The module takes a frequency set and a mode count n and
 nothing else; the rules that choose them live with the caller.
 
 Reconstruction applies the pseudo-inverse of Omega to the filtered sample
 vector and sums the resulting 2n+1 Fourier modes.  filter_reconstruct, the
-one evaluation path, streams the evaluation points in fixed-size blocks:
-filter weights, one real matrix product with (K^+)^T, and a cosine/sine sum
-over the folded modes, so its memory is O(block x m) rather than
-O(points x m).
+one evaluation path, streams the evaluation points in fixed-size blocks and
+contracts the modes first: the cosines and sines of a block times the two
+halves of F, then the block's filter weights and the samples, so its
+memory is O(block x m) rather than O(points x m).
 """
 
 from __future__ import annotations
@@ -48,8 +57,9 @@ __all__ = [
     "filter_reconstruct",
 ]
 
-# size of one real (points x 2m+1) array in the streamed evaluation; it sets
-# how many points filter_reconstruct handles per block
+# size of one real block array: it sets how many points filter_reconstruct
+# handles per block, (points x 2m+1), and how many rows of K are built at
+# once, (rows x 2n+1)
 _BLOCK_BYTES = 1 << 20
 
 # smallest s_min / s_max of K for which assemble_omega skips the SVD and
@@ -88,14 +98,17 @@ def _omega_factors(lams: np.ndarray, modes: np.ndarray):
     (sin 2 pi t + i (1 - cos 2 pi t)) / (2 pi t).
 
     The kernel is np.sinc(t) in np.sinc's operation order, bit for bit, but
-    pi t is formed in place, so sin(pi t) / (pi t) is the only other
-    (2m+1, 2n+1) array; np.sinc holds four at once.
+    it is built in row blocks of _block_points, so pi t is never a
+    (2m+1, 2n+1) array; np.sinc holds four such arrays at once.
     """
-    x = np.subtract.outer(lams, modes)
-    x *= np.pi
-    x[x == 0] = np.finfo(float).eps
-    kernel = np.sin(x)
-    kernel /= x
+    kernel = np.empty((lams.size, modes.size))
+    rows = _block_points(modes.size)
+    for start in range(0, lams.size, rows):
+        x = np.subtract.outer(lams[start:start + rows], modes)
+        x *= np.pi
+        x[x == 0] = np.finfo(float).eps
+        block = np.sin(x, out=kernel[start:start + rows])
+        block /= x
     return _half_turns(lams), kernel, _parity(modes)
 
 
@@ -108,25 +121,44 @@ def _omega_matrix(lams: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return phase[:, None] * (kernel * sign)
 
 
+def _fold(a: np.ndarray, n: int) -> np.ndarray:
+    """The columns of a, indexed by modes -n..n, folded over +-l and signed.
+
+    Returns the (rows, 2(n+1)) matrix whose column l is
+    (-1)^l (a_l + a_{-l}) and column n+1+l is (-1)^l (a_l - a_{-l}), for
+    l = 0..n; column 0 holds a_0 once, and column n+1 is 0.
+    """
+    pos = a[:, n:]  # modes 0..n
+    neg = a[:, n::-1]  # modes 0..-n
+    folded = np.empty((a.shape[0], 2 * (n + 1)))
+    plus, minus = folded[:, :n + 1], folded[:, n + 1:]
+    np.add(pos, neg, out=plus)
+    plus[:, 0] = pos[:, 0]
+    np.subtract(pos, neg, out=minus)
+    folded *= np.tile(_parity(np.arange(n + 1, dtype=float)), 2)
+    return folded
+
+
 @dataclass(frozen=True)
 class FrameOperator:
     """The frame section's pseudo-inverse; immutable and shareable across threads.
 
-    Omega = phase[:, None] * K * (-1)^l with the real kernel K; pinv_t is the
-    real (2m+1, 2n+1) matrix (K^+)^T of K's pseudo-inverse, and s holds the
-    singular values of K, which are those of Omega.  m and Omega are not
-    stored: ``m`` reads freqs.m, and ``omega`` builds Omega from the
-    frequencies on each access.  Every stored array is read-only.
+    Omega = phase[:, None] * K * (-1)^l with the real kernel K; folded is the
+    real (2m+1, 2(n+1)) matrix F of the module docstring, the signed fold of
+    (K^+)^T, and s holds the singular values of K, which are those of Omega.
+    m, Omega and (K^+)^T are not stored: ``m`` reads freqs.m, ``omega``
+    builds Omega from the frequencies and ``pinv_t`` unfolds F, on each
+    access.  Every array, stored or rebuilt, is read-only.
     """
 
     freqs: FrequencySet
     n: int
     phase: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
-    pinv_t: np.ndarray = field(repr=False)
+    folded: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for array in (self.phase, self.s, self.pinv_t):
+        for array in (self.phase, self.s, self.folded):
             array.setflags(write=False)
 
     @property
@@ -143,6 +175,21 @@ class FrameOperator:
         """The complex (2m+1, 2n+1) matrix Omega, built anew on each access."""
         return _omega_matrix(self.freqs.frequencies, np.arange(-self.n, self.n + 1, dtype=float))
 
+    @property
+    def pinv_t(self) -> np.ndarray:
+        """The real (2m+1, 2n+1) matrix (K^+)^T, unfolded from F on each access."""
+        n = self.n
+        sign = _parity(np.arange(n + 1, dtype=float))
+        plus = self.folded[:, :n + 1] * sign
+        minus = self.folded[:, n + 1:] * sign
+        pinv_t = np.empty((plus.shape[0], 2 * n + 1))
+        np.add(plus, minus, out=pinv_t[:, n:])
+        np.subtract(plus, minus, out=pinv_t[:, n::-1])
+        pinv_t *= 0.5
+        pinv_t[:, n] = plus[:, 0]
+        pinv_t.setflags(write=False)
+        return pinv_t
+
 
 def _linalg_step(step: str, solver, *args, **kwargs):
     """solver(*args, **kwargs), with a LinAlgError turned into a RuntimeError naming step."""
@@ -153,17 +200,19 @@ def _linalg_step(step: str, solver, *args, **kwargs):
 
 
 def assemble_omega(freqs: FrequencySet, n: int) -> FrameOperator:
-    """Factor the real kernel K of Omega and keep its pseudo-inverse.
+    """Factor the real kernel K of Omega and keep its folded pseudo-inverse.
 
     K = sinc(lambda_j - l) has the singular values of Omega (see the module
     docstring).  n must lie in [1, m], so that K is tall or square.  Two
-    routes give the singular values s and (K^+)^T:
+    routes give the singular values s and F, the fold of (K^+)^T:
 
     * Gram route, when s_min / s_max reaches _GRAM_MIN_RATIO: s from the
-      eigenvalues of G = K^T K, and (K^+)^T = K G^{-1} by one solve with G.
-    * SVD route, for every other frame: (K^+)^T = U diag(1/s) V^T.  A K with
-      s_min < _REL_TOL * s_max is rank-deficient, its pseudo-inverse would
-      amplify roundoff past 1e12, and it raises RuntimeError instead.
+      eigenvalues of G = K^T K, and F = K fold(G^{-1}) with G^{-1} from
+      np.linalg.inv of the symmetric positive definite G.
+    * SVD route, for every other frame: (K^+)^T = U diag(1/s) V^T, so
+      F = (U / s) fold(V^T).  A K with s_min < _REL_TOL * s_max is
+      rank-deficient, its pseudo-inverse would amplify roundoff past 1e12,
+      and it raises RuntimeError instead.
 
     A LinAlgError from either route is raised as a RuntimeError that names
     the failed step.
@@ -179,15 +228,17 @@ def assemble_omega(freqs: FrequencySet, n: int) -> FrameOperator:
     eigenvalues = _linalg_step("eigenvalues of K^T K", np.linalg.eigvalsh, gram)
     s = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
     if s[-1] >= _GRAM_MIN_RATIO * s[0]:
-        pinv = _linalg_step("solve with K^T K", np.linalg.solve, gram, kernel.T)
-        return FrameOperator(freqs=freqs, n=n, phase=phase, s=s, pinv_t=pinv.T)
+        folded_inverse = _fold(_linalg_step("inverse of K^T K", np.linalg.inv, gram), n)
+        # freed first, so that K, G, fold(G^{-1}) and F are never held at once
+        del gram
+        return FrameOperator(freqs=freqs, n=n, phase=phase, s=s, folded=kernel @ folded_inverse)
     u, s, vh = _linalg_step("SVD of K", np.linalg.svd, kernel, full_matrices=False)
     if s[-1] < _REL_TOL * s[0]:
         raise RuntimeError(
             f"frame: rank-deficient Omega: s_min = {s[-1]:.3e} < "
             f"{_REL_TOL:g} * s_max, s_max = {s[0]:.3e}"
         )
-    return FrameOperator(freqs=freqs, n=n, phase=phase, s=s, pinv_t=(u / s) @ vh)
+    return FrameOperator(freqs=freqs, n=n, phase=phase, s=s, folded=(u / s) @ _fold(vh, n))
 
 
 @dataclass(frozen=True)
@@ -212,9 +263,9 @@ class FilterReconstruction:
         object.__setattr__(self, "jumps", jumps)
 
 
-def _block_points(nfreq: int) -> int:
-    """Evaluation points per block: one real (block x nfreq) array fills _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (8 * nfreq))
+def _block_points(ncol: int) -> int:
+    """Rows per block: one real (block x ncol) array fills _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * ncol))
 
 
 def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -228,17 +279,15 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     least-squares coefficients c = conj(Omega)^+ (w * values).  With
     Omega = diag(phase) K diag(sign) and both diagonals unitary,
     conj(Omega)^+ = diag(sign) K^+ diag(phase), so
-    c = sign * (K^+ (w * psi)) with psi = phase * values.  Folding l with
-    -l, which share their sign, turns the mode sum into
-    sum_{l>=0} (c_l + c_{-l}) cos 2 pi l x + i (c_l - c_{-l}) sin 2 pi l x
-    (the l = 0 term counted once), so the fold and the signs are applied
-    to the columns of (K^+)^T, once per call, and the folded matrix is
-    scaled by the rows Re psi and Im psi side by side into one real
-    (2m+1, 4(n+1)) matrix.  The points stream in blocks of _block_points:
-    one real product of the block's weights W with it gives the cosine and
-    sine coefficients of the real and imaginary parts of every point's mode
-    sum.  The tests check it against oracles.frame_filtered_sum, which
-    shares none of this code.
+    c = sign * (K^+ (w * psi)) with psi = phase * values, and the mode sum
+    at x is sum_j w_j psi_j (A_j + i B_j) with A = F_+ cos(2 pi l x) and
+    B = F_- sin(2 pi l x), F_+ and F_- the two halves of the stored fold F.
+    The points stream in blocks of _block_points, and each block contracts
+    the modes first: A and B are two real (block, n+1) x (n+1, 2m+1)
+    products, scaled in place by the block's weights W, and then
+    values = (W A) Re psi - (W B) Im psi and the imaginary part
+    (W A) Im psi + (W B) Re psi.  The tests check it against
+    oracles.frame_filtered_sum, which shares none of this code.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
@@ -247,20 +296,11 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     n = op.n
     lam = recon.samples.freqs.frequencies
     psi = op.phase * recon.samples.values
+    # (2m+1, 2) columns Re psi and Im psi
+    psi_parts = np.stack([psi.real, psi.imag], axis=1)
     gammas, ps, _ = adaptive_param_arrays(xs, op.m, recon.jumps)
-    # columns [0, n] give c_l + c_{-l} and [n+1, 2n+1] c_l - c_{-l} for
-    # l = 0..n, from Re psi; columns [2n+2, 4n+3] the same from Im psi
-    pos = op.pinv_t[:, n:]  # modes 0..n
-    neg = op.pinv_t[:, n::-1]  # modes 0..-n
-    folded = np.empty((lam.size, 4 * (n + 1)))
-    re_part, im_part = folded[:, :2 * (n + 1)], folded[:, 2 * (n + 1):]
-    np.add(pos, neg, out=re_part[:, :n + 1])
-    re_part[:, 0] = pos[:, 0]
-    np.subtract(pos, neg, out=re_part[:, n + 1:])
-    sign = _parity(np.arange(n + 1, dtype=float))
-    re_part *= np.concatenate([sign, sign])
-    np.multiply(re_part, psi.imag[:, None], out=im_part)
-    re_part *= psi.real[:, None]
+    plus_t = op.folded[:, :n + 1].T
+    minus_t = op.folded[:, n + 1:].T
     wavenumbers = 2.0 * np.pi * np.arange(n + 1)
     values = np.empty(xs.shape)
     imag_residual = np.empty(xs.shape)
@@ -269,22 +309,22 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     # cost a page fault per 4 KiB each time once malloc returns them to the OS
     rows_max = min(block, xs.size)
     weights_buf = np.empty((rows_max, lam.size))
-    coef_buf = np.empty((rows_max, 4 * (n + 1)))
+    modes_buf = np.empty((2, rows_max, lam.size))
     cos_buf = np.empty((rows_max, n + 1))
     sin_buf = np.empty((rows_max, n + 1))
     for start in range(0, xs.size, block):
         rows = slice(start, start + block)
         k = min(block, xs.size - start)
         weights = sigma_weight_matrix(ps[rows], gammas[rows], lam, op.m, out=weights_buf[:k])
-        coef = np.matmul(weights, folded, out=coef_buf[:k])
-        plus_re, minus_re, plus_im, minus_im = np.split(coef, 4, axis=1)
         angle = np.multiply(xs[rows, None], wavenumbers, out=cos_buf[:k])
         sin = np.sin(angle, out=sin_buf[:k])
         cos = np.cos(angle, out=angle)
-        values[rows] = (
-            np.einsum("ij,ij->i", plus_re, cos) - np.einsum("ij,ij->i", minus_im, sin)
-        )
-        imag_residual[rows] = np.abs(
-            np.einsum("ij,ij->i", plus_im, cos) + np.einsum("ij,ij->i", minus_re, sin)
-        )
+        modes = modes_buf[:, :k]
+        np.matmul(cos, plus_t, out=modes[0])
+        np.matmul(sin, minus_t, out=modes[1])
+        modes *= weights
+        # [[A Re psi, A Im psi], [B Re psi, B Im psi]] per point
+        (a_re, a_im), (b_re, b_im) = np.matmul(modes, psi_parts).transpose(0, 2, 1)
+        values[rows] = a_re - b_im
+        imag_residual[rows] = np.abs(a_im + b_re)
     return values, imag_residual

@@ -4,9 +4,12 @@ extrapolation inside delta-buffer zones around them.
 hybrid_reconstruct takes a FilterReconstruction, which already fixes the
 samples, the jump set and the frame operator, and the buffer width delta.
 Each subinterval [xi_l, xi_{l+1}] gets one Chebyshev fit on
-[xi_l + delta, xi_{l+1} - delta] that serves both of its buffer zones; its
-degree M and node count N + 1 follow the practical rule,
-extrapolation_params_practical(m, delta).
+[xi_l + delta, xi_{l+1} - delta] that serves both of its buffer zones.
+All fits share one degree M and node count N + 1 from
+extrapolation_params_bounded: the largest M up to the paper's practical
+round(4 + m delta) whose extrapolation amplifies node errors at most
+A_MAX = 100-fold on every subinterval, with N = 4 M^2, so neither grows
+with m once A_MAX binds.
 Buffer zones are open: a grid point at distance exactly delta from its
 bounding jumps keeps the filter value.
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebfit import ChebyshevFit, chebyshev_fit, evaluate_fit, extrapolation_params_practical
+from .chebfit import ChebyshevFit, chebyshev_fit, evaluate_fit, extrapolation_params_bounded
 from .frame import FilterReconstruction, filter_reconstruct
 
 __all__ = [
@@ -36,7 +39,10 @@ _DELTA_MIN = 1e-4
 
 @dataclass(frozen=True)
 class HybridReconstruction:
-    """Grid values, the buffer mask and the per-subinterval fits."""
+    """Grid values, the buffer mask and the per-subinterval fits.
+
+    amplification is the largest A(M) over the fits at their degree M.
+    """
 
     values: np.ndarray
     extrapolated: np.ndarray  # bool mask; True inside a buffer zone
@@ -45,6 +51,7 @@ class HybridReconstruction:
     imag_residual: np.ndarray
     degree: int
     fit_sample_count: int
+    amplification: float
 
 
 def hybrid_reconstruct(
@@ -70,10 +77,12 @@ def hybrid_reconstruct(
         )
     grid = np.asarray(grid, dtype=float)
 
-    degree, big_n = extrapolation_params_practical(filter_recon.operator.m, delta)
+    degree, big_n, amplification = extrapolation_params_bounded(
+        filter_recon.operator.m, delta, widths
+    )
 
     # row l holds the fit nodes of [xi_l, xi_{l+1}]; one filter evaluation
-    # covers the grid and every node, so (K^+)^T is folded once
+    # covers the grid and every node
     nodes = np.linspace(jumps[:-1] + delta, jumps[1:] - delta, big_n + 1, axis=1)
     points = np.concatenate([grid, nodes.ravel()])
     all_values, all_imag = filter_reconstruct(filter_recon, points)
@@ -99,6 +108,7 @@ def hybrid_reconstruct(
         imag_residual=imag_residual,
         degree=degree,
         fit_sample_count=big_n + 1,
+        amplification=amplification,
     )
 
 

@@ -27,6 +27,7 @@ from fourierhybrid.experiments import (
     run_experiment,
     write_line_svg,
 )
+from fourierhybrid.chebfit import extrapolation_amplification
 from fourierhybrid.filters import ALPHA, KAPPA
 from fourierhybrid.frame import _GRAM_MIN_RATIO
 
@@ -155,7 +156,9 @@ class TestRunExperiment:
             if line and not line.startswith("#")
         ]
         header = lines[0].split(",")
-        assert header[:8] == ["m", "n", "M", "N", "rank", "cond", "imag_residual", "fit_residual"]
+        assert header[:9] == [
+            "m", "n", "M", "N", "rank", "cond", "imag_residual", "fit_residual", "amplification",
+        ]
         for row, rec, op in zip(lines[1:], report.records, ops):
             columns = dict(zip(header, row.split(",")))
             assert int(columns["rank"]) == rec.rank == op.effective_rank == 2 * rec.n + 1
@@ -166,6 +169,13 @@ class TestRunExperiment:
             assert rec.imag_residual == np.max(hyb.imag_residual)
             assert float(columns["fit_residual"]) == rec.fit_residual
             assert rec.fit_residual == max(fit.residual_norm for fit in hyb.fits)
+            # the largest A(M) over the fits, at the degree the row reports
+            assert float(columns["amplification"]) == rec.amplification == hyb.amplification
+            assert int(columns["M"]) == rec.degree == hyb.degree
+            assert rec.amplification == max(
+                extrapolation_amplification(w, cfg.delta, rec.degree)
+                for w in np.diff(f.breakpoints)
+            )
 
     def test_byte_reproducible(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -191,7 +201,7 @@ class TestConvergenceTable:
     def test_ratio_arithmetic(self):
         records = tuple(
             RunRecord(m=m, n=0, degree=0, fit_samples=1, rank=1, cond=1.0,
-                      imag_residual=0.0, fit_residual=0.0, sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
+                      imag_residual=0.0, fit_residual=0.0, amplification=1.0, sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
                       sup_err_hybrid_global=err, sup_err_hybrid_buffers=0.0,
                       wall_time=0.0, freq_hash="")
             for m, err in ((128, 1e-2), (256, 1e-3), (512, 1e-4))
@@ -205,7 +215,7 @@ class TestConvergenceTable:
     def test_single_record_has_empty_ratio(self):
         records = (
             RunRecord(m=64, n=0, degree=0, fit_samples=1, rank=1, cond=1.0,
-                      imag_residual=0.0, fit_residual=0.0, sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
+                      imag_residual=0.0, fit_residual=0.0, amplification=1.0, sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
                       sup_err_hybrid_global=5e-3, sup_err_hybrid_buffers=0.0,
                       wall_time=0.0, freq_hash=""),
         )
@@ -270,7 +280,7 @@ def test_grid_csv_matches_per_row_format(tmp_path):
     extrapolated = rng.random(size) < 0.3
     tags = ["extrapolated" if e else "filter" for e in extrapolated.tolist()]
     record = RunRecord(m=16, n=9, degree=3, fit_samples=5, rank=19, cond=1.5,
-                       imag_residual=0.0, fit_residual=0.0, sup_err_filter_interior=0.0,
+                       imag_residual=0.0, fit_residual=0.0, amplification=1.0, sup_err_filter_interior=0.0,
                        sup_err_filter_global=0.0, sup_err_hybrid_global=0.0,
                        sup_err_hybrid_buffers=0.0, wall_time=0.0, freq_hash="0123")
     path = tmp_path / "grid.csv"

@@ -140,7 +140,7 @@ class TestAssembleOmega:
         ("jittered", 32), ("jittered", 512), ("log", 128), ("uniform", 16),
     ])
     def test_omega_factors_through_real_kernel(self, scheme, m):
-        # full column rank: the stored (K^+)^T is numpy's pseudo-inverse of K
+        # full column rank: (K^+)^T, unfolded from the stored F, is numpy's pseudo-inverse of K
         freqs = frequency_set(scheme, m)
         op = fh.assemble_omega(freqs, fh.choose_n(scheme, m))
         assert op.effective_rank == 2 * op.n + 1
@@ -252,20 +252,23 @@ class TestAssembleOmega:
 
     def test_operator_arrays_are_read_only(self):
         op = pipeline("f1", "jittered", 32, n=19).operator
-        for name in ("phase", "s", "pinv_t"):
+        for name in ("phase", "s", "folded", "pinv_t"):
             array = getattr(op, name)
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-        # Omega is built on demand, not kept on the operator
-        assert "omega" not in {f.name for f in dataclasses.fields(op)}
+        # Omega and (K^+)^T are built on demand, not kept on the operator
+        stored = {f.name for f in dataclasses.fields(op)}
+        assert "omega" not in stored and "pinv_t" not in stored
 
     def test_peak_memory_of_operator_and_synthesis(self):
-        # the traced peak, 18.3 MiB, is filter_reconstruct holding (K^+)^T, its
-        # folded matrix and one block; assemble_omega peaks at 12.5 MiB (K,
-        # K^T K and (K^+)^T on the Gram route).  Building K with np.sinc's
-        # temporaries peaked at 19.3 MiB here, the SVD that the Gram
-        # route skips at 22.2, and the stored complex Omega, SVD factors and
-        # folded synthesis matrix before it at 46.3
+        # the traced peak, 13.7 MiB, is assemble_omega inverting K^T K while
+        # it holds K; filter_reconstruct peaks at 9.5 MiB (the stored fold F
+        # of (K^+)^T and one block's weights, cosines times F and sines
+        # times F).  Storing (K^+)^T and folding it, scaled by the samples,
+        # into a (2m+1, 4(n+1)) matrix on every call peaked at 18.3 MiB,
+        # building K with np.sinc's temporaries at 19.3, the SVD that the
+        # Gram route skips at 22.2, and the stored complex Omega, SVD factors
+        # and folded synthesis matrix before it at 46.3
         pipe = pipeline("f1", "jittered", 512)
         assert pipe.n == 307
         tracemalloc.start()
@@ -278,7 +281,7 @@ class TestAssembleOmega:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2**20
+        assert peak < 15 * 2**20
 
     def test_underdetermined_warns(self, monkeypatch):
         # the name dates from when n > m only warned and truncated Omega; now

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fourierhybrid as fh
+from fourierhybrid.chebfit import A_MAX, extrapolation_amplification
 from fourierhybrid.hybrid import delta_objective
 from helpers import DELTA, GRID_1024, hybrid_run, pipeline
 
@@ -52,15 +53,51 @@ class TestAssembly:
         np.testing.assert_array_equal(run.hyb.extrapolated, d < DELTA)
 
     def test_default_rules_applied(self):
-        # the practical rule M = round(4 + m delta), N = 4 M^2 at the
-        # benchmark's m values; a loop, not parametrize, keeps the test's id
-        for m, n, degree, fit_samples in ((128, 76, 7, 197), (256, 153, 10, 401),
-                                          (512, 307, 17, 1157)):
-            run = hybrid_run("f1", "jittered", m)
+        # the degree rule at the benchmark's m values: the practical
+        # round(4 + m delta) caps M (7 at m=128), and A(M) <= 100 stops it at
+        # 10 on f1's halves and at 7 on f2's narrowest thirds; N = 4 M^2.
+        # A loop, not parametrize, keeps the test's id
+        for function, m, n, degree, fit_samples in (
+            ("f1", 128, 76, 7, 197), ("f1", 256, 153, 10, 401), ("f1", 512, 307, 10, 401),
+            ("f2", 256, 153, 7, 197), ("f2", 512, 307, 7, 197),
+        ):
+            run = hybrid_run(function, "jittered", m)
             assert run.pipe.operator.n == n
             assert run.hyb.degree == degree
             assert run.hyb.fit_sample_count == fit_samples
-            assert [fit.degree for fit in run.hyb.fits] == [degree, degree]
+            assert [fit.degree for fit in run.hyb.fits] == [degree] * (run.pipe.jumps.size - 1)
+
+    @staticmethod
+    def amplification(fit, left, right, degree, fit_samples):
+        """The inf-norm of node values -> fit values at left and right, by lstsq."""
+        nodes = np.linspace(left + DELTA, right - DELTA, fit_samples)
+        vander = np.polynomial.chebyshev.chebvander(fit.map_to_t(nodes), degree)
+        node_map = np.linalg.lstsq(vander, np.eye(fit_samples), rcond=None)[0]
+        ends = np.polynomial.chebyshev.chebvander(fit.map_to_t([left, right]), degree)
+        return float(np.max(np.abs(ends @ node_map).sum(axis=1)))
+
+    @pytest.mark.parametrize("function, m, expect", [
+        ("f1", 128, 23.7), ("f1", 512, 96.7), ("f2", 256, 64.0), ("f2", 512, 64.0),
+    ])
+    def test_amplification_recomputed_from_the_chosen_degree(self, function, m, expect):
+        run = hybrid_run(function, "jittered", m)
+        hyb = run.hyb
+        jumps = run.pipe.jumps
+        per_fit = [
+            self.amplification(fit, left, right, hyb.degree, hyb.fit_sample_count)
+            for fit, left, right in zip(hyb.fits, jumps[:-1], jumps[1:])
+        ]
+        assert hyb.amplification == pytest.approx(max(per_fit), rel=1e-9)
+        assert hyb.amplification == pytest.approx(expect, abs=0.05)
+        assert hyb.amplification <= A_MAX
+        # the degree is the largest below the practical cap that keeps A <= A_MAX
+        cap, _ = fh.extrapolation_params_practical(m, DELTA)
+        if hyb.degree < cap:
+            above = hyb.degree + 1
+            assert max(
+                extrapolation_amplification(right - left, DELTA, above)
+                for left, right in zip(jumps[:-1], jumps[1:])
+            ) > A_MAX
 
     def test_hybrid_beats_filter_globally_f1_m256(self):
         run = hybrid_run("f1", "jittered", 256)
@@ -83,6 +120,27 @@ class TestAssembly:
             assert abs(run.hyb.values[k + 1] - run.hyb.values[k]) < 0.05
 
 
+class TestLargeM:
+    @pytest.mark.parametrize("function", ["f1", "f2"])
+    def test_hybrid_does_not_diverge_at_m1024(self, function):
+        # with M = round(4 + m delta) = 30 the buffer errors were 0.74 (f1)
+        # and 2.0e4 (f2); the degree rule keeps M at 10 and 7, and the
+        # hybrid reads 2.2e-4 and 2.1e-2 against the filter's 4.7e-4 and 0.26
+        f = fh.builtin_function(function)
+        freqs = fh.jittered_frequencies(1024, seed=42)
+        operator = fh.assemble_omega(freqs, fh.choose_n("jittered", 1024))
+        recon = fh.FilterReconstruction(
+            operator=operator, samples=fh.fourier_samples(f, freqs), jumps=f.breakpoints,
+        )
+        hyb = fh.hybrid_reconstruct(recon, GRID_1024, DELTA)
+        truth = fh.evaluate(f, GRID_1024)
+        buffer = hyb.extrapolated
+        err_hybrid = float(np.max(np.abs(hyb.values - truth)[buffer]))
+        err_filter = float(np.max(np.abs(hyb.filter_values - truth)[buffer]))
+        assert math.isfinite(err_hybrid)
+        assert err_hybrid < err_filter
+
+
 class TestValidation:
     def test_delta_must_be_positive(self):
         recon = pipeline("f1", "jittered", 32).recon
@@ -98,6 +156,18 @@ class TestValidation:
         recon = self.recon_with_jumps([0.5])
         with pytest.raises(ValueError, match="endpoints"):
             fh.hybrid_reconstruct(recon, GRID_1024, DELTA)
+
+    def test_barely_wide_subinterval_gets_a_low_degree(self):
+        # [0.449, 0.5] is 1.02 * 2 delta wide: A(1) = 61 and A(2) = 6.7e3 there,
+        # so every fit drops to degree 1 and the values stay finite
+        recon = self.recon_with_jumps([0.0, 0.449, 0.5, 1.0])
+        hyb = fh.hybrid_reconstruct(recon, GRID_1024, DELTA)
+        assert hyb.degree == 1
+        assert hyb.fit_sample_count == 5
+        assert [fit.degree for fit in hyb.fits] == [1, 1, 1]
+        assert hyb.amplification <= A_MAX
+        assert np.all(np.isfinite(hyb.values))
+        assert np.any(hyb.extrapolated[(GRID_1024 > 0.449) & (GRID_1024 < 0.5)])
 
     def test_narrow_subinterval_named_in_error(self):
         recon = self.recon_with_jumps([0.0, 0.48, 0.5, 1.0])

@@ -213,6 +213,6 @@ class TestGroundTruthError:
 def test_end_to_end_regression_f1_hybrid_m512():
     run = hybrid_run("f1", "jittered", 512)
     summary = ground_truth_error(GRID_1024, run.hyb.values, run.pipe.f, delta=1.0 / 40.0)
-    assert summary.sup == pytest.approx(0.006870697899337463, rel=1e-6)
+    assert summary.sup == pytest.approx(0.0005990969512164176, rel=1e-6)
     # no midpoint of the grid lies on a jump, so every point counts
-    assert np.mean(summary.pointwise) == pytest.approx(0.000145485457594419, rel=1e-6)
+    assert np.mean(summary.pointwise) == pytest.approx(4.375104069329458e-05, rel=1e-6)

@@ -144,13 +144,22 @@ def test_fourier_sample_f1_at_zero():
 
 
 def test_quadrature_matches_closed_form_over_random_pairs():
+    # 100 random (k, lam) pairs, with one fourier_samples call per function
+    # cos/sin(2 pi k x) over all the lams drawn with its k
     rng = np.random.default_rng(11)
     m = 64
+    lams_by_k = {}
     for _ in range(100):
         k = int(rng.integers(-m, m + 1))
-        lam = float(rng.uniform(-2 * m, 2 * m))
-        got = mode_sample(k, lam)
-        assert abs(got - closed_form_mode_integral(k, lam)) <= 1e-12
+        lams_by_k.setdefault(k, []).append(float(rng.uniform(-2 * m, 2 * m)))
+    for k, lams in lams_by_k.items():
+        # a FrequencySet holds an odd count; a repeated last frequency pads it
+        padded = lams + lams[-1:] * (1 - len(lams) % 2)
+        freqs = FrequencySet(m=len(padded) // 2, frequencies=np.array(padded))
+        re, im = exponential_mode(k)
+        got = fourier_samples(re, freqs).values + 1j * fourier_samples(im, freqs).values
+        for lam, value in zip(lams, got):
+            assert abs(value - closed_form_mode_integral(k, lam)) <= 1e-12
 
 
 def f1_closed_form(lam: np.ndarray) -> np.ndarray:
