@@ -69,7 +69,10 @@ def _sigma(p, z, out=None) -> np.ndarray:
     others are zeroed before it, so it cannot overflow, and then taken from
     gammaincc.  The series runs by Horner's rule from its last term,
     acc <- 1 + acc * z * [l <= p] / l, so an entry with p < l restarts at 1
-    and ends at its own p; _series_terms sets where it starts.
+    and ends at its own p.  _series_terms sets the top term L from the
+    largest p, and the top step, which starts from acc = 1, is formed
+    directly as 1 + z [L <= p] / L; a caller that groups entries of equal p
+    pays for no more passes than its largest p.
     """
     p = np.asarray(p, dtype=int)
     z = np.asarray(z, dtype=float)
@@ -82,15 +85,19 @@ def _sigma(p, z, out=None) -> np.ndarray:
         far_sigma = gammaincc(np.broadcast_to(p, z.shape)[far] + 1, z[far])
         z = np.where(far, 0.0, z)
         z_max = float(np.max(z))
-    acc = np.ones(z.shape)
-    for l in range(_series_terms(int(p.max(initial=0)), z_max), 0, -1):
-        acc *= z
-        acc *= np.where(p >= l, 1.0 / l, 0.0)
+    terms = _series_terms(int(p.max(initial=0)), z_max)
+    if terms:
+        acc = z * np.where(p >= terms, 1.0 / terms, 0.0)
         acc += 1.0
+        for l in range(terms - 1, 0, -1):
+            acc *= z
+            acc *= np.where(p >= l, 1.0 / l, 0.0)
+            acc += 1.0
     # out= keeps sigma a writable array for 0-d z too (filter_sigma)
     sigma = np.negative(z, out=np.empty(z.shape) if out is None else out)
     np.exp(sigma, out=sigma)
-    sigma *= acc
+    if terms:
+        sigma *= acc
     if far is not None:
         sigma[far] = far_sigma
     return sigma

@@ -35,10 +35,13 @@ nothing else; the rules that choose them live with the caller.
 
 Reconstruction applies the pseudo-inverse of Omega to the filtered sample
 vector and sums the resulting 2n+1 Fourier modes.  filter_reconstruct, the
-one evaluation path, streams the evaluation points in fixed-size blocks and
-contracts the modes first: the cosines and sines of a block times the two
-halves of F, then the block's filter weights and the samples, so its
-memory is O(block x m) rather than O(points x m).
+one evaluation path, streams the evaluation points in fixed-size blocks,
+grouped by their filter order p, and contracts the modes first: the
+cosines and sines of a block times the two halves of F, then the block's
+filter weights and the samples, so its memory is O(block x m) rather than
+O(points x m).  The cosines and sines of 2 pi l x, l = 0..n, come from
+e^{2 pi i l x} built by angle doubling: ceil(log2(n+1)) exponentials and
+one complex product per mode, not a sin and a cos per point and mode.
 """
 
 from __future__ import annotations
@@ -268,6 +271,26 @@ def _block_points(ncol: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * ncol))
 
 
+def _unit_powers(xs: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """out[l] = e^{2 pi i l x} for l = 0..n and the points xs, by angle doubling.
+
+    out is a complex (n+1, xs.size) array.  Rows h..2h-1 are rows 0..h-1
+    times e^{2 pi i h x} for h = 1, 2, 4, ..., so a point costs
+    ceil(log2(n+1)) exponentials and one complex product per mode, and row l
+    carries one rounding per set bit of l.  h x is exact for a power of two
+    h, so the exponential takes its exact fractional part, in [-1/2, 1/2].
+    """
+    out[0] = 1.0
+    h = 1
+    while h <= n:
+        turns = h * xs
+        turns -= np.round(turns)
+        top = min(2 * h, n + 1)
+        np.multiply(out[:top - h], np.exp(2j * np.pi * turns), out=out[h:top])
+        h *= 2
+    return out
+
+
 def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the filtered reconstruction on a 1-d grid xs.
 
@@ -282,14 +305,20 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     c = sign * (K^+ (w * psi)) with psi = phase * values, and the mode sum
     at x is sum_j w_j psi_j (A_j + i B_j) with A = F_+ cos(2 pi l x) and
     B = F_- sin(2 pi l x), F_+ and F_- the two halves of the stored fold F.
-    The points stream in blocks of _block_points, and each block contracts
-    the modes first: A and B are two real (block, n+1) x (n+1, 2m+1)
-    products, scaled in place by the block's weights W, and then
-    values = (W A) Re psi - (W B) Im psi and the imaginary part
-    (W A) Im psi + (W B) Re psi.  The tests check it against
+    The points stream in blocks of _block_points, taken in order of their
+    filter order p (one stable argsort; the results are scattered back to
+    the caller's order), so each block's sigma series stops at the block's
+    own largest p.  Each block contracts the modes first: its cosines and
+    sines come from the complex (n+1, block) table of _unit_powers, built
+    by angle doubling with no sin or cos per point and mode; A and B are
+    two real (block, n+1) x (n+1, 2m+1) products, scaled in place by the
+    block's weights W, and then values = (W A) Re psi - (W B) Im psi and the
+    imaginary part (W A) Im psi + (W B) Re psi.  The tests check it against
     oracles.frame_filtered_sum, which shares none of this code.
     """
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"grid must be 1-d, got shape {xs.shape}")
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("grid must lie within [0,1]")
     op = recon.operator
@@ -299,9 +328,10 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     # (2m+1, 2) columns Re psi and Im psi
     psi_parts = np.stack([psi.real, psi.imag], axis=1)
     gammas, ps, _ = adaptive_param_arrays(xs, op.m, recon.jumps)
+    # blocks of equal p: each block's sigma series stops at its own largest p
+    order = np.argsort(ps, kind="stable")
     plus_t = op.folded[:, :n + 1].T
     minus_t = op.folded[:, n + 1:].T
-    wavenumbers = 2.0 * np.pi * np.arange(n + 1)
     values = np.empty(xs.shape)
     imag_residual = np.empty(xs.shape)
     block = _block_points(lam.size)
@@ -310,18 +340,23 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     rows_max = min(block, xs.size)
     weights_buf = np.empty((rows_max, lam.size))
     modes_buf = np.empty((2, rows_max, lam.size))
-    cos_buf = np.empty((rows_max, n + 1))
-    sin_buf = np.empty((rows_max, n + 1))
+    # the complex (n+1, block) table of e^{2 pi i l x} lives in modes_buf
+    # (n <= m) until the products below overwrite it
+    table_buf = modes_buf.reshape(-1).view(complex)
+    cos_buf = np.empty((n + 1) * rows_max)
+    sin_buf = np.empty((n + 1) * rows_max)
     for start in range(0, xs.size, block):
-        rows = slice(start, start + block)
-        k = min(block, xs.size - start)
+        rows = order[start:start + block]
+        k = rows.size
         weights = sigma_weight_matrix(ps[rows], gammas[rows], lam, op.m, out=weights_buf[:k])
-        angle = np.multiply(xs[rows, None], wavenumbers, out=cos_buf[:k])
-        sin = np.sin(angle, out=sin_buf[:k])
-        cos = np.cos(angle, out=angle)
+        table = _unit_powers(xs[rows], n, table_buf[:(n + 1) * k].reshape(n + 1, k))
+        cos = cos_buf[:(n + 1) * k].reshape(n + 1, k)
+        sin = sin_buf[:(n + 1) * k].reshape(n + 1, k)
+        np.copyto(cos, table.real)
+        np.copyto(sin, table.imag)
         modes = modes_buf[:, :k]
-        np.matmul(cos, plus_t, out=modes[0])
-        np.matmul(sin, minus_t, out=modes[1])
+        np.matmul(cos.T, plus_t, out=modes[0])
+        np.matmul(sin.T, minus_t, out=modes[1])
         modes *= weights
         # [[A Re psi, A Im psi], [B Re psi, B Im psi]] per point
         (a_re, a_im), (b_re, b_im) = np.matmul(modes, psi_parts).transpose(0, 2, 1)

@@ -59,8 +59,8 @@ def hybrid_reconstruct(
 ) -> HybridReconstruction:
     """Assemble the hybrid reconstruction on the given grid with buffer width delta.
 
-    delta must be positive, the jump set of ``filter_recon`` must include 0
-    and 1, and every subinterval must be wider than 2 delta.
+    grid must be 1-d, delta positive, the jump set of ``filter_recon`` must
+    include 0 and 1, and every subinterval must be wider than 2 delta.
     """
     if not delta > 0:  # NaN fails too
         raise ValueError(f"delta must be positive, got {delta!r}")
@@ -76,6 +76,8 @@ def hybrid_reconstruct(
             f"2*delta = {2 * delta}"
         )
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be 1-d, got shape {grid.shape}")
 
     degree, big_n, amplification = extrapolation_params_bounded(
         filter_recon.operator.m, delta, widths

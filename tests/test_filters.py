@@ -203,10 +203,11 @@ class TestFrequencyWeights:
 
 def test_sigma_weight_matrix_matches_per_point_path():
     # rows with smaller p share the Horner loop of the largest one; each
-    # must match the same point's weights computed alone
+    # must match the same point's weights computed alone; p = 6 sits one
+    # below the loop's top term, which its row must leave out
     freqs = jittered_frequencies(16, seed=2)
-    ps = np.array([0, 1, 3, 7])
-    gammas = np.array([0.0, 1.0, 2.5, 4.0])
+    ps = np.array([0, 1, 3, 6, 7])
+    gammas = np.array([0.0, 1.0, 2.5, 4.0, 4.0])
     matrix = sigma_weight_matrix(ps, gammas, freqs.frequencies, 16)
     for i in range(len(ps)):
         row = row_weights(freqs, ps[i], gammas[i])

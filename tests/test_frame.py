@@ -12,7 +12,9 @@ from scipy.integrate import quad
 
 import fourierhybrid as fh
 from fourierhybrid.filters import ALPHA, KAPPA
-from fourierhybrid.frame import _REL_TOL, _block_points, _omega_factors, _omega_matrix
+from fourierhybrid.frame import (
+    _REL_TOL, _block_points, _omega_factors, _omega_matrix, _unit_powers,
+)
 from fourierhybrid.oracles import frame_filtered_sum
 from helpers import GRID_1024, frequency_set, pipeline
 
@@ -413,6 +415,36 @@ class TestFilterReconstruct:
             np.concatenate([head_imag, tail_imag]), imag, rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 307, 614])
+    def test_trig_table_matches_mpmath(self, n):
+        # n on both sides of a power of two; the bound is the level of
+        # np.cos and np.sin called on 2 pi l x directly
+        rng = np.random.default_rng(n)
+        xs = np.concatenate([[0.0, 0.25, 0.5, 1.0 - 2.0**-53], rng.uniform(0.0, 1.0, 6)])
+        table = _unit_powers(xs, n, np.empty((n + 1, xs.size), dtype=complex))
+        with mpmath.workdps(60):
+            turns = [[2 * l * mpmath.mpf(float(x)) for x in xs] for l in range(n + 1)]
+            cos = np.array([[float(mpmath.cospi(t)) for t in row] for row in turns])
+            sin = np.array([[float(mpmath.sinpi(t)) for t in row] for row in turns])
+        np.testing.assert_allclose(table.real, cos, rtol=0, atol=(n + 1) * 1e-15)
+        np.testing.assert_allclose(table.imag, sin, rtol=0, atol=(n + 1) * 1e-15)
+
+    def test_point_order_does_not_change_values(self):
+        # the block loop takes the points in order of p and scatters the
+        # results back to the caller's order; the points beside f2's jumps
+        # and the grid span several p values and blocks
+        pipe = pipeline("f2", "jittered", 512)
+        beside = np.add.outer(pipe.jumps, [-0.05, -0.01, -1e-3, 1e-3, 0.01, 0.05]).ravel()
+        xs = np.concatenate([GRID_1024, beside[(beside >= 0.0) & (beside <= 1.0)]])
+        _, ps, _ = fh.adaptive_param_arrays(xs, pipe.m, pipe.jumps)
+        assert np.unique(ps).size >= 5
+        assert xs.size > 4 * _block_points(2 * pipe.m + 1)
+        values, imag = fh.filter_reconstruct(pipe.recon, xs)
+        perm = np.random.default_rng(5).permutation(xs.size)
+        perm_values, perm_imag = fh.filter_reconstruct(pipe.recon, xs[perm])
+        np.testing.assert_allclose(perm_values, values[perm], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(perm_imag, imag[perm], rtol=0, atol=1e-13)
+
     def test_memory_independent_of_point_count(self):
         # one complex (points x 2m+1) matrix alone would take 128 MiB here
         pipe = pipeline("f2", "uniform", 128)
@@ -473,3 +505,10 @@ class TestFilterReconstruct:
         pipe = pipeline("f1", "jittered", 32)
         with pytest.raises(ValueError):
             fh.filter_reconstruct(pipe.recon, np.array([-0.1, 0.5]))
+        # a grid that is not 1-d is named by its shape, not met deep inside
+        # an index or a broadcast
+        for grid, shape in ((0.5, "()"), (np.full((2, 2), 0.5), "(2, 2)")):
+            with pytest.raises(ValueError, match=re.escape(f"grid must be 1-d, got shape {shape}")):
+                fh.filter_reconstruct(pipe.recon, grid)
+            with pytest.raises(ValueError, match=re.escape(f"grid must be 1-d, got shape {shape}")):
+                fh.hybrid_reconstruct(pipe.recon, grid, 1 / 40)

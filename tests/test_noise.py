@@ -15,7 +15,7 @@ import pytest
 import fourierhybrid as fh
 from helpers import DELTA, GRID_1024, hybrid_run, noisy
 
-GAINS = {128: (6.35, 26.6), 512: (36.7, 4.68e3)}
+GAINS = {128: (6.35, 26.6), 512: (36.7, 241.0)}
 
 
 def interior_and_buffer_errors(hyb, run):
