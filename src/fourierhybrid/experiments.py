@@ -101,6 +101,9 @@ class ExperimentConfig:
             raise ValueError("m_list must be non-empty")
         if any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
             raise ValueError("m_list must be strictly ascending (no repeated m)")
+        too_small = [m for m in self.m_list if m < 2]
+        if too_small:
+            raise ValueError(f"every m must be at least 2, got m = {too_small[0]}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.grid_size < 64:

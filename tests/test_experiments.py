@@ -60,6 +60,10 @@ class TestConfigValidation:
             small_config(m_list=(256, 128)).validate()
         with pytest.raises(ValueError, match="ascending"):
             small_config(m_list=(128, 128)).validate()
+        # rejected before any samples are synthesized, naming the m
+        for m_list, m in (((1,), 1), ((0,), 0), ((1, 64), 1)):
+            with pytest.raises(ValueError, match=f"every m must be at least 2, got m = {m}$"):
+                small_config(m_list=m_list).validate()
 
     def test_grid_floor(self):
         with pytest.raises(ValueError, match="grid_size"):

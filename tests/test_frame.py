@@ -13,7 +13,7 @@ from scipy.integrate import quad
 import fourierhybrid as fh
 from fourierhybrid.filters import ALPHA, KAPPA
 from fourierhybrid.frame import (
-    _REL_TOL, _block_points, _omega_factors, _omega_matrix, _unit_powers,
+    _REL_TOL, _band_nodes, _block_points, _omega_factors, _omega_matrix, _unit_powers,
 )
 from fourierhybrid.oracles import frame_filtered_sum
 from helpers import GRID_1024, frequency_set, pipeline
@@ -264,9 +264,9 @@ class TestAssembleOmega:
 
     def test_peak_memory_of_operator_and_synthesis(self):
         # the traced peak, 13.7 MiB, is assemble_omega inverting K^T K while
-        # it holds K; filter_reconstruct peaks at 9.5 MiB (the stored fold F
-        # of (K^+)^T and one block's weights, cosines times F and sines
-        # times F).  Storing (K^+)^T and folding it, scaled by the samples,
+        # it holds K; filter_reconstruct peaks at 7.0 MiB (the stored fold F
+        # of (K^+)^T, one band's node rows and the block buffers; 9.5 MiB
+        # with a weight row per point).  Storing (K^+)^T and folding it, scaled by the samples,
         # into a (2m+1, 4(n+1)) matrix on every call peaked at 18.3 MiB,
         # building K with np.sinc's temporaries at 19.3, the SVD that the
         # Gram route skips at 22.2, and the stored complex Omega, SVD factors
@@ -342,6 +342,12 @@ class TestChooseN:
             fh.choose_n("jittered", 1)
 
 
+def loop_block(pipe) -> int:
+    """Points per block of filter_reconstruct's loop for pipe's operator."""
+    nodes = _band_nodes(pipe.freqs.frequencies, pipe.m)
+    return _block_points(2 * (pipe.n + 1) + 3 * nodes)
+
+
 class TestFilterReconstruct:
     def test_constant_function_uniform_no_filter(self):
         f = fh.piecewise_from_expressions([(0.0, 1.0, "1.0")])
@@ -399,7 +405,7 @@ class TestFilterReconstruct:
 
     def test_streamed_blocks_match_per_point_path(self):
         pipe = pipeline("f1", "jittered", 32)
-        block = _block_points(2 * pipe.m + 1)
+        block = loop_block(pipe)
         xs = np.linspace(0.0, 1.0, 2 * block + block // 3)
         assert xs.size % block != 0
         values, imag = fh.filter_reconstruct(pipe.recon, xs)
@@ -430,15 +436,15 @@ class TestFilterReconstruct:
         np.testing.assert_allclose(table.imag, sin, rtol=0, atol=(n + 1) * 1e-15)
 
     def test_point_order_does_not_change_values(self):
-        # the block loop takes the points in order of p and scatters the
-        # results back to the caller's order; the points beside f2's jumps
-        # and the grid span several p values and blocks
+        # the loop takes the points band by band and writes the results in
+        # the caller's order; the points beside f2's jumps and the grid span
+        # several p values and blocks
         pipe = pipeline("f2", "jittered", 512)
         beside = np.add.outer(pipe.jumps, [-0.05, -0.01, -1e-3, 1e-3, 0.01, 0.05]).ravel()
         xs = np.concatenate([GRID_1024, beside[(beside >= 0.0) & (beside <= 1.0)]])
         _, ps, _ = fh.adaptive_param_arrays(xs, pipe.m, pipe.jumps)
         assert np.unique(ps).size >= 5
-        assert xs.size > 4 * _block_points(2 * pipe.m + 1)
+        assert xs.size > 4 * loop_block(pipe)
         values, imag = fh.filter_reconstruct(pipe.recon, xs)
         perm = np.random.default_rng(5).permutation(xs.size)
         perm_values, perm_imag = fh.filter_reconstruct(pipe.recon, xs[perm])
@@ -446,7 +452,9 @@ class TestFilterReconstruct:
         np.testing.assert_allclose(perm_imag, imag[perm], rtol=0, atol=1e-13)
 
     def test_memory_independent_of_point_count(self):
-        # one complex (points x 2m+1) matrix alone would take 128 MiB here
+        # one complex (points x 2m+1) matrix alone would take 128 MiB here;
+        # the traced peak is 4.5 MiB (6.6 MiB with a weight row per point):
+        # the per-point parameters and results, and 1 MiB of block buffers
         pipe = pipeline("f2", "uniform", 128)
         xs = (np.arange(32768) + 0.5) / 32768
         tracemalloc.start()
@@ -455,7 +463,97 @@ class TestFilterReconstruct:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 8 * 2**20
+
+    def test_points_beside_band_edges_match_oracle(self):
+        # KAPPA d m within an ulp of an integer k (the construction of
+        # test_point_params_match_adaptive_params, with the jumps 0 and 1
+        # alone so that d reaches 0.5): such a point sits at one end of band
+        # k - 1 or k, where the interpolated weights must still be the
+        # filter's
+        m = 105
+        pipe = pipeline("f2", "jittered", m)
+        recon = fh.FilterReconstruction(
+            operator=pipe.operator, samples=pipe.samples, jumps=np.array([0.0, 1.0]),
+        )
+        xs = np.add.outer([0.0, 1.0], 15.0 * np.arange(-7, 8) / m).ravel()
+        xs = xs[(xs >= 0.0) & (xs <= 1.0)]
+        values, imag = fh.filter_reconstruct(recon, xs)
+        _, ps, ds = fh.adaptive_param_arrays(xs, m, recon.jumps)
+        assert ps.max() == 3
+        assert np.max(np.abs(KAPPA * ds * m - np.round(KAPPA * ds * m))) < 1e-14
+        for k, x in enumerate(xs):
+            v, r = oracle_value(recon, float(x))
+            assert abs(values[k] - v) <= 1e-12
+            assert abs(imag[k] - r) <= 1e-12
+
+    @pytest.mark.parametrize("jumps, xs", [
+        ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]),  # on a jump: d = 0, identity weights
+        ([0.0, 1.0], [0.5, 0.25, 0.75]),  # d = 0.5 and 0.25, the largest p
+        ([], [0.0, 0.3, 0.5, 1.0]),  # no jumps: the no-filter mode
+    ], ids=["on-jump", "half-distance", "no-jumps"])
+    def test_extreme_distances_match_oracle(self, jumps, xs):
+        pipe = pipeline("f1", "jittered", 128)
+        recon = fh.FilterReconstruction(
+            operator=pipe.operator, samples=pipe.samples, jumps=np.array(jumps),
+        )
+        xs = np.array(xs)
+        values, imag = fh.filter_reconstruct(recon, xs)
+        for k, x in enumerate(xs):
+            v, r = oracle_value(recon, float(x))
+            assert abs(values[k] - v) <= 1e-12
+            assert abs(imag[k] - r) <= 1e-12
+
+    def test_frequencies_beyond_m_take_more_nodes(self):
+        # |lambda| up to 3m: z spans 9 times as much per band, and the node
+        # rule grows R from 24 to 74 by itself
+        m, n = 32, 16
+        lams = np.arange(-m, m + 1, dtype=float)
+        lams[[0, 1, -2, -1]] = [-3.0 * m, -2.2 * m, 2.5 * m, 3.0 * m]
+        freqs = fh.FrequencySet(m=m, frequencies=lams)
+        assert _band_nodes(lams, m) == 74
+        f = fh.builtin_f2()
+        recon = fh.FilterReconstruction(
+            operator=fh.assemble_omega(freqs, n), samples=fh.fourier_samples(f, freqs),
+            jumps=f.breakpoints,
+        )
+        xs = np.linspace(0.0, 1.0, 41)
+        values, imag = fh.filter_reconstruct(recon, xs)
+        for k, x in enumerate(xs):
+            v, r = oracle_value(recon, float(x))
+            assert abs(values[k] - v) <= 1e-12
+            assert abs(imag[k] - r) <= 1e-12
+
+    def test_one_point_calls_match_the_batched_call(self):
+        # the band intervals are fixed, so a point's value does not depend
+        # on the other points of the call
+        pipe = pipeline("f2", "log", 256)
+        xs = np.concatenate([GRID_1024[::37], pipe.jumps, [0.3 + 1e-9, 0.7 - 1e-9]])
+        values, imag = fh.filter_reconstruct(pipe.recon, xs)
+        for k, x in enumerate(xs):
+            one, one_imag = fh.filter_reconstruct(pipe.recon, np.array([x]))
+            assert abs(one[0] - values[k]) <= 1e-13
+            assert abs(one_imag[0] - imag[k]) <= 1e-13
+
+    @pytest.mark.parametrize("scheme", ["jittered", "log", "uniform"])
+    def test_node_rule_gives_24_nodes_at_max_frequency_m(self, scheme):
+        for m in (64, 128, 256, 512, 1024):
+            assert _band_nodes(frequency_set(scheme, m).frequencies, m) == 24
+
+    def test_non_finite_or_outside_jumps_rejected(self):
+        # a NaN jump once gave p = floor(NaN), cast to INT_MIN, and finite
+        # garbage with no error
+        pipe = pipeline("f1", "jittered", 32)
+        for jumps, bad in (([0.0, math.nan, 1.0], "nan"), ([0.0, math.inf], "inf"),
+                           ([-0.5, 1.0], "-0.5"), ([0.0, 1.5], "1.5")):
+            with pytest.raises(ValueError, match=re.escape(f"jumps must lie within [0, 1], got {bad}")):
+                fh.FilterReconstruction(
+                    operator=pipe.operator, samples=pipe.samples, jumps=np.array(jumps),
+                )
+        with pytest.raises(ValueError, match=re.escape("jumps must be 1-d, got shape (1, 3)")):
+            fh.FilterReconstruction(
+                operator=pipe.operator, samples=pipe.samples, jumps=np.array([[0.0, 0.5, 1.0]]),
+            )
 
     def test_f1_midpoint_error_pinned(self):
         pipe = pipeline("f1", "jittered", 128)
