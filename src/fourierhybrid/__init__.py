@@ -9,7 +9,6 @@ from .chebfit import (
     chebyshev_fit,
     evaluate_fit,
     extrapolation_params_practical,
-    extrapolation_params_theoretical,
 )
 from .experiments import choose_n
 from .filters import (

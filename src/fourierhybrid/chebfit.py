@@ -28,7 +28,6 @@ __all__ = [
     "extrapolation_amplification",
     "extrapolation_params_bounded",
     "extrapolation_params_practical",
-    "extrapolation_params_theoretical",
 ]
 
 # the largest amplification A(M) that extrapolation_params_bounded accepts:
@@ -70,9 +69,15 @@ def chebyshev_fit(xs, ys, degree: int) -> ChebyshevFit:
         raise ValueError(
             f"need at least degree+1 = {degree + 1} samples, got {len(xs)}"
         )
+    for name, values in (("xs", xs), ("ys", ys)):
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {float(bad[0])}")
     if len(np.unique(xs)) != len(xs):
         raise ValueError("sample points must be distinct")
     a, b = float(xs.min()), float(xs.max())
+    if a == b:
+        raise ValueError(f"the sample points span zero width (all at x = {a}); need two")
     t = 2.0 * (xs - a) / (b - a) - 1.0
     vander = np.polynomial.chebyshev.chebvander(t, degree)
     coeffs, _, rank, _ = np.linalg.lstsq(vander, ys, rcond=None)
@@ -146,14 +151,3 @@ def extrapolation_params_bounded(m: int, delta: float, widths) -> tuple[int, int
             break
         degree, amplification = trial, worst
     return degree, _node_count(degree), amplification
-
-
-def extrapolation_params_theoretical(Q: float, eps: float, rho: float) -> tuple[int, int]:
-    """Theoretical rule M = ceil(log(Q/eps)/log(rho)), N_min = 4 M^2."""
-    if not rho > 1.0:  # NaN fails too
-        raise ValueError(f"rho must exceed 1, got {rho!r}")
-    if not 0.0 < eps < Q < math.inf:
-        raise ValueError(f"need 0 < eps < Q < inf, got eps={eps!r}, Q={Q!r}")
-    big_m = math.ceil(math.log(Q / eps) / math.log(rho))
-    return big_m, 4 * big_m**2
-

@@ -160,7 +160,6 @@ class RunRecord:
     n: int
     degree: int
     fit_samples: int
-    rank: int
     cond: float
     imag_residual: float
     fit_residual: float
@@ -220,7 +219,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             n=n,
             degree=hyb.degree,
             fit_samples=hyb.fit_sample_count,
-            rank=operator.effective_rank,
             cond=float(operator.s[0] / operator.s[-1]),
             imag_residual=float(np.max(hyb.imag_residual)),
             fit_residual=float(max(fit.residual_norm for fit in hyb.fits)),
@@ -446,14 +444,14 @@ def _write_summary_csv(path, cfg, records):
         for line in cfg.echo_lines():
             fh.write(line + "\n")
         fh.write(
-            "m,n,M,N,rank,cond,imag_residual,fit_residual,amplification,sup_err_filter_interior,"
+            "m,n,M,N,cond,imag_residual,fit_residual,amplification,sup_err_filter_interior,"
             "sup_err_filter_global,sup_err_hybrid_global,sup_err_hybrid_buffers,freq_hash\n"
         )
         for r in records:
             fh.write(
                 ",".join([
                     str(r.m), str(r.n), str(r.degree), str(r.fit_samples - 1),
-                    str(r.rank), _fmt(r.cond), _fmt(r.imag_residual), _fmt(r.fit_residual),
+                    _fmt(r.cond), _fmt(r.imag_residual), _fmt(r.fit_residual),
                     _fmt(r.amplification),
                     _fmt(r.sup_err_filter_interior), _fmt(r.sup_err_filter_global),
                     _fmt(r.sup_err_hybrid_global), _fmt(r.sup_err_hybrid_buffers),

@@ -11,16 +11,8 @@ t = lambda_j - l.  The modes l are integers, so e^{-i pi l} = (-1)^l and
 a unitary diagonal, a real kernel and a sign diagonal.  Omega and K share
 their singular values, so the frame is factored through the real K alone,
 and assemble_omega keeps one matrix per sample set: the real
-(2m+1, 2(n+1)) matrix F, the columns of the transpose (K^+)^T of K's
-pseudo-inverse folded over +-l and signed,
-
-    F[:, l] = (-1)^l (P[:, l] + P[:, -l]),  F[:, n+1+l] = (-1)^l (P[:, l] - P[:, -l]),
-
-for l = 0..n with P = (K^+)^T indexed by mode (the l = 0 column holds
-P[:, 0] once).  The mode sum of a coefficient vector c = sign * (K^+ v)
-is then sum_l (c_l + c_{-l}) cos 2 pi l x + i (c_l - c_{-l}) sin 2 pi l x
-with both brackets read from F.  m, Omega and (K^+)^T itself are rebuilt
-on request (FrameOperator.m, .omega, .pinv_t).
+(2m+1, 2n+1) transpose (K^+)^T of K's pseudo-inverse.  m and Omega are
+rebuilt on request (FrameOperator.m, .omega).
 
 A stable frame section, the generalized-sampling setting of Adcock,
 Gataric & Hansen, has full column rank (2n+1 <= 2m+1), so any other frame
@@ -28,10 +20,9 @@ is refused: n > m raises ValueError, and a K with s_min < _REL_TOL * s_max
 raises RuntimeError naming both singular values.  When s_min / s_max >=
 _GRAM_MIN_RATIO (cond(K) <= 100), the SVD is not needed: the singular
 values come from the eigenvalues of the (2n+1)^2 Gram matrix G = K^T K, and
-F = K fold(G^{-1}) from the inverse of G, since (K^+)^T = K G^{-1} and the
-fold acts on columns.  An ill-conditioned frame takes the SVD of K and
-F = (U / s) fold(V^T).  The module takes a frequency set and a mode count n and
-nothing else; the rules that choose them live with the caller.
+(K^+)^T = K G^{-1}.  An ill-conditioned frame takes the SVD of K and
+(K^+)^T = (U / s) V^T.  The module takes a frequency set and a mode count n
+and nothing else; the rules that choose them live with the caller.
 
 Reconstruction applies the pseudo-inverse of Omega to the filtered sample
 vector and sums the resulting 2n+1 Fourier modes.  filter_reconstruct, the
@@ -39,7 +30,8 @@ one evaluation path, works band by band: the points of equal filter order
 p = floor(KAPPA d m) form a band, in which d spans 1/(KAPPA m) and every
 filter weight is an entire function of d.  A band forms its weights at R
 first-kind Chebyshev nodes in d, maps them to Chebyshev coefficients by the
-DCT-II and contracts them with the samples and F once; a point then needs
+DCT-II, contracts them with the samples and (K^+)^T once and folds the
+product over +-l into cosine and sine coefficients; a point then needs
 its cosines and sines, one (n+1)-deep product and R Chebyshev polynomials.
 R follows from the largest |lambda| (24 at |lambda| <= m), so the paper's
 filter is reproduced to roundoff, not changed, at a cost of
@@ -131,44 +123,42 @@ def _omega_matrix(lams: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return phase[:, None] * (kernel * sign)
 
 
-def _fold(a: np.ndarray, n: int) -> np.ndarray:
+def _fold(a: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """The columns of a, indexed by modes -n..n, folded over +-l and signed.
 
-    Returns the (rows, 2(n+1)) matrix whose column l is
+    Fills the (rows, 2(n+1)) matrix out, whose column l is
     (-1)^l (a_l + a_{-l}) and column n+1+l is (-1)^l (a_l - a_{-l}), for
     l = 0..n; column 0 holds a_0 once, and column n+1 is 0.
     """
     pos = a[:, n:]  # modes 0..n
     neg = a[:, n::-1]  # modes 0..-n
-    folded = np.empty((a.shape[0], 2 * (n + 1)))
-    plus, minus = folded[:, :n + 1], folded[:, n + 1:]
+    plus, minus = out[:, :n + 1], out[:, n + 1:]
     np.add(pos, neg, out=plus)
     plus[:, 0] = pos[:, 0]
     np.subtract(pos, neg, out=minus)
-    folded *= np.tile(_parity(np.arange(n + 1, dtype=float)), 2)
-    return folded
+    out *= np.tile(_parity(np.arange(n + 1, dtype=float)), 2)
+    return out
 
 
 @dataclass(frozen=True)
 class FrameOperator:
     """The frame section's pseudo-inverse; immutable and shareable across threads.
 
-    Omega = phase[:, None] * K * (-1)^l with the real kernel K; folded is the
-    real (2m+1, 2(n+1)) matrix F of the module docstring, the signed fold of
-    (K^+)^T, and s holds the singular values of K, which are those of Omega.
-    m, Omega and (K^+)^T are not stored: ``m`` reads freqs.m, ``omega``
-    builds Omega from the frequencies and ``pinv_t`` unfolds F, on each
-    access.  Every array, stored or rebuilt, is read-only.
+    Omega = phase[:, None] * K * (-1)^l with the real kernel K; pinv_t is
+    the real (2m+1, 2n+1) matrix (K^+)^T, and s holds the singular values of
+    K, which are those of Omega.  m and Omega are not stored: ``m`` reads
+    freqs.m and ``omega`` builds Omega from the frequencies on each access.
+    The stored arrays are read-only.
     """
 
     freqs: FrequencySet
     n: int
     phase: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
-    folded: np.ndarray = field(repr=False)
+    pinv_t: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for array in (self.phase, self.s, self.folded):
+        for array in (self.phase, self.s, self.pinv_t):
             array.setflags(write=False)
 
     @property
@@ -185,21 +175,6 @@ class FrameOperator:
         """The complex (2m+1, 2n+1) matrix Omega, built anew on each access."""
         return _omega_matrix(self.freqs.frequencies, np.arange(-self.n, self.n + 1, dtype=float))
 
-    @property
-    def pinv_t(self) -> np.ndarray:
-        """The real (2m+1, 2n+1) matrix (K^+)^T, unfolded from F on each access."""
-        n = self.n
-        sign = _parity(np.arange(n + 1, dtype=float))
-        plus = self.folded[:, :n + 1] * sign
-        minus = self.folded[:, n + 1:] * sign
-        pinv_t = np.empty((plus.shape[0], 2 * n + 1))
-        np.add(plus, minus, out=pinv_t[:, n:])
-        np.subtract(plus, minus, out=pinv_t[:, n::-1])
-        pinv_t *= 0.5
-        pinv_t[:, n] = plus[:, 0]
-        pinv_t.setflags(write=False)
-        return pinv_t
-
 
 def _linalg_step(step: str, solver, *args, **kwargs):
     """solver(*args, **kwargs), with a LinAlgError turned into a RuntimeError naming step."""
@@ -210,19 +185,19 @@ def _linalg_step(step: str, solver, *args, **kwargs):
 
 
 def assemble_omega(freqs: FrequencySet, n: int) -> FrameOperator:
-    """Factor the real kernel K of Omega and keep its folded pseudo-inverse.
+    """Factor the real kernel K of Omega and keep its pseudo-inverse (K^+)^T.
 
     K = sinc(lambda_j - l) has the singular values of Omega (see the module
     docstring).  n must lie in [1, m], so that K is tall or square.  Two
-    routes give the singular values s and F, the fold of (K^+)^T:
+    routes give the singular values s and (K^+)^T:
 
     * Gram route, when s_min / s_max reaches _GRAM_MIN_RATIO: s from the
-      eigenvalues of G = K^T K, and F = K fold(G^{-1}) with G^{-1} from
+      eigenvalues of G = K^T K, and (K^+)^T = K G^{-1} with G^{-1} from
       np.linalg.inv of the symmetric positive definite G.
-    * SVD route, for every other frame: (K^+)^T = U diag(1/s) V^T, so
-      F = (U / s) fold(V^T).  A K with s_min < _REL_TOL * s_max is
-      rank-deficient, its pseudo-inverse would amplify roundoff past 1e12,
-      and it raises RuntimeError instead.
+    * SVD route, for every other frame: (K^+)^T = (U / s) V^T.  A K with
+      s_min < _REL_TOL * s_max is rank-deficient, its pseudo-inverse
+      would amplify roundoff past 1e12, and it raises RuntimeError
+      instead.
 
     A LinAlgError from either route is raised as a RuntimeError that names
     the failed step.
@@ -238,17 +213,17 @@ def assemble_omega(freqs: FrequencySet, n: int) -> FrameOperator:
     eigenvalues = _linalg_step("eigenvalues of K^T K", np.linalg.eigvalsh, gram)
     s = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
     if s[-1] >= _GRAM_MIN_RATIO * s[0]:
-        folded_inverse = _fold(_linalg_step("inverse of K^T K", np.linalg.inv, gram), n)
-        # freed first, so that K, G, fold(G^{-1}) and F are never held at once
+        inverse = _linalg_step("inverse of K^T K", np.linalg.inv, gram)
+        # freed first, so that K, G, G^{-1} and (K^+)^T are never held at once
         del gram
-        return FrameOperator(freqs=freqs, n=n, phase=phase, s=s, folded=kernel @ folded_inverse)
+        return FrameOperator(freqs=freqs, n=n, phase=phase, s=s, pinv_t=kernel @ inverse)
     u, s, vh = _linalg_step("SVD of K", np.linalg.svd, kernel, full_matrices=False)
     if s[-1] < _REL_TOL * s[0]:
         raise RuntimeError(
             f"frame: rank-deficient Omega: s_min = {s[-1]:.3e} < "
             f"{_REL_TOL:g} * s_max, s_max = {s[0]:.3e}"
         )
-    return FrameOperator(freqs=freqs, n=n, phase=phase, s=s, folded=(u / s) @ _fold(vh, n))
+    return FrameOperator(freqs=freqs, n=n, phase=phase, s=s, pinv_t=(u / s) @ vh)
 
 
 @dataclass(frozen=True)
@@ -351,20 +326,21 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     Omega = diag(phase) K diag(sign) and both diagonals unitary,
     conj(Omega)^+ = diag(sign) K^+ diag(phase), so
     c = sign * (K^+ (w * psi)) with psi = phase * values, and the mode sum
-    at x is sum_l cos(2 pi l x) a_l + i sin(2 pi l x) b_l with
-    a_l = sum_j F_+[j, l] w_j psi_j and b_l = sum_j F_-[j, l] w_j psi_j,
-    F_+ and F_- the two halves of the stored fold F.
+    at x is sum_l cos(2 pi l x) a_l + i sin(2 pi l x) b_l, l = 0..n, with
+    a_l = c_l + c_{-l} and b_l = c_l - c_{-l} (a_0 = c_0): the signed fold
+    of K^+ (w * psi) over +-l.
 
     The weights depend on x only through the filter order p and the jump
     distance d, and in a band of equal p each weight is an entire function
     of d.  So the points are taken band by band.  A band's weights are
     formed at the R first-kind Chebyshev nodes of its d interval
     [p, p+1) / (KAPPA m) by sigma_weight_matrix, mapped to Chebyshev
-    coefficients by the DCT-II, and contracted with psi and F once, into
-    the Chebyshev coefficients of a_l and b_l (one (2R, 2m+1) x
-    (2m+1, 2(n+1)) product).  A point then costs the cosines and sines of
-    _unit_powers, built by angle doubling, one (n+1)-deep product against
-    those coefficients and R Chebyshev polynomials T_k(t(d)).  R comes from
+    coefficients by the DCT-II, and contracted with psi and (K^+)^T once
+    (one (2R, 2m+1) x (2m+1, 2n+1) product), whose fold holds the
+    Chebyshev coefficients of a_l and b_l.  A point then costs the cosines
+    and sines of _unit_powers, built by angle doubling, one (n+1)-deep
+    product against those coefficients and R Chebyshev polynomials
+    T_k(t(d)).  R comes from
     _band_nodes, so the interpolated weights reproduce the paper's filter
     to roundoff; the filter-then-solve ordering is unchanged.  The cost is
     O(bands R m n + points R n), against O(points m n) for a weight row per
@@ -394,6 +370,7 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     # them to the OS
     # rows [C Re psi; C Im psi], C the Chebyshev coefficients of the weights
     weight_rows = np.empty((2 * nodes, lam.size))
+    product = np.empty((2 * nodes, 2 * n + 1))
     contracted = np.empty((2 * nodes, 2 * (n + 1)))
     # rows: the coefficients of the real and the imaginary part of the mode
     # sum, against the columns cos(2 pi l x), sin(2 pi l x) interleaved
@@ -411,7 +388,8 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
         np.matmul(dct, weights, out=weight_rows[:nodes])
         np.multiply(weight_rows[:nodes], psi.imag, out=weight_rows[nodes:])
         weight_rows[:nodes] *= psi.real
-        np.matmul(weight_rows, op.folded, out=contracted)
+        np.matmul(weight_rows, op.pinv_t, out=product)
+        _fold(product, n, out=contracted)
         # real part: a Re - b Im; imaginary part: a Im + b Re
         np.copyto(coefficients[:nodes, :, 0], contracted[:nodes, :n + 1])
         np.negative(contracted[nodes:, n + 1:], out=coefficients[:nodes, :, 1])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from fourierhybrid import (
     chebyshev_fit,
     evaluate_fit,
     extrapolation_params_practical,
-    extrapolation_params_theoretical,
 )
 
 
@@ -82,6 +82,24 @@ class TestFit:
         with pytest.raises(ValueError):
             chebyshev_fit(xs, xs[:4], 2)
 
+    def test_non_finite_samples_rejected(self):
+        # they used to give NaN coefficients and a NaN residual_norm
+        with pytest.raises(ValueError, match="ys must be finite, got inf"):
+            chebyshev_fit([0.0, 0.5, 1.0], [1.0, math.inf, 2.0], 1)
+        with pytest.raises(ValueError, match="ys must be finite, got nan"):
+            chebyshev_fit([0.0, 0.5, 1.0], [1.0, 2.0, math.nan], 1)
+        with pytest.raises(ValueError, match="xs must be finite, got -inf"):
+            chebyshev_fit([-math.inf, 0.5, 1.0], [1.0, 2.0, 3.0], 1)
+        with pytest.raises(ValueError, match="xs must be finite, got nan"):
+            chebyshev_fit([0.0, math.nan, math.nan], [1.0, 2.0, 3.0], 1)
+
+    def test_single_sample_rejected(self):
+        # one node maps to t by 0/0: a RuntimeWarning and NaN coefficients
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"zero width \(all at x = 0.3\)"):
+                chebyshev_fit([0.3], [1.0], 0)
+
 
 class TestEvaluate:
     def test_constant_everywhere(self):
@@ -128,19 +146,3 @@ class TestParameterRules:
         # each sign is checked, not only the product m*delta
         with pytest.raises(ValueError, match="m=-64"):
             extrapolation_params_practical(-64, -0.1)
-
-    def test_theoretical_rule(self):
-        assert extrapolation_params_theoretical(1.0, 1e-6, math.e) == (14, 784)
-        assert extrapolation_params_theoretical(10.0, 1e-8, 2.0) == (30, 3600)
-
-    def test_theoretical_rule_validation(self):
-        with pytest.raises(ValueError):
-            extrapolation_params_theoretical(1.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            extrapolation_params_theoretical(1.0, 1e-3, 1.0)
-        with pytest.raises(ValueError, match="rho must exceed 1"):
-            extrapolation_params_theoretical(1.0, 1e-3, math.nan)
-        for q, eps in ((1.0, math.nan), (math.nan, 1e-3), (math.inf, 1e-3)):
-            with pytest.raises(ValueError, match="need 0 < eps < Q"):
-                extrapolation_params_theoretical(q, eps, 2.0)
-

@@ -160,12 +160,11 @@ class TestRunExperiment:
             if line and not line.startswith("#")
         ]
         header = lines[0].split(",")
-        assert header[:9] == [
-            "m", "n", "M", "N", "rank", "cond", "imag_residual", "fit_residual", "amplification",
+        assert header[:8] == [
+            "m", "n", "M", "N", "cond", "imag_residual", "fit_residual", "amplification",
         ]
         for row, rec, op in zip(lines[1:], report.records, ops):
             columns = dict(zip(header, row.split(",")))
-            assert int(columns["rank"]) == rec.rank == op.effective_rank == 2 * rec.n + 1
             assert float(columns["cond"]) == rec.cond == op.s[0] / op.s[-1]
             assert rec.cond > 1.0 / _GRAM_MIN_RATIO
             # sup of the grid's imaginary residual, largest fit residual
@@ -204,7 +203,7 @@ class TestRunExperiment:
 class TestConvergenceTable:
     def test_ratio_arithmetic(self):
         records = tuple(
-            RunRecord(m=m, n=0, degree=0, fit_samples=1, rank=1, cond=1.0,
+            RunRecord(m=m, n=0, degree=0, fit_samples=1, cond=1.0,
                       imag_residual=0.0, fit_residual=0.0, amplification=1.0, sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
                       sup_err_hybrid_global=err, sup_err_hybrid_buffers=0.0,
                       wall_time=0.0, freq_hash="")
@@ -218,7 +217,7 @@ class TestConvergenceTable:
 
     def test_single_record_has_empty_ratio(self):
         records = (
-            RunRecord(m=64, n=0, degree=0, fit_samples=1, rank=1, cond=1.0,
+            RunRecord(m=64, n=0, degree=0, fit_samples=1, cond=1.0,
                       imag_residual=0.0, fit_residual=0.0, amplification=1.0, sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
                       sup_err_hybrid_global=5e-3, sup_err_hybrid_buffers=0.0,
                       wall_time=0.0, freq_hash=""),
@@ -283,7 +282,7 @@ def test_grid_csv_matches_per_row_format(tmp_path):
     columns[3][-4:] = [-5e-324, 2.2e-310, math.nan, -math.inf]
     extrapolated = rng.random(size) < 0.3
     tags = ["extrapolated" if e else "filter" for e in extrapolated.tolist()]
-    record = RunRecord(m=16, n=9, degree=3, fit_samples=5, rank=19, cond=1.5,
+    record = RunRecord(m=16, n=9, degree=3, fit_samples=5, cond=1.5,
                        imag_residual=0.0, fit_residual=0.0, amplification=1.0, sup_err_filter_interior=0.0,
                        sup_err_filter_global=0.0, sup_err_hybrid_global=0.0,
                        sup_err_hybrid_buffers=0.0, wall_time=0.0, freq_hash="0123")

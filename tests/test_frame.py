@@ -13,7 +13,8 @@ from scipy.integrate import quad
 import fourierhybrid as fh
 from fourierhybrid.filters import ALPHA, KAPPA
 from fourierhybrid.frame import (
-    _REL_TOL, _band_nodes, _block_points, _omega_factors, _omega_matrix, _unit_powers,
+    _GRAM_MIN_RATIO, _REL_TOL, _band_nodes, _block_points, _omega_factors, _omega_matrix,
+    _unit_powers,
 )
 from fourierhybrid.oracles import frame_filtered_sum
 from helpers import GRID_1024, frequency_set, pipeline
@@ -142,7 +143,7 @@ class TestAssembleOmega:
         ("jittered", 32), ("jittered", 512), ("log", 128), ("uniform", 16),
     ])
     def test_omega_factors_through_real_kernel(self, scheme, m):
-        # full column rank: (K^+)^T, unfolded from the stored F, is numpy's pseudo-inverse of K
+        # full column rank: the stored (K^+)^T is numpy's pseudo-inverse of K, transposed
         freqs = frequency_set(scheme, m)
         op = fh.assemble_omega(freqs, fh.choose_n(scheme, m))
         assert op.effective_rank == 2 * op.n + 1
@@ -254,23 +255,24 @@ class TestAssembleOmega:
 
     def test_operator_arrays_are_read_only(self):
         op = pipeline("f1", "jittered", 32, n=19).operator
-        for name in ("phase", "s", "folded", "pinv_t"):
+        for name in ("phase", "s", "pinv_t"):
             array = getattr(op, name)
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-        # Omega and (K^+)^T are built on demand, not kept on the operator
-        stored = {f.name for f in dataclasses.fields(op)}
-        assert "omega" not in stored and "pinv_t" not in stored
+        # (K^+)^T is the one matrix kept; Omega is built on demand
+        stored = [f.name for f in dataclasses.fields(op)]
+        assert stored == ["freqs", "n", "phase", "s", "pinv_t"]
 
     def test_peak_memory_of_operator_and_synthesis(self):
-        # the traced peak, 13.7 MiB, is assemble_omega inverting K^T K while
-        # it holds K; filter_reconstruct peaks at 7.0 MiB (the stored fold F
-        # of (K^+)^T, one band's node rows and the block buffers; 9.5 MiB
-        # with a weight row per point).  Storing (K^+)^T and folding it, scaled by the samples,
-        # into a (2m+1, 4(n+1)) matrix on every call peaked at 18.3 MiB,
-        # building K with np.sinc's temporaries at 19.3, the SVD that the
-        # Gram route skips at 22.2, and the stored complex Omega, SVD factors
-        # and folded synthesis matrix before it at 46.3
+        # the traced peak, 12.5 MiB, is assemble_omega inverting K^T K while
+        # it holds K (13.7 when it also folded G^{-1}); filter_reconstruct
+        # peaks at 8.3 MiB with the stored (K^+)^T, one band's node rows,
+        # its (2R, 2n+1) product and fold, and the block buffers.  Folding
+        # (K^+)^T, scaled by the samples, into a (2m+1, 4(n+1)) matrix on
+        # every call peaked at 18.3 MiB, building K with np.sinc's
+        # temporaries at 19.3, the SVD that the Gram route skips at 22.2,
+        # and the stored complex Omega, SVD factors and folded synthesis
+        # matrix before it at 46.3
         pipe = pipeline("f1", "jittered", 512)
         assert pipe.n == 307
         tracemalloc.start()
@@ -523,6 +525,22 @@ class TestFilterReconstruct:
             v, r = oracle_value(recon, float(x))
             assert abs(values[k] - v) <= 1e-12
             assert abs(imag[k] - r) <= 1e-12
+
+    @pytest.mark.parametrize("m, n, tol", [
+        (7, 6, 1e-12),  # cond(K) 204, worst deviation 7.6e-14
+        (32, 20, 1e-11),  # cond(K) 3.9e3, worst deviation 1.8e-12
+    ])
+    def test_svd_route_frame_matches_oracle(self, m, n, tol):
+        # cond(K) past the Gram route's 1 / _GRAM_MIN_RATIO = 100, so
+        # (K^+)^T comes from the SVD
+        pipe = pipeline("f2", "log", m, n=n)
+        assert pipe.operator.s[0] / pipe.operator.s[-1] > 1.0 / _GRAM_MIN_RATIO
+        xs = np.linspace(0.0, 1.0, 23)
+        values, imag = fh.filter_reconstruct(pipe.recon, xs)
+        for k, x in enumerate(xs):
+            v, r = oracle_value(pipe.recon, float(x))
+            assert abs(values[k] - v) <= tol
+            assert abs(imag[k] - r) <= tol
 
     def test_one_point_calls_match_the_batched_call(self):
         # the band intervals are fixed, so a point's value does not depend
