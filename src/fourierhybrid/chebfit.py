@@ -73,7 +73,7 @@ def chebyshev_fit(xs, ys, degree: int) -> ChebyshevFit:
         bad = values[~np.isfinite(values)]
         if bad.size:
             raise ValueError(f"{name} must be finite, got {float(bad[0])}")
-    if len(np.unique(xs)) != len(xs):
+    if np.any(np.diff(np.sort(xs)) == 0):
         raise ValueError("sample points must be distinct")
     a, b = float(xs.min()), float(xs.max())
     if a == b:
@@ -139,11 +139,12 @@ def extrapolation_params_bounded(m: int, delta: float, widths) -> tuple[int, int
     for which A(k) <= A_MAX holds for every k <= M on every subinterval
     width, and A is the largest A(M) over the widths.  The search runs
     upward from M = 0, where A = 1, so it costs one small pseudo-inverse per
-    degree and width up to the first that fails.  N = 4 M^2 (N = 1 at
+    degree and distinct width up to the first that fails; a repeated width
+    is a hit of extrapolation_amplification's cache.  N = 4 M^2 (N = 1 at
     M = 0).
     """
     cap, _ = extrapolation_params_practical(m, delta)
-    widths = np.unique(np.asarray(widths, dtype=float))
+    widths = np.asarray(widths, dtype=float)
     degree, amplification = 0, 1.0
     for trial in range(1, cap + 1):
         worst = max(extrapolation_amplification(w, delta, trial) for w in widths)

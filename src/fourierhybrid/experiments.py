@@ -632,28 +632,31 @@ def _config_file_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
     return args
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """ExperimentConfig from parsed flags, over the --config file's values if any."""
-    namespaces = [args]
-    if args.config:
-        parser = build_parser()
-        namespaces.insert(0, parser.parse_args(_config_file_flags(args.config, parser)))
+def config_from_args(argv: list[str]) -> ExperimentConfig:
+    """ExperimentConfig from the flags argv, over the --config file's values if any.
+
+    The file's lines are parsed as flags ahead of argv; argparse keeps the
+    last value of a repeated flag, so the command line wins.
+    """
+    parser = build_parser()
+    config = parser.parse_known_args(argv)[0].config
+    # parse_args would print the usage and exit on an unknown flag
+    args, unknown = parser.parse_known_args(
+        [*_config_file_flags(config, parser), *argv] if config else argv
+    )
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
     settings = {
-        f.name: getattr(ns, f.name)
-        for ns in namespaces
+        f.name: getattr(args, f.name)
         for f in fields(ExperimentConfig)
-        if getattr(ns, f.name) is not None
+        if getattr(args, f.name) is not None
     }
     return ExperimentConfig(**settings)
 
 
 def main(argv=None) -> int:
     try:
-        # parse_args would print the usage and exit on an unknown flag
-        args, unknown = build_parser().parse_known_args(argv)
-        if unknown:
-            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
-        report = run_experiment(config_from_args(args))
+        report = run_experiment(config_from_args(sys.argv[1:] if argv is None else argv))
     except (argparse.ArgumentError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -31,8 +31,9 @@ p = floor(KAPPA d m) form a band, in which d spans 1/(KAPPA m) and every
 filter weight is an entire function of d.  A band forms its weights at R
 first-kind Chebyshev nodes in d, maps them to Chebyshev coefficients by the
 DCT-II, contracts them with the samples and (K^+)^T once and folds the
-product over +-l into cosine and sine coefficients; a point then needs
-its cosines and sines, one (n+1)-deep product and R Chebyshev polynomials.
+product over +-l straight into the cosine and sine coefficients that the
+points read; a point then needs its cosines and sines, one (n+1)-deep
+product and R Chebyshev polynomials from numpy's chebvander.
 R follows from the largest |lambda| (24 at |lambda| <= m), so the paper's
 filter is reproduced to roundoff, not changed, at a cost of
 O(bands R m n + points R n) against O(points m n) for a weight row per
@@ -124,19 +125,22 @@ def _omega_matrix(lams: np.ndarray, modes: np.ndarray) -> np.ndarray:
 
 
 def _fold(a: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """The columns of a, indexed by modes -n..n, folded over +-l and signed.
+    """Rows [A; B] of a, by modes -n..n, folded into the (rows, n+1, 2) array out.
 
-    Fills the (rows, 2(n+1)) matrix out, whose column l is
-    (-1)^l (a_l + a_{-l}) and column n+1+l is (-1)^l (a_l - a_{-l}), for
-    l = 0..n; column 0 holds a_0 once, and column n+1 is 0.
+    out's rows are the real (A's) and the imaginary part (B's) of
+    sum_l (-1)^l (A_l + i B_l) e^{2 pi i l x}, against cos(2 pi l x) and
+    sin(2 pi l x) interleaved: cosine (-1)^l (X_l + X_{-l}) in every row X
+    (X_0 once), sine (-1)^l (B_{-l} - B_l) in A's and (-1)^l (A_l - A_{-l}) in B's.
     """
+    half = a.shape[0] // 2
     pos = a[:, n:]  # modes 0..n
     neg = a[:, n::-1]  # modes 0..-n
-    plus, minus = out[:, :n + 1], out[:, n + 1:]
-    np.add(pos, neg, out=plus)
-    plus[:, 0] = pos[:, 0]
-    np.subtract(pos, neg, out=minus)
-    out *= np.tile(_parity(np.arange(n + 1, dtype=float)), 2)
+    cos, sin = out[..., 0], out[..., 1]
+    np.add(pos, neg, out=cos)
+    cos[:, 0] = pos[:, 0]
+    np.subtract(neg[half:], pos[half:], out=sin[:half])
+    np.subtract(pos[:half], neg[:half], out=sin[half:])
+    out *= _parity(np.arange(n + 1, dtype=float))[:, None]
     return out
 
 
@@ -336,11 +340,11 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     formed at the R first-kind Chebyshev nodes of its d interval
     [p, p+1) / (KAPPA m) by sigma_weight_matrix, mapped to Chebyshev
     coefficients by the DCT-II, and contracted with psi and (K^+)^T once
-    (one (2R, 2m+1) x (2m+1, 2n+1) product), whose fold holds the
-    Chebyshev coefficients of a_l and b_l.  A point then costs the cosines
-    and sines of _unit_powers, built by angle doubling, one (n+1)-deep
-    product against those coefficients and R Chebyshev polynomials
-    T_k(t(d)).  R comes from
+    (one (2R, 2m+1) x (2m+1, 2n+1) product), which _fold writes straight
+    into the Chebyshev coefficients of a_l and b_l.  A point then costs the
+    cosines and sines of _unit_powers, built by angle doubling, one
+    (n+1)-deep product against those coefficients and R Chebyshev
+    polynomials T_k(t(d)) from numpy's chebvander.  R comes from
     _band_nodes, so the interpolated weights reproduce the paper's filter
     to roundoff; the filter-then-solve ordering is unchanged.  The cost is
     O(bands R m n + points R n), against O(points m n) for a weight row per
@@ -371,7 +375,6 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     # rows [C Re psi; C Im psi], C the Chebyshev coefficients of the weights
     weight_rows = np.empty((2 * nodes, lam.size))
     product = np.empty((2 * nodes, 2 * n + 1))
-    contracted = np.empty((2 * nodes, 2 * (n + 1)))
     # rows: the coefficients of the real and the imaginary part of the mode
     # sum, against the columns cos(2 pi l x), sin(2 pi l x) interleaved
     coefficients = np.empty((2 * nodes, n + 1, 2))
@@ -379,8 +382,7 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     rows_max = min(block, xs.size)
     table_buf = np.empty((rows_max, n + 1), dtype=complex)
     sums_buf = np.empty((rows_max, 2, nodes))
-    cheb_buf = np.empty((nodes, rows_max))
-    for p in np.unique(ps):
+    for p in np.flatnonzero(np.bincount(ps)):
         node_d = (p + 0.5 * (1.0 + node_t)) / (KAPPA * m)
         weights = sigma_weight_matrix(
             np.full(nodes, p), np.sqrt(ALPHA * node_d * m), lam, m, out=weight_rows[nodes:]
@@ -389,12 +391,7 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
         np.multiply(weight_rows[:nodes], psi.imag, out=weight_rows[nodes:])
         weight_rows[:nodes] *= psi.real
         np.matmul(weight_rows, op.pinv_t, out=product)
-        _fold(product, n, out=contracted)
-        # real part: a Re - b Im; imaginary part: a Im + b Re
-        np.copyto(coefficients[:nodes, :, 0], contracted[:nodes, :n + 1])
-        np.negative(contracted[nodes:, n + 1:], out=coefficients[:nodes, :, 1])
-        np.copyto(coefficients[nodes:, :, 0], contracted[nodes:, :n + 1])
-        np.copyto(coefficients[nodes:, :, 1], contracted[:nodes, n + 1:])
+        _fold(product, n, out=coefficients)
         band = np.flatnonzero(ps == p)
         for start in range(0, band.size, block):
             rows = band[start:start + block]
@@ -404,16 +401,8 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
             sums = sums_buf[:k]
             np.matmul(table.view(float), coefficients.reshape(2 * nodes, -1).T,
                       out=sums.reshape(k, -1))
-            # T_j(t) by the three-term recurrence
-            cheb = cheb_buf[:, :k]
-            t = ts[rows]
-            cheb[0] = 1.0
-            cheb[1] = t
-            t *= 2.0
-            for j in range(2, nodes):
-                np.multiply(t, cheb[j - 1], out=cheb[j])
-                cheb[j] -= cheb[j - 2]
-            real, imag = np.einsum("kir,rk->ik", sums, cheb)
+            cheb = np.polynomial.chebyshev.chebvander(ts[rows], nodes - 1)
+            real, imag = np.einsum("kir,kr->ik", sums, cheb)
             values[rows] = real
             imag_residual[rows] = np.abs(imag)
     return values, imag_residual

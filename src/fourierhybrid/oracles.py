@@ -31,6 +31,7 @@ __all__ = [
 
 _QUAD_EPSABS = 1e-13
 _QUAD_LIMIT = 400
+_LSTSQ_RCOND = 1e-12  # frame_filtered_sum's singular-value cutoff, over s_max
 
 
 def projection_coefficient(f: PiecewiseFunction, l: int) -> complex:
@@ -117,7 +118,7 @@ def classical_filtered_sum(
 
 def frame_filtered_sum(
     lams: np.ndarray, values: np.ndarray, m: int, n: int,
-    p: int, gamma: float, x: float, rel_tol: float = 1e-12,
+    p: int, gamma: float, x: float,
 ) -> complex:
     """sum_{|l|<=n} c_l exp(2 pi i l x) of the filtered frame reconstruction.
 
@@ -125,14 +126,14 @@ def frame_filtered_sum(
     t = lams_j - l is built here from that closed form, with np.sinc.  The
     weights are w_j = sigma_{p,gamma}(lams_j / m) by sigma_reference, the
     coefficients c the least-squares solution of conj(Omega) c = w * values
-    by numpy's SVD-based lstsq (singular values below rel_tol times the
-    largest dropped), and the mode sum is taken term by term.  The real part
-    is the reconstructed value, the imaginary part its residual.
+    by numpy's SVD-based lstsq (singular values below _LSTSQ_RCOND times
+    the largest dropped), and the mode sum is taken term by term.  The real
+    part is the reconstructed value, the imaginary part its residual.
     """
     t = np.subtract.outer(np.asarray(lams, dtype=float), np.arange(-n, n + 1))
     omega = np.exp(1j * np.pi * t) * np.sinc(t)
     w = np.array([sigma_reference(p, gamma, lam / m) for lam in lams])
-    c = np.linalg.lstsq(np.conj(omega), w * values, rcond=rel_tol)[0]
+    c = np.linalg.lstsq(np.conj(omega), w * values, rcond=_LSTSQ_RCOND)[0]
     terms = [
         c[n + l] * complex(math.cos(2 * math.pi * l * x), math.sin(2 * math.pi * l * x))
         for l in range(-n, n + 1)

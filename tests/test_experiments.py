@@ -423,6 +423,22 @@ def test_import_leaves_scipy_special_and_integrate_unloaded():
     assert run_probe(probe).strip() == "[]"
 
 
+def test_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma on its first call (numpy 2.4: _unique1d
+    # asks np.ma.is_masked), about 15 ms of each fresh run; the pipeline
+    # calls no np.unique
+    if run_probe("import sys, numpy; print('numpy.ma' in sys.modules)").strip() == "True":
+        pytest.skip("importing numpy alone loads numpy.ma")
+    probe = (
+        "import sys, fourierhybrid.experiments as ex; "
+        "ex.run_experiment(ex.ExperimentConfig(m_list=(16,), grid_size=64, "
+        f"formats=('csv', 'svg'), output_dir={str(tmp_path)!r})); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert run_probe(probe).strip() == "False"
+    assert (tmp_path / "summary.csv").exists()
+
+
 def test_frame_solve_leaves_scipy_linalg_unloaded():
     # the frame factorization uses numpy.linalg only: scipy.linalg brings its
     # own OpenBLAS, which raised a paper-matrix run's peak RSS above the
@@ -438,7 +454,7 @@ def test_frame_solve_leaves_scipy_linalg_unloaded():
     assert run_probe(probe).split() == ["9", "False"]
 
 
-def test_names_the_benchmark_reads():
+def test_names_the_benchmark_reads(monkeypatch, tmp_path):
     # perfbench computes the fine-grid oracle's (gamma, p) from cfg.alpha and
     # cfg.kappa, and its frame-health probe reads s, effective_rank and
     # omega; without one of them every checked or traced sweep would fail
@@ -451,6 +467,32 @@ def test_names_the_benchmark_reads():
     op = fourierhybrid.assemble_omega(fourierhybrid.jittered_frequencies(8, seed=1), 4)
     assert op.s.shape == (9,)
     assert op.effective_rank == op.omega.shape[1] == 9
+    # the traced benchmark times each layer by wrapping these module-level
+    # names from outside (perfbench/tracing.py); a call that stopped going
+    # through one of them would read as a layer that takes no time
+    hooks = {
+        fourierhybrid.frame: ("sigma_weight_matrix",),
+        fourierhybrid.hybrid: ("filter_reconstruct", "chebyshev_fit", "evaluate_fit"),
+        fourierhybrid.experiments: (
+            "fourier_samples", "assemble_omega", "hybrid_reconstruct",
+            "ground_truth_error", "write_line_svg",
+        ),
+    }
+    hooked, called = set(), set()
+
+    def recording(key, function):
+        def wrapper(*args, **kwargs):
+            called.add(key)
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module, names in hooks.items():
+        for name in names:
+            key = f"{module.__name__}.{name}"
+            hooked.add(key)
+            monkeypatch.setattr(module, name, recording(key, getattr(module, name)))
+    run_experiment(small_config(m_list=(16,), formats=("csv", "svg"), output_dir=str(tmp_path)))
+    assert hooked - called == set()
 
 
 class TestCli:

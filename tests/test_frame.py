@@ -13,8 +13,8 @@ from scipy.integrate import quad
 import fourierhybrid as fh
 from fourierhybrid.filters import ALPHA, KAPPA
 from fourierhybrid.frame import (
-    _GRAM_MIN_RATIO, _REL_TOL, _band_nodes, _block_points, _omega_factors, _omega_matrix,
-    _unit_powers,
+    _GRAM_MIN_RATIO, _REL_TOL, _band_nodes, _block_points, _fold, _omega_factors,
+    _omega_matrix, _unit_powers,
 )
 from fourierhybrid.oracles import frame_filtered_sum
 from helpers import GRID_1024, frequency_set, pipeline
@@ -54,7 +54,7 @@ def oracle_value(recon, x: float, p: int | None = None, gamma: float | None = No
         gamma, p, _ = rule_params(x, op.m, recon.jumps)
     total = frame_filtered_sum(
         recon.samples.freqs.frequencies, recon.samples.values, op.m, op.n,
-        p, gamma, x, _REL_TOL,
+        p, gamma, x,
     )
     return total.real, abs(total.imag)
 
@@ -436,6 +436,38 @@ class TestFilterReconstruct:
             sin = np.array([[float(mpmath.sinpi(t)) for t in row] for row in turns])
         np.testing.assert_allclose(table.real, cos, rtol=0, atol=(n + 1) * 1e-15)
         np.testing.assert_allclose(table.imag, sin, rtol=0, atol=(n + 1) * 1e-15)
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_fold_gives_the_signed_mode_sum(self, n):
+        # for rows [A; B], the (cos, sin)-interleaved table times the folded
+        # coefficients is the real (A's rows) and the imaginary part (B's
+        # rows) of sum_{|l|<=n} (-1)^l (A_l + i B_l) e^{2 pi i l x}, here
+        # summed term by term; out starts as NaN, so every entry is written
+        rows = 3
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(2 * rows, 2 * n + 1))
+        xs = np.concatenate([[0.0, 0.5], rng.uniform(0.0, 1.0, 4)])
+        coefficients = _fold(a, n, out=np.full((2 * rows, n + 1, 2), np.nan))
+        angles = 2 * np.pi * np.outer(xs, np.arange(n + 1))
+        table = np.stack([np.cos(angles), np.sin(angles)], axis=-1).reshape(xs.size, -1)
+        folded = table @ coefficients.reshape(2 * rows, -1).T
+        for i, x in enumerate(xs):
+            for r in range(rows):
+                terms = [
+                    (-1) ** l * complex(a[r, n + l], a[rows + r, n + l])
+                    * cmath.exp(2j * math.pi * l * x)
+                    for l in range(-n, n + 1)
+                ]
+                assert folded[i, r] == pytest.approx(
+                    math.fsum(z.real for z in terms), abs=1e-13)
+                assert folded[i, rows + r] == pytest.approx(
+                    math.fsum(z.imag for z in terms), abs=1e-13)
+
+    def test_empty_grid_gives_empty_arrays(self):
+        # no point means no band: the loop over the filter orders is empty
+        pipe = pipeline("f1", "jittered", 32)
+        values, imag = fh.filter_reconstruct(pipe.recon, np.array([]))
+        assert values.shape == imag.shape == (0,)
 
     def test_point_order_does_not_change_values(self):
         # the loop takes the points band by band and writes the results in

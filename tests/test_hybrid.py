@@ -45,6 +45,12 @@ class TestAssembly:
             assert (fit.a, fit.b) == (expect.a, expect.b)
             assert np.max(np.abs(fit.coefficients - expect.coefficients)) <= 1e-12
 
+    def test_empty_grid_gives_empty_arrays(self):
+        # the fits still take their nodes, but no grid point is evaluated
+        hyb = fh.hybrid_reconstruct(pipeline("f1", "jittered", 32).recon, np.array([]), DELTA)
+        for array in (hyb.values, hyb.extrapolated, hyb.filter_values, hyb.imag_residual):
+            assert array.shape == (0,)
+
     def test_tags_partition_by_distance_rule(self):
         run = hybrid_run("f2", "jittered", 128)
         d = run.dist
