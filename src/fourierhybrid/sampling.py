@@ -59,15 +59,21 @@ class QuadratureError(RuntimeError):
     """A piece is not resolved by Legendre series after the last halving."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencySet:
-    """2m+1 frequencies lambda_j, j = -m..m, in index order."""
+    """2m+1 frequencies lambda_j, j = -m..m, in index order.
+
+    A value: two sets are equal, and hash alike, when m matches and the
+    frequencies are bitwise equal, so -0.0 and 0.0 differ.  The frequencies
+    are a read-only copy of the input, so the hash, computed once, stays
+    valid.
+    """
 
     m: int
     frequencies: np.ndarray
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
+        freqs = np.array(self.frequencies, dtype=float)
         if freqs.shape != (2 * self.m + 1,):
             raise ValueError(f"expected {2*self.m+1} frequencies, got {freqs.shape}")
         bad = np.flatnonzero(~np.isfinite(freqs))
@@ -78,6 +84,21 @@ class FrequencySet:
             )
         freqs.setflags(write=False)
         object.__setattr__(self, "frequencies", freqs)
+        object.__setattr__(self, "_hash", hash((self.m, freqs.tobytes())))
+
+    def __eq__(self, other):
+        if not isinstance(other, FrequencySet):
+            return NotImplemented
+        return (self._hash == other._hash and self.m == other.m
+                and self.frequencies.tobytes() == other.frequencies.tobytes())
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __post_init__, so an unpickled set is read-only and
+        # hashes by its own process's hash seed
+        return FrequencySet, (self.m, self.frequencies)
 
     def __len__(self):
         return 2 * self.m + 1

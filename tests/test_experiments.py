@@ -454,6 +454,30 @@ def test_frame_solve_leaves_scipy_linalg_unloaded():
     assert run_probe(probe).split() == ["9", "False"]
 
 
+def test_shared_frame_leaves_outputs_unchanged(tmp_path):
+    # f1 and f2 share one jitter draw, so f2's run reuses f1's operators; its
+    # files must match those of f2 run alone, in a fresh interpreter whose
+    # memo starts empty
+    def probe(functions, out):
+        return (
+            "from fourierhybrid import frame; "
+            "from fourierhybrid.experiments import ExperimentConfig, run_experiment; "
+            f"[run_experiment(ExperimentConfig(function=name, m_list=(16, 24), grid_size=64, "
+            f"output_dir={str(out)!r})) for name in {functions!r}]; "
+            "print(frame._assemble.cache_info().hits)"
+        )
+
+    shared, alone = tmp_path / "shared", tmp_path / "alone"
+    assert run_probe(probe(("f1", "f2"), shared)).split() == ["2"]
+    assert run_probe(probe(("f2",), alone)).split() == ["0"]
+    files = sorted(path.name for path in alone.iterdir())
+    # three files per m, and convergence.csv and summary.csv, which f2's
+    # run wrote last
+    assert len(files) == 8
+    for name in files:
+        assert (shared / name).read_bytes() == (alone / name).read_bytes(), name
+
+
 def test_names_the_benchmark_reads(monkeypatch, tmp_path):
     # perfbench computes the fine-grid oracle's (gamma, p) from cfg.alpha and
     # cfg.kappa, and its frame-health probe reads s, effective_rank and
@@ -570,6 +594,11 @@ class TestCli:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
+        # the sampler's Gauss rules come from np.linalg.eigvalsh too and are
+        # kept once built; build them before the patch, so the frame's
+        # solver is the one that fails whichever tests ran before
+        for order in fourierhybrid.sampling._ORDERS:
+            fourierhybrid.sampling._legendre_transform(order)
         monkeypatch.setattr(np.linalg, solver, fail)
         code = main([
             "--function", "f1", *frame, "--grid", "64",

@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 import fourierhybrid as fh
+from fourierhybrid import frame
 from fourierhybrid.filters import ALPHA, KAPPA
 from fourierhybrid.frame import (
     _GRAM_MIN_RATIO, _REL_TOL, _band_nodes, _block_points, _fold, _omega_factors,
@@ -275,6 +276,8 @@ class TestAssembleOmega:
         # matrix before it at 46.3
         pipe = pipeline("f1", "jittered", 512)
         assert pipe.n == 307
+        # pipeline() may have just built this operator; measure a cold assembly
+        frame._assemble.cache_clear()
         tracemalloc.start()
         try:
             op = fh.assemble_omega(pipe.freqs, pipe.n)
@@ -301,6 +304,77 @@ class TestAssembleOmega:
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError):
             fh.assemble_omega(fh.uniform_frequencies(4), 0)
+
+
+class TestFrameMemo:
+    # the operator depends on the frequencies and n alone, so assemble_omega
+    # builds it once per (frequency set, n); conftest empties the memo before
+    # each test
+
+    @staticmethod
+    def counted(monkeypatch, solver):
+        calls = []
+        original = getattr(np.linalg, solver)
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, solver, counting)
+        return calls
+
+    def test_equal_set_returns_the_same_operator(self, monkeypatch):
+        calls = self.counted(monkeypatch, "eigvalsh")
+        first = fh.assemble_omega(fh.jittered_frequencies(32, seed=7), 19)
+        assert calls == [(39, 39)]
+        # a second draw from the same seed: an equal set, not the same object
+        again = fh.assemble_omega(fh.jittered_frequencies(32, seed=7), 19)
+        assert again is first
+        assert calls == [(39, 39)]
+
+    def test_other_n_or_frequencies_assemble_anew(self, monkeypatch):
+        calls = self.counted(monkeypatch, "eigvalsh")
+        freqs = fh.jittered_frequencies(32, seed=7)
+        first = fh.assemble_omega(freqs, 19)
+        other_n = fh.assemble_omega(freqs, 18)
+        lams = freqs.frequencies.copy()
+        lams[5] = np.nextafter(lams[5], -np.inf)
+        nudged = fh.assemble_omega(fh.FrequencySet(m=32, frequencies=lams), 19)
+        assert calls == [(39, 39), (37, 37), (39, 39)]
+        assert other_n is not first and other_n.n == 18
+        assert nudged is not first
+        assert not np.array_equal(nudged.pinv_t, first.pinv_t)
+
+    def test_refused_frame_raises_again(self, monkeypatch):
+        calls = self.counted(monkeypatch, "svd")
+        freqs, n = fh.log_frequencies(32), 32
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="rank-deficient Omega"):
+                fh.assemble_omega(freqs, n)
+        assert calls == [(65, 65), (65, 65)]
+
+    def test_solver_failure_is_not_kept(self, monkeypatch):
+        freqs = fh.jittered_frequencies(16, seed=2)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", fail)
+            with pytest.raises(RuntimeError, match="eigenvalues of K.T K failed"):
+                fh.assemble_omega(freqs, 9)
+        assert fh.assemble_omega(freqs, 9).s.shape == (19,)
+
+    def test_memo_is_bounded(self, monkeypatch):
+        calls = self.counted(monkeypatch, "eigvalsh")
+        sets = [fh.uniform_frequencies(m) for m in range(1, 10)]
+        first = fh.assemble_omega(sets[0], 1)
+        for freqs in sets[1:]:
+            fh.assemble_omega(freqs, 1)
+        # nine sets through an eight-entry memo: the least recently used,
+        # the first, has gone
+        assert fh.assemble_omega(sets[0], 1) is not first
+        assert len(calls) == 10
 
 
 class TestAdmissibility:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -131,6 +132,54 @@ def test_non_finite_frequencies_rejected(bad):
         FrequencySet(m=3, frequencies=freqs)
     with pytest.raises(ValueError, match="finite"):
         sample_at(builtin_f1(), bad)
+
+
+class TestFrequencySetValue:
+    # a FrequencySet is assemble_omega's memo key: equal sets share one frame
+
+    def test_equal_sets_from_two_calls(self):
+        a, b = jittered_frequencies(8, 1), jittered_frequencies(8, 1)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_one_ulp_apart_differ(self):
+        a = jittered_frequencies(8, 1)
+        lams = a.frequencies.copy()
+        lams[3] = np.nextafter(lams[3], np.inf)
+        b = FrequencySet(m=8, frequencies=lams)
+        assert a != b
+        assert len({a, b}) == 2
+
+    def test_signed_zeros_differ(self):
+        # bitwise, as the memo needs: -0.0 == 0.0 as floats, but not as sets
+        plus = FrequencySet(m=1, frequencies=np.array([-1.0, 0.0, 1.0]))
+        minus = FrequencySet(m=1, frequencies=np.array([-1.0, -0.0, 1.0]))
+        assert plus != minus
+        assert plus == FrequencySet(m=1, frequencies=np.array([-1.0, 0.0, 1.0]))
+
+    def test_other_types_compare_unequal(self):
+        freqs = uniform_frequencies(2)
+        assert freqs != list(freqs.frequencies)
+        assert freqs != (2, freqs.frequencies)
+        assert freqs.__eq__(freqs.frequencies) is NotImplemented
+        assert freqs != None  # noqa: E711
+        assert freqs == uniform_frequencies(2)
+
+    def test_input_array_is_copied(self):
+        # a later write to the caller's array cannot change a set or its hash
+        lams = np.arange(-2.0, 3.0)
+        freqs = FrequencySet(m=2, frequencies=lams)
+        lams[0] = 7.0
+        assert freqs == uniform_frequencies(2)
+        assert not freqs.frequencies.flags.writeable
+
+    def test_pickle_round_trip(self):
+        freqs = jittered_frequencies(8, 1)
+        restored = pickle.loads(pickle.dumps(freqs))
+        assert restored == freqs and hash(restored) == hash(freqs)
+        assert not restored.frequencies.flags.writeable
 
 
 def test_fourier_sample_orthonormality():
