@@ -87,10 +87,9 @@ def chebyshev_fit(xs, ys, degree: int) -> ChebyshevFit:
         )
     residual = vander @ coeffs - ys
     # squared at a power-of-two scale, so it cannot overflow; the scaling is
-    # exact, undone on the result, and done in place, adding no array
+    # exact and undone on the result
     _, power = np.frexp(max(residual.max(), -residual.min()))
-    np.ldexp(residual, -power, out=residual)
-    rms = float(np.ldexp(np.sqrt(np.mean(residual**2)), power))
+    rms = float(np.ldexp(np.sqrt(np.mean(np.ldexp(residual, -power) ** 2)), power))
     return ChebyshevFit(coefficients=coeffs, a=a, b=b, residual_norm=rms)
 
 

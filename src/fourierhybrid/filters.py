@@ -61,15 +61,13 @@ def _series_terms(p_max: int, z_max: float) -> int:
     return p_max
 
 
-def _sigma(p, z, out=None, work=None) -> np.ndarray:
+def _sigma(p, z, out=None) -> np.ndarray:
     """exp(-z) sum_{l<=p} z^l / l! = Q(p + 1, z); p broadcasts against z.
 
     z carries the result's shape; the result goes to out if given, which may
-    be z itself; the series accumulates in work if given, an array of the
-    result's shape apart from z and out, so a caller that evaluates many
-    bands allocates it once.  Entries with z <= _LOG_SPACE_Z use the direct
-    series; the others are zeroed before it, so it cannot overflow, and then
-    taken from gammaincc.  The series runs by Horner's rule from its last term,
+    be z itself.  Entries with z <= _LOG_SPACE_Z use the direct series; the
+    others are zeroed before it, so it cannot overflow, and then taken from
+    gammaincc.  The series runs by Horner's rule from its last term,
     acc <- 1 + acc * z * [l <= p] / l, so an entry with p < l restarts at 1
     and ends at its own p.  _series_terms sets the top term L from the
     largest p, and the top step, which starts from acc = 1, is formed
@@ -89,7 +87,7 @@ def _sigma(p, z, out=None, work=None) -> np.ndarray:
         z_max = float(np.max(z))
     terms = _series_terms(int(p.max(initial=0)), z_max)
     if terms:
-        acc = np.multiply(z, np.where(p >= terms, 1.0 / terms, 0.0), out=work)
+        acc = z * np.where(p >= terms, 1.0 / terms, 0.0)
         acc += 1.0
         for l in range(terms - 1, 0, -1):
             acc *= z
@@ -114,21 +112,15 @@ def filter_sigma(p: int, gamma: float, w: float) -> float:
     return float(_sigma(p, 0.5 * (w * gamma) ** 2))
 
 
-def sigma_weight_matrix(
-    p: np.ndarray, gamma: np.ndarray, lam: np.ndarray, m: int,
-    out: np.ndarray | None = None, work: np.ndarray | None = None,
-) -> np.ndarray:
+def sigma_weight_matrix(p: np.ndarray, gamma: np.ndarray, lam: np.ndarray, m: int) -> np.ndarray:
     """Weights sigma_{p_i, gamma_i}(lambda_j / m) as an (npoints, nfreq) matrix.
 
-    z = (lambda_j / m * gamma_i)^2 / 2 is formed in out if given, and
-    overwritten there by the weights; work is _sigma's accumulator.
+    z = (lambda_j / m * gamma_i)^2 / 2 is overwritten by the weights.
     """
     p = np.asarray(p, dtype=int)
     gamma = np.asarray(gamma, dtype=float)
-    z = np.multiply(lam / m, gamma[:, None], out=out)
-    np.square(z, out=z)
-    z *= 0.5
-    return _sigma(p[:, None], z, out=z, work=work)
+    z = 0.5 * np.square(lam / m * gamma[:, None])
+    return _sigma(p[:, None], z, out=z)
 
 
 def adaptive_param_arrays(xs, m: int, jumps):

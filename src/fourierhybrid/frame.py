@@ -30,10 +30,11 @@ in-process memo (functools.lru_cache) keeps the 8 operators returned most
 recently, keyed on the bitwise frequencies and n.  Two functions sampled at
 one jitter draw share one assembly, and a hit returns the very object a
 cold assembly built, so every output is unchanged.  Each entry retains
-mainly its (K^+)^T, 8 (2m+1)(2n+1) bytes: 5.0 MB at m = 512 and 80 MB at
-m = 2048 with the jittered scheme's n.  A refused frame is never kept.  A
-single CLI invocation, one function over one m list, assembles each frame
-once either way.
+mainly its (K^+)^T, 8 (2m+1)(2n+1) bytes, 5.0 MB at m = 512 with the
+jittered scheme's n; an operator above 8 MiB (20 MB at m = 1024, 80 MB at
+m = 2048) is built and returned but not kept, so the memo pins at most
+64 MiB.  A refused frame is never kept.  A single CLI invocation, one
+function over one m list, assembles each frame once either way.
 
 Reconstruction applies the pseudo-inverse of Omega to the filtered sample
 vector and sums the resulting 2n+1 Fourier modes.  filter_reconstruct, the
@@ -49,9 +50,11 @@ R follows from the largest |lambda| (24 at |lambda| <= m), so the paper's
 filter is reproduced to roundoff, not changed, at a cost of
 O(bands R m n + points R n) against O(points m n) for a weight row per
 point.  The points stream in fixed-size blocks, so memory is O(block n +
-R m), not O(points m).  The cosines and sines of 2 pi l x, l = 0..n, come
-from e^{2 pi i l x} built by angle doubling: ceil(log2(n+1)) exponentials
-and one complex product per mode, not a sin and a cos per point and mode.
+R m), not O(points m); numpy allocates each band's arrays, and one block's
+cos/sin table is the only array kept across bands and blocks.  The cosines
+and sines of 2 pi l x, l = 0..n, come from e^{2 pi i l x} built by angle
+doubling: ceil(log2(n+1)) exponentials and one complex product per mode,
+not a sin and a cos per point and mode.
 """
 
 from __future__ import annotations
@@ -82,9 +85,11 @@ _BLOCK_BYTES = 1 << 20
 # cond(K) <= 100 keeps it near 1e-12
 _GRAM_MIN_RATIO = 1e-2
 
-# assemble_omega keeps the operators it returned most recently, this many;
-# each holds its (K^+)^T, 8 (2m+1)(2n+1) bytes
+# assemble_omega keeps the operators it returned most recently, this many,
+# and only those whose (K^+)^T, 8 (2m+1)(2n+1) bytes, fits in _MEMO_BYTES:
+# so the memo pins at most 64 MiB after its callers drop their operators
 _MEMO_SIZE = 8
+_MEMO_BYTES = 8 << 20
 
 # a K with s_min < _REL_TOL * s_max is refused as rank-deficient; only the
 # SVD route can meet one, since the Gram route requires
@@ -140,10 +145,10 @@ def _omega_matrix(lams: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return phase[:, None] * (kernel * sign)
 
 
-def _fold(a: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """Rows [A; B] of a, by modes -n..n, folded into the (rows, n+1, 2) array out.
+def _fold(a: np.ndarray, n: int) -> np.ndarray:
+    """Rows [A; B] of a, by modes -n..n, folded into a (rows, n+1, 2) array.
 
-    out's rows are the real (A's) and the imaginary part (B's) of
+    Its rows are the real (A's) and the imaginary part (B's) of
     sum_l (-1)^l (A_l + i B_l) e^{2 pi i l x}, against cos(2 pi l x) and
     sin(2 pi l x) interleaved: cosine (-1)^l (X_l + X_{-l}) in every row X
     (X_0 once), sine (-1)^l (B_{-l} - B_l) in A's and (-1)^l (A_l - A_{-l}) in B's.
@@ -151,13 +156,10 @@ def _fold(a: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     half = a.shape[0] // 2
     pos = a[:, n:]  # modes 0..n
     neg = a[:, n::-1]  # modes 0..-n
-    cos, sin = out[..., 0], out[..., 1]
-    np.add(pos, neg, out=cos)
+    cos = pos + neg
     cos[:, 0] = pos[:, 0]
-    np.subtract(neg[half:], pos[half:], out=sin[:half])
-    np.subtract(pos[:half], neg[:half], out=sin[half:])
-    out *= _parity(np.arange(n + 1, dtype=float))[:, None]
-    return out
+    sin = np.concatenate([neg[half:] - pos[half:], pos[:half] - neg[:half]])
+    return np.stack([cos, sin], axis=-1) * _parity(np.arange(n + 1, dtype=float))[:, None]
 
 
 @dataclass(frozen=True)
@@ -223,14 +225,17 @@ def assemble_omega(freqs: FrequencySet, n: int) -> FrameOperator:
     the failed step.  The operator depends on freqs and n alone, so the
     _MEMO_SIZE operators returned most recently are kept: a call with a
     bitwise-equal frequency set and the same n returns the very object an
-    earlier call built.  A refused frame is not kept and raises again on
-    every call.
+    earlier call built.  An operator whose (K^+)^T exceeds _MEMO_BYTES is
+    built and returned but not kept, nor is a refused frame, which raises
+    again on every call.
     """
     if not 1 <= n <= freqs.m:
         raise ValueError(
             f"n must lie in [1, m] = [1, {freqs.m}], since the 2n+1 modes may not "
             f"outnumber the 2m+1 samples; got n = {n}"
         )
+    if 8 * freqs.frequencies.size * (2 * n + 1) > _MEMO_BYTES:
+        return _assemble.__wrapped__(freqs, n)
     return _assemble(freqs, n)
 
 
@@ -366,7 +371,7 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     formed at the R first-kind Chebyshev nodes of its d interval
     [p, p+1) / (KAPPA m) by sigma_weight_matrix, mapped to Chebyshev
     coefficients by the DCT-II, and contracted with psi and (K^+)^T once
-    (one (2R, 2m+1) x (2m+1, 2n+1) product), which _fold writes straight
+    (one (2R, 2m+1) x (2m+1, 2n+1) product), which _fold turns straight
     into the Chebyshev coefficients of a_l and b_l.  A point then costs the
     cosines and sines of _unit_powers, built by angle doubling, one
     (n+1)-deep product against those coefficients and R Chebyshev
@@ -374,8 +379,10 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     _band_nodes, so the interpolated weights reproduce the paper's filter
     to roundoff; the filter-then-solve ordering is unchanged.  The cost is
     O(bands R m n + points R n), against O(points m n) for a weight row per
-    point.  The band intervals are fixed, so a point's value does not
-    depend on the other points of the call.  The tests check it against
+    point.  A band's arrays are allocated by numpy as it goes; the complex
+    (block, n+1) cos/sin table alone is allocated once per call and reused
+    by every block.  The band intervals are fixed, so a point's value does
+    not depend on the other points of the call.  The tests check it against
     oracles.frame_filtered_sum, which shares none of this code.
     """
     xs = np.asarray(xs, dtype=float)
@@ -395,40 +402,27 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     node_t, dct = _chebyshev_nodes(nodes)
     values = np.empty(xs.shape)
     imag_residual = np.empty(xs.shape)
-    # every band and block reuses these: fresh temporaries above the mmap
-    # threshold cost a page fault per 4 KiB each time once malloc returns
-    # them to the OS
-    # rows [C Re psi; C Im psi], C the Chebyshev coefficients of the weights
-    weight_rows = np.empty((2 * nodes, lam.size))
-    sigma_work = np.empty((nodes, lam.size))
-    product = np.empty((2 * nodes, 2 * n + 1))
-    # rows: the coefficients of the real and the imaginary part of the mode
-    # sum, against the columns cos(2 pi l x), sin(2 pi l x) interleaved
-    coefficients = np.empty((2 * nodes, n + 1, 2))
     block = _block_points(2 * (n + 1) + 3 * nodes)
-    rows_max = min(block, xs.size)
-    table_buf = np.empty((rows_max, n + 1), dtype=complex)
-    sums_buf = np.empty((rows_max, 2, nodes))
+    # the cos/sin table of a block, the one array kept across bands and
+    # blocks: allocated afresh per block it raised the paper-matrix peak RSS
+    # by 1.3 MiB
+    table_buf = np.empty((min(block, xs.size), n + 1), dtype=complex)
     for p in np.flatnonzero(np.bincount(ps)):
         node_d = (p + 0.5 * (1.0 + node_t)) / (KAPPA * m)
-        weights = sigma_weight_matrix(
-            np.full(nodes, p), np.sqrt(ALPHA * node_d * m), lam, m,
-            out=weight_rows[nodes:], work=sigma_work,
+        weights = dct @ sigma_weight_matrix(
+            np.full(nodes, p), np.sqrt(ALPHA * node_d * m), lam, m
         )
-        np.matmul(dct, weights, out=weight_rows[:nodes])
-        np.multiply(weight_rows[:nodes], psi.imag, out=weight_rows[nodes:])
-        weight_rows[:nodes] *= psi.real
-        np.matmul(weight_rows, op.pinv_t, out=product)
-        _fold(product, n, out=coefficients)
+        # rows [C Re psi; C Im psi], C the Chebyshev coefficients of the weights
+        product = np.concatenate([weights * psi.real, weights * psi.imag]) @ op.pinv_t
+        # rows: the coefficients of the real and the imaginary part of the
+        # mode sum, against the columns cos(2 pi l x), sin(2 pi l x) interleaved
+        coefficients = _fold(product, n).reshape(2 * nodes, -1)
         band = np.flatnonzero(ps == p)
         for start in range(0, band.size, block):
             rows = band[start:start + block]
-            k = rows.size
-            table = table_buf[:k]
+            table = table_buf[:rows.size]
             _unit_powers(xs[rows], n, table.T)
-            sums = sums_buf[:k]
-            np.matmul(table.view(float), coefficients.reshape(2 * nodes, -1).T,
-                      out=sums.reshape(k, -1))
+            sums = (table.view(float) @ coefficients.T).reshape(rows.size, 2, nodes)
             cheb = np.polynomial.chebyshev.chebvander(ts[rows], nodes - 1)
             real, imag = np.einsum("kir,kr->ik", sums, cheb)
             values[rows] = real

@@ -502,11 +502,11 @@ def test_names_the_benchmark_reads(monkeypatch, tmp_path):
             "ground_truth_error", "write_line_svg",
         ),
     }
-    hooked, called = set(), set()
+    hooked, calls = set(), {}
 
     def recording(key, function):
         def wrapper(*args, **kwargs):
-            called.add(key)
+            calls.setdefault(key, []).append(args)
             return function(*args, **kwargs)
         return wrapper
 
@@ -516,7 +516,15 @@ def test_names_the_benchmark_reads(monkeypatch, tmp_path):
             hooked.add(key)
             monkeypatch.setattr(module, name, recording(key, getattr(module, name)))
     run_experiment(small_config(m_list=(16,), formats=("csv", "svg"), output_dir=str(tmp_path)))
-    assert hooked - called == set()
+    assert hooked - calls.keys() == set()
+    # and the probes find what they read in the positional arguments:
+    # filters.p_max takes p from sigma_weight_matrix's first, and
+    # frame.weight_bytes_computed the sample count from filter_reconstruct's
+    for args in calls["fourierhybrid.frame.sigma_weight_matrix"]:
+        p = args[0]
+        assert isinstance(p, np.ndarray) and p.ndim == 1 and p.dtype.kind == "i"
+    for args in calls["fourierhybrid.hybrid.filter_reconstruct"]:
+        assert args[0].samples.values.size == 33
 
 
 class TestCli:

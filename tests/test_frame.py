@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
@@ -267,8 +268,9 @@ class TestAssembleOmega:
     def test_peak_memory_of_operator_and_synthesis(self):
         # the traced peak, 12.5 MiB, is assemble_omega inverting K^T K while
         # it holds K (13.7 when it also folded G^{-1}); filter_reconstruct
-        # peaks at 8.3 MiB with the stored (K^+)^T, one band's node rows,
-        # its (2R, 2n+1) product and fold, and the block buffers.  Folding
+        # peaks at 7.2 MiB with the stored (K^+)^T, one band's node rows,
+        # its (2R, 2n+1) product and fold, and the block's cos/sin table
+        # (7.1 MiB when every band reused preallocated arrays).  Folding
         # (K^+)^T, scaled by the samples, into a (2m+1, 4(n+1)) matrix on
         # every call peaked at 18.3 MiB, building K with np.sinc's
         # temporaries at 19.3, the SVD that the Gram route skips at 22.2,
@@ -375,6 +377,23 @@ class TestFrameMemo:
         # the first, has gone
         assert fh.assemble_omega(sets[0], 1) is not first
         assert len(calls) == 10
+
+    def test_large_operator_is_not_kept(self):
+        # a (K^+)^T above 8 MiB is built and returned but not memoized, so
+        # the memo cannot pin it once its caller drops it; the largest
+        # benchmark frame, jittered m = 512 at 4.8 MiB, is still kept
+        large = fh.assemble_omega(fh.jittered_frequencies(1024, seed=3), 614)
+        assert large.pinv_t.nbytes > 8 * 2**20
+        gone = weakref.ref(large)
+        del large
+        assert gone() is None
+        freqs = fh.jittered_frequencies(512, seed=3)
+        small = fh.assemble_omega(freqs, 307)
+        assert small.pinv_t.nbytes < 5 * 2**20
+        kept = weakref.ref(small)
+        del small
+        assert kept() is not None
+        assert fh.assemble_omega(freqs, 307) is kept()
 
 
 class TestAdmissibility:
@@ -516,12 +535,13 @@ class TestFilterReconstruct:
         # for rows [A; B], the (cos, sin)-interleaved table times the folded
         # coefficients is the real (A's rows) and the imaginary part (B's
         # rows) of sum_{|l|<=n} (-1)^l (A_l + i B_l) e^{2 pi i l x}, here
-        # summed term by term; out starts as NaN, so every entry is written
+        # summed term by term
         rows = 3
         rng = np.random.default_rng(n)
         a = rng.normal(size=(2 * rows, 2 * n + 1))
         xs = np.concatenate([[0.0, 0.5], rng.uniform(0.0, 1.0, 4)])
-        coefficients = _fold(a, n, out=np.full((2 * rows, n + 1, 2), np.nan))
+        coefficients = _fold(a, n)
+        assert coefficients.shape == (2 * rows, n + 1, 2)
         angles = 2 * np.pi * np.outer(xs, np.arange(n + 1))
         table = np.stack([np.cos(angles), np.sin(angles)], axis=-1).reshape(xs.size, -1)
         folded = table @ coefficients.reshape(2 * rows, -1).T
@@ -561,8 +581,9 @@ class TestFilterReconstruct:
 
     def test_memory_independent_of_point_count(self):
         # one complex (points x 2m+1) matrix alone would take 128 MiB here;
-        # the traced peak is 4.5 MiB (6.6 MiB with a weight row per point):
-        # the per-point parameters and results, and 1 MiB of block buffers
+        # the traced peak is 3.3 MiB (6.6 MiB with a weight row per point):
+        # the per-point parameters and results, and about 1 MiB of one
+        # block's table and temporaries
         pipe = pipeline("f2", "uniform", 128)
         xs = (np.arange(32768) + 0.5) / 32768
         tracemalloc.start()
