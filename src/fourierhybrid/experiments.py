@@ -28,7 +28,7 @@ import numpy as np
 
 from .filters import ALPHA, KAPPA
 from .frame import FilterReconstruction, assemble_omega
-from .hybrid import hybrid_reconstruct
+from .hybrid import check_buffer, hybrid_reconstruct
 from .oracles import ground_truth_error
 from .piecewise import (
     PiecewiseFunction,
@@ -67,12 +67,13 @@ def choose_n(scheme: str, m: int) -> int:
     """Empirical mode-count rules: 0.6 m (jittered), 2 m^0.6 (log), m (uniform).
 
     n is capped at m, so 2n+1 modes never outnumber the 2m+1 samples; only
-    the log rule at m = 2 reaches the cap.
+    the log rule at m = 2 reaches the cap.  It owns the rules that the
+    scheme be known and m >= 2; ExperimentConfig.validate calls it per m.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got m = {m}")
     return min(_SCHEMES[scheme].n_rule(m), m)
 
 
@@ -95,21 +96,18 @@ class ExperimentConfig:
     kappa: ClassVar[float] = KAPPA
 
     def validate(self) -> None:
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        """Refuse a config before any sampling; the scheme, m and delta rules
+        are choose_n's and check_buffer's, called here, not restated."""
         if not self.m_list:
             raise ValueError("m_list must be non-empty")
         if any(b <= a for a, b in zip(self.m_list, self.m_list[1:])):
             raise ValueError("m_list must be strictly ascending (no repeated m)")
-        too_small = [m for m in self.m_list if m < 2]
-        if too_small:
-            raise ValueError(f"every m must be at least 2, got m = {too_small[0]}")
+        for m in self.m_list:
+            choose_n(self.scheme, m)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.grid_size < 64:
             raise ValueError("grid_size must be at least 64")
-        if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta!r}")
         unknown = set(self.formats) - {"csv", "svg"}
         if unknown:
             raise ValueError(f"unknown output formats {sorted(unknown)}")
@@ -119,17 +117,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"pieces are used only with function=custom, not function={self.function!r}"
             )
-        f = self.resolve_function()
-        breaks = f.breakpoints
-        widths = np.diff(breaks)
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if np.any(widths <= 2 * self.delta):
-            k = int(np.argmin(widths))
-            raise ValueError(
-                f"delta = {self.delta} must lie in (0, half the narrowest "
-                f"subinterval); [{breaks[k]}, {breaks[k + 1]}] is too narrow"
-            )
+        check_buffer(self.resolve_function().breakpoints, self.delta)
 
     def resolve_function(self) -> PiecewiseFunction:
         if self.function == "custom":
@@ -261,9 +249,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(config=cfg, records=tuple(records), files=tuple(files))
     if "csv" in cfg.formats:
         summary = out_dir / "summary.csv"
-        _write_summary_csv(summary, cfg, report.records)
+        _write_table(summary, cfg, _SUMMARY_COLUMNS, [
+            (str(r.m), str(r.n), str(r.degree), str(r.fit_samples - 1),
+             *map(_fmt, (r.cond, r.imag_residual, r.fit_residual, r.amplification,
+                         r.sup_err_filter_interior, r.sup_err_filter_global,
+                         r.sup_err_hybrid_global, r.sup_err_hybrid_buffers)),
+             r.freq_hash)
+            for r in report.records
+        ])
         convergence = out_dir / "convergence.csv"
-        _write_convergence_csv(convergence, cfg, report)
+        _write_table(convergence, cfg, "m,sup_err,ratio_to_previous", [
+            (str(m), _fmt(err), "" if ratio == "" else _fmt(ratio))
+            for m, err, ratio in convergence_table(report)
+        ])
         report = replace(report, files=report.files + (str(summary), str(convergence)))
     return report
 
@@ -409,14 +407,19 @@ _GRID_TAGS = np.frombuffer(
 ).reshape(2, 13)
 
 
+def _preamble(cfg, *lines) -> str:
+    """The head of every CSV: the config echo, then lines, each ending in a newline."""
+    return "".join(f"{line}\n" for line in (*cfg.echo_lines(), *lines))
+
+
 def _write_grid_csv(path, cfg, record, grid, truth, filt, hyb, err_f, err_h, extrapolated):
     """One row per grid point: six '%.17e' columns and the tag the mask selects."""
-    header = [
-        *cfg.echo_lines(),
+    header = _preamble(
+        cfg,
         f"# m={record.m} n={record.n} M={record.degree} "
         f"N={record.fit_samples - 1} freq_hash={record.freq_hash}",
         "x,f_true,f_filter,f_hybrid,err_filter,err_hybrid,tag",
-    ]
+    )
     numeric = [np.asarray(c, dtype=float) for c in (grid, truth, filt, hyb, err_f, err_h)]
     extrapolated = np.asarray(extrapolated, dtype=bool)
     # each line is laid out as fixed-width, NUL-padded slots: each number
@@ -424,7 +427,7 @@ def _write_grid_csv(path, cfg, record, grid, truth, filt, hyb, err_f, err_h, ext
     ncol = len(numeric)
     width = ncol * (_E17_WIDTH + 1)
     with Path(path).open("wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode())
+        fh.write(header.encode())
         for start in range(0, extrapolated.size, _CSV_BLOCK_ROWS):
             rows = slice(start, start + _CSV_BLOCK_ROWS)
             tag = _GRID_TAGS[extrapolated[rows].astype(np.intp)]
@@ -439,34 +442,17 @@ def _write_grid_csv(path, cfg, record, grid, truth, filt, hyb, err_f, err_h, ext
             fh.write(line.tobytes().replace(b"\0", b""))
 
 
-def _write_summary_csv(path, cfg, records):
-    with Path(path).open("w", newline="") as fh:
-        for line in cfg.echo_lines():
-            fh.write(line + "\n")
-        fh.write(
-            "m,n,M,N,cond,imag_residual,fit_residual,amplification,sup_err_filter_interior,"
-            "sup_err_filter_global,sup_err_hybrid_global,sup_err_hybrid_buffers,freq_hash\n"
-        )
-        for r in records:
-            fh.write(
-                ",".join([
-                    str(r.m), str(r.n), str(r.degree), str(r.fit_samples - 1),
-                    _fmt(r.cond), _fmt(r.imag_residual), _fmt(r.fit_residual),
-                    _fmt(r.amplification),
-                    _fmt(r.sup_err_filter_interior), _fmt(r.sup_err_filter_global),
-                    _fmt(r.sup_err_hybrid_global), _fmt(r.sup_err_hybrid_buffers),
-                    r.freq_hash,
-                ]) + "\n"
-            )
+_SUMMARY_COLUMNS = (
+    "m,n,M,N,cond,imag_residual,fit_residual,amplification,sup_err_filter_interior,"
+    "sup_err_filter_global,sup_err_hybrid_global,sup_err_hybrid_buffers,freq_hash"
+)
 
 
-def _write_convergence_csv(path, cfg, report):
+def _write_table(path, cfg, columns, rows):
+    """The preamble with the column line columns, then each row's texts joined by ','."""
     with Path(path).open("w", newline="") as fh:
-        for line in cfg.echo_lines():
-            fh.write(line + "\n")
-        fh.write("m,sup_err,ratio_to_previous\n")
-        for m, err, ratio in convergence_table(report):
-            fh.write(f"{m},{_fmt(err)},{'' if ratio == '' else _fmt(ratio)}\n")
+        fh.write(_preamble(cfg, columns))
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------

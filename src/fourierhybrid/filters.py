@@ -42,8 +42,7 @@ ALPHA = 1.0
 KAPPA = 1.0 / 15.0
 
 _LOG_SPACE_Z = 700.0
-# below half an ulp of 1, so adding it to a sum >= 1 rounds back
-_NEGLIGIBLE_TERM = 2.0**-54
+_LOG_NEGLIGIBLE_TERM = -54.0 * math.log(2.0)  # log 2^-54; 2^-54 < half an ulp of 1
 
 
 def _series_terms(p_max: int, z_max: float) -> int:
@@ -52,11 +51,14 @@ def _series_terms(p_max: int, z_max: float) -> int:
     Once l exceeds z_max the terms z^l / l! only shrink, and once the largest
     of them, z_max^l / l!, is below 2^-54, adding it to a sum >= 1 cannot
     change a bit; the series stops after that term however large p is.
+    The term is carried as its logarithm: z_max^l / l! itself overflows for
+    z_max above about 710, and an infinite term would never pass the test.
     """
-    term = 1.0
+    log_z = math.log(z_max) if z_max > 0 else -math.inf
+    log_term = 0.0
     for l in range(1, p_max + 1):
-        term = term * z_max / l
-        if l > z_max and term < _NEGLIGIBLE_TERM:
+        log_term += log_z - math.log(l)
+        if l > z_max and log_term < _LOG_NEGLIGIBLE_TERM:
             return l
     return p_max
 

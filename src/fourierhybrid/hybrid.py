@@ -26,6 +26,7 @@ from .frame import FilterReconstruction, filter_reconstruct
 
 __all__ = [
     "HybridReconstruction",
+    "check_buffer",
     "hybrid_reconstruct",
     "optimize_delta",
     "delta_objective",
@@ -54,33 +55,43 @@ class HybridReconstruction:
     amplification: float
 
 
+def check_buffer(jumps, delta: float) -> None:
+    """The buffer rule, for hybrid_reconstruct and ExperimentConfig.validate alike.
+
+    delta must be finite and positive, and each subinterval of the sorted
+    jumps wider than 2 delta, judged as hybrid_reconstruct rounds the fit
+    interval [xi_l + delta, xi_{l+1} - delta]: it must not be empty, and a
+    delta an ulp below half the width can round it to a point.
+    """
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
+    narrow = np.flatnonzero(jumps[:-1] + delta >= jumps[1:] - delta)
+    if narrow.size:
+        k = narrow[0]
+        raise ValueError(f"delta = {delta} must lie in (0, half the narrowest subinterval); "
+                         f"[{jumps[k]}, {jumps[k + 1]}] is too narrow")
+
+
 def hybrid_reconstruct(
     filter_recon: FilterReconstruction, grid, delta: float
 ) -> HybridReconstruction:
     """Assemble the hybrid reconstruction on the given grid with buffer width delta.
 
-    grid must be 1-d, delta positive, the jump set of ``filter_recon`` must
-    include 0 and 1, and every subinterval must be wider than 2 delta.
+    grid must be 1-d, delta and the jump set of ``filter_recon`` must pass
+    check_buffer, and the jump set must include 0 and 1.
     """
-    if not delta > 0:  # NaN fails too
-        raise ValueError(f"delta must be positive, got {delta!r}")
     jumps = filter_recon.jumps
+    check_buffer(jumps, delta)
     if jumps.size < 2 or jumps[0] != 0.0 or jumps[-1] != 1.0:
         raise ValueError("jump set must include the endpoints 0 and 1")
-    widths = np.diff(jumps)
-    narrow = np.where(widths <= 2 * delta)[0]
-    if narrow.size:
-        k = narrow[0]
-        raise ValueError(
-            f"subinterval [{jumps[k]}, {jumps[k + 1]}] is not wider than "
-            f"2*delta = {2 * delta}"
-        )
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise ValueError(f"grid must be 1-d, got shape {grid.shape}")
 
     degree, big_n, amplification = extrapolation_params_bounded(
-        filter_recon.operator.m, delta, widths
+        filter_recon.operator.m, delta, np.diff(jumps)
     )
 
     # row l holds the fit nodes of [xi_l, xi_{l+1}]; one filter evaluation

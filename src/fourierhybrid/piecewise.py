@@ -170,7 +170,7 @@ def _compile_node(node):
     if isinstance(node, ast.Expression):
         return _compile_node(node.body)
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)):
+        if type(node.value) in (int, float):  # not bool, an int subclass
             value = float(node.value)
             return lambda x: value
         raise ValueError(f"non-numeric literal {node.value!r}")

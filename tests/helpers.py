@@ -53,6 +53,18 @@ def pipeline(function: str = "f1", scheme: str = "jittered", m: int = 128,
     )
 
 
+def far_frequency_recon():
+    """f2 on jittered m = 16, seed 1, with the last frequency moved to 330 = 20.6 m; n = 9."""
+    lams = frequency_set("jittered", 16, seed=1).frequencies.copy()
+    lams[-1] = 330.0
+    freqs = fh.FrequencySet(m=16, frequencies=lams)
+    f = fh.builtin_f2()
+    return fh.FilterReconstruction(
+        operator=fh.assemble_omega(freqs, 9), samples=fh.fourier_samples(f, freqs),
+        jumps=f.breakpoints,
+    )
+
+
 @lru_cache(maxsize=None)
 def hybrid_run(function: str = "f1", scheme: str = "jittered", m: int = 128,
                seed: int = 42):

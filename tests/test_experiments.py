@@ -4,7 +4,7 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,31 @@ def small_config(**overrides):
     return ExperimentConfig(**settings)
 
 
+def buffer_outcomes(cfg):
+    """(validate's message, hybrid_reconstruct's message) for cfg's delta; None accepts.
+
+    The hybrid runs on the frame of jittered m = 16 with cfg's function, and
+    must give finite values where it accepts.
+    """
+    f = cfg.resolve_function()
+    freqs = fourierhybrid.jittered_frequencies(16, seed=1)
+    recon = fourierhybrid.FilterReconstruction(
+        operator=fourierhybrid.assemble_omega(freqs, choose_n("jittered", 16)),
+        samples=fourierhybrid.fourier_samples(f, freqs), jumps=f.breakpoints,
+    )
+    outcomes = []
+    for call in (cfg.validate,
+                 lambda: fourierhybrid.hybrid_reconstruct(recon, midpoint_grid(64), cfg.delta)):
+        try:
+            result = call()
+        except ValueError as exc:
+            outcomes.append(str(exc))
+        else:
+            assert result is None or np.all(np.isfinite(result.values))
+            outcomes.append(None)
+    return tuple(outcomes)
+
+
 def test_midpoint_grid():
     grid = midpoint_grid(8)
     np.testing.assert_allclose(grid, (np.arange(8) + 0.5) / 8)
@@ -62,7 +87,7 @@ class TestConfigValidation:
             small_config(m_list=(128, 128)).validate()
         # rejected before any samples are synthesized, naming the m
         for m_list, m in (((1,), 1), ((0,), 0), ((1, 64), 1)):
-            with pytest.raises(ValueError, match=f"every m must be at least 2, got m = {m}$"):
+            with pytest.raises(ValueError, match=f"^m must be at least 2, got m = {m}$"):
                 small_config(m_list=m_list).validate()
 
     def test_grid_floor(self):
@@ -84,6 +109,42 @@ class TestConfigValidation:
     def test_oversized_delta_names_interval(self):
         with pytest.raises(ValueError, match=r"\[0\.0, 0\.3\]"):
             small_config(function="f2", delta=0.21).validate()
+
+    @pytest.mark.parametrize("delta, message", [
+        (math.nan, "delta must be finite, got nan"),
+        (math.inf, "delta must be finite, got inf"),
+        (0.0, "delta must be positive, got 0.0"),
+        (-1.0, "delta must be positive, got -1.0"),
+        (0.15, "delta = 0.15 must lie in (0, half the narrowest subinterval); "
+               "[0.0, 0.3] is too narrow"),
+    ])
+    def test_validate_and_hybrid_refuse_alike(self, delta, message):
+        cfg = small_config(function="f2", delta=delta)
+        assert buffer_outcomes(cfg) == (message, message)
+
+    @pytest.mark.parametrize("function, pieces, ulps", [
+        ("f1", (), 3),
+        ("f2", (), 1),
+        ("custom", ((0.0, 0.4, "x"), (0.4, 0.6, "exp(x)"), (0.6, 1.0, "cos(3*x)")), 3),
+    ], ids=["f1", "f2", "custom"])
+    def test_validate_and_hybrid_share_the_buffer_rule(self, function, pieces, ulps):
+        # at half the narrowest subinterval both refuse with one message.
+        # Below it the rule judges the fit interval [xi + delta, xi' - delta]
+        # as rounded: on f1, 0.5 + delta and 1 - delta both round to 0.75 for
+        # delta one and two ulps below 0.25, where the fit nodes would
+        # coincide, so the first delta accepted lies 3 ulps below; the custom
+        # function's middle piece [0.4, 0.6] rounds alike
+        cfg = small_config(function=function, pieces=pieces)
+        half = float(np.min(np.diff(cfg.resolve_function().breakpoints)) / 2)
+        delta = half
+        for k in range(ulps + 2):
+            refusal, hybrid_refusal = buffer_outcomes(replace(cfg, delta=delta))
+            assert refusal == hybrid_refusal
+            if k < ulps:
+                assert refusal.startswith(f"delta = {delta} must lie in (0, half the narrowest")
+            else:
+                assert refusal is None
+            delta = float(np.nextafter(delta, 0.0))
 
     def test_custom_function_requires_pieces(self):
         with pytest.raises(ValueError, match="piece"):
@@ -557,9 +618,9 @@ class TestCli:
             # one seed rule for every scheme, checked before any work
             (["--seed", "-1"], "seed must be non-negative, got -1"),
             (["--scheme", "log", "--seed", "-1"], "seed must be non-negative, got -1"),
-            # this surfaces at the first m, not in validate(), and must still
-            # leave no output directory
-            (["--m", "1"], "m must be at least 2"),
+            # refused in validate(), by choose_n's rule, before any sampling
+            (["--m", "1"], "m must be at least 2, got m = 1"),
+            (["--delta", "inf"], "delta must be finite, got inf"),
             # a piece that is NaN on part of its interval, or overflows to inf;
             # a numpy warning in front of the message would fail here
             (["--function", "custom", "--pieces", "0:1:(x-0.5)^0.5"],

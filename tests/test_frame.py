@@ -1,10 +1,15 @@
 import cmath
 import dataclasses
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,7 +24,7 @@ from fourierhybrid.frame import (
     _omega_matrix, _unit_powers,
 )
 from fourierhybrid.oracles import frame_filtered_sum
-from helpers import GRID_1024, frequency_set, pipeline
+from helpers import GRID_1024, far_frequency_recon, frequency_set, pipeline
 
 
 def omega_entry_by_quadrature(lam: float, l: int) -> complex:
@@ -648,6 +653,33 @@ class TestFilterReconstruct:
         )
         xs = np.linspace(0.0, 1.0, 41)
         values, imag = fh.filter_reconstruct(recon, xs)
+        for k, x in enumerate(xs):
+            v, r = oracle_value(recon, float(x))
+            assert abs(values[k] - v) <= 1e-12
+            assert abs(imag[k] - r) <= 1e-12
+
+    def test_far_frequency_returns_and_matches_oracle(self):
+        # one frequency at 20.6 m puts the node rule's z at 798, where
+        # z^l / l! overflows in floats: the series-length count then never
+        # stopped, so the call runs in a fresh interpreter with a deadline
+        xs = np.linspace(0.05, 0.95, 5)
+        probe = (
+            "import json, numpy as np, fourierhybrid as fh\n"
+            "from fourierhybrid.frame import _band_nodes\n"
+            "from helpers import far_frequency_recon\n"
+            "recon = far_frequency_recon()\n"
+            f"values, imag = fh.filter_reconstruct(recon, np.array({xs.tolist()}))\n"
+            "print(json.dumps([_band_nodes(recon.samples.freqs.frequencies, 16),"
+            " values.tolist(), imag.tolist()]))\n"
+        )
+        paths = [str(Path(fh.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+        nodes, values, imag = json.loads(done.stdout)
+        assert nodes == 2201
+        recon = far_frequency_recon()
         for k, x in enumerate(xs):
             v, r = oracle_value(recon, float(x))
             assert abs(values[k] - v) <= 1e-12

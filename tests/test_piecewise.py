@@ -183,6 +183,14 @@ def test_parse_expression_rejects_unsafe_input():
             parse_expression(bad)
 
 
+def test_parse_expression_rejects_booleans():
+    # bool is an int subclass; True once evaluated to 1.0 and x*False to 0
+    for bad, literal in (("True", "True"), ("x*False", "False"), ("2 + True", "True")):
+        with pytest.raises(ValueError, match=f"^non-numeric literal {literal}$"):
+            parse_expression(bad)
+    assert parse_expression("1 + 2.5*x")(2.0) == 6.0
+
+
 def test_piecewise_from_expressions_matches_builtin():
     custom = piecewise_from_expressions(
         [(0.0, 0.5, "sin(4*pi*x)"), (0.5, 1.0, "sin(2*pi*x)")]
