@@ -577,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
         "non-uniform Fourier samples and write CSV/SVG reports.",
         exit_on_error=False,
     )
-    parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--function", help="f1, f2, or custom (with --pieces)")
     parser.add_argument(
         "--pieces", type=_parse_pieces,
@@ -595,41 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_file_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
-    """Turn each key=value line into --flag=value; a key is a flag or its field name."""
-    keys = {f.name for f in fields(ExperimentConfig)}
-    flags = {}
-    for action in parser._actions:
-        if action.dest in keys:
-            for name in (action.dest, *action.option_strings):
-                flags[name.lstrip("-").replace("-", "_")] = action.option_strings[0]
-    args = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line without '=': {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key not in flags:
-            raise ValueError(f"unknown config key {key!r}")
-        args.append(f"{flags[key]}={value.strip()}")
-    return args
-
-
 def config_from_args(argv: list[str]) -> ExperimentConfig:
-    """ExperimentConfig from the flags argv, over the --config file's values if any.
-
-    The file's lines are parsed as flags ahead of argv; argparse keeps the
-    last value of a repeated flag, so the command line wins.
-    """
-    parser = build_parser()
-    config = parser.parse_known_args(argv)[0].config
+    """ExperimentConfig from the flags argv; a flag not given keeps the field's default."""
     # parse_args would print the usage and exit on an unknown flag
-    args, unknown = parser.parse_known_args(
-        [*_config_file_flags(config, parser), *argv] if config else argv
-    )
+    args, unknown = build_parser().parse_known_args(argv)
     if unknown:
         raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
     settings = {

@@ -3,8 +3,8 @@
 A function is a list of smooth pieces on half-open intervals [a, b) that
 tile [0,1); the right endpoint x = 1 is served by the last piece.  The two
 built-in test functions used throughout the experiments are provided, plus
-a small expression grammar so custom piecewise functions can be defined in
-config files.
+a small expression grammar so custom piecewise functions can be defined
+with the CLI's ``--pieces`` flag.
 """
 
 from __future__ import annotations

@@ -1,9 +1,17 @@
 """Ensures the tests directory is importable (for the shared helpers module),
-and gives every test a cold frame memo."""
+gives every test a cold frame memo, and fixes hypothesis's settings."""
 
 import pytest
+from hypothesis import settings
 
 from fourierhybrid import frame
+
+# the same examples on every run, whatever ran before and however slow the
+# machine: property tests stay deterministic and bounded in time
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, deadline=None, max_examples=200
+)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)

@@ -615,6 +615,8 @@ class TestCli:
             (["--n-override", "8"], "unrecognized arguments: --n-override 8"),
             (["--alpha", "2"], "unrecognized arguments: --alpha 2"),
             (["--kappa", "0.1"], "unrecognized arguments: --kappa 0.1"),
+            # the retired settings file: every setting is a flag
+            (["--config", "x"], "unrecognized arguments: --config x"),
             # one seed rule for every scheme, checked before any work
             (["--seed", "-1"], "seed must be non-negative, got -1"),
             (["--scheme", "log", "--seed", "-1"], "seed must be non-negative, got -1"),
@@ -705,50 +707,12 @@ class TestCli:
         ])
         assert code == 4
         assert "I/O failure" in capsys.readouterr().err
-        # an unreadable config file is an I/O failure, not a traceback
-        assert main(["--config", str(tmp_path / "missing.cfg")]) == 4
-        assert "I/O failure" in capsys.readouterr().err
-
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text(
-            "function=f1\nscheme=jittered\nm=16\ngrid=64\n"
-            f"out={tmp_path / 'from_file'}\nformats=csv\n"
-        )
-        code = main(["--config", str(config), "--out", str(tmp_path / "cli_wins")])
-        assert code == 0
-        assert (tmp_path / "cli_wins" / "summary.csv").exists()
-        assert not (tmp_path / "from_file").exists()
-
-    def test_config_file_unknown_key(self, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        # n_override and alpha name retired settings
-        for line in ("functions=f1", "func=f1", "n_override=8", "alpha=1"):
-            config.write_text(f"{line}\nout={tmp_path / 'out'}\n")
-            assert main(["--config", str(config)]) == 2
-            assert "unknown config key" in capsys.readouterr().err
-            assert not (tmp_path / "out").exists()
-
-    def test_config_file_keys_by_field_name(self, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text(
-            f"m_list=16\ngrid_size=64\noutput_dir={tmp_path / 'out'}\n"
-            "formats=csv\n"
-        )
-        assert main(["--config", str(config)]) == 0
-        summary = (tmp_path / "out" / "summary.csv").read_text()
-        assert "# grid_size=64" in summary and "\n16,9," in summary
-        # a value the flag's type rejects is a configuration error here too
-        config.write_text("seed=abc\n")
-        assert main(["--config", str(config)]) == 2
-        assert "invalid int value" in capsys.readouterr().err
 
     def test_every_config_field_has_a_flag(self):
-        # config files and flags share one schema: build_parser, with one
-        # flag per field and no other
+        # build_parser has one flag per field and no other
         names = {f.name for f in fields(ExperimentConfig)}
         dests = {action.dest for action in build_parser()._actions}
-        assert dests - {"help", "config"} == names
+        assert dests - {"help"} == names
         # and every field that shapes the numbers is echoed into each CSV,
         # with the filter constants; pieces echo as one "# piece=a:b:expr"
         # line each

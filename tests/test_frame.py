@@ -181,9 +181,14 @@ class TestAssembleOmega:
     def refuse(*args, **kwargs):
         raise AssertionError("this route must not be taken")
 
-    @pytest.mark.parametrize("scheme", ["jittered", "log", "uniform"])
-    @pytest.mark.parametrize("m", [32, 128, 512])
-    def test_well_conditioned_frame_skips_the_svd(self, scheme, m, monkeypatch):
+    @pytest.mark.parametrize("m, scheme, tol", [
+        *(pytest.param(m, scheme, 1e-13, id=f"{m}-{scheme}") for m in (32, 128, 512)
+          for scheme in ("jittered", "log", "uniform")),
+        # the CLI's worst log frame that stays on the Gram route, cond(K) 89.7;
+        # the route's error grows like eps cond^2 and reads 6.0e-13 here
+        pytest.param(48, "log", 1e-12, id="48-log"),
+    ])
+    def test_well_conditioned_frame_skips_the_svd(self, scheme, m, tol, monkeypatch):
         # cond(K) <= 100: s and (K^+)^T come from the Gram matrix K^T K
         freqs = frequency_set(scheme, m)
         n = fh.choose_n(scheme, m)
@@ -194,11 +199,18 @@ class TestAssembleOmega:
         kernel = self.kernel(freqs, n)
         s = np.linalg.svd(kernel, compute_uv=False)
         assert np.max(np.abs(op.s - s)) <= 1e-14 * s[0]
-        assert np.max(np.abs(op.pinv_t - np.linalg.pinv(kernel).T)) <= 1e-13
+        assert np.max(np.abs(op.pinv_t - np.linalg.pinv(kernel).T)) <= tol
 
     def test_ill_conditioned_frame_takes_the_svd(self, monkeypatch):
-        # full column rank, but cond(K) is about 3.9e3, past the Gram route's limit
-        freqs, n = fh.log_frequencies(32), 20
+        # full column rank, but cond(K) is past the Gram route's limit of 100:
+        # about 3.9e3 for log m = 32 at n = 20, where (K^+)^T reaches 755;
+        # and the CLI's two such frames, log m = 7 (cond 204) and m = 43
+        # (cond 118) at choose_n's n
+        cases = [
+            (fh.log_frequencies(32), 20, (65, 41)),
+            (fh.log_frequencies(7), fh.choose_n("log", 7), (15, 13)),
+            (fh.log_frequencies(43), fh.choose_n("log", 43), (87, 39)),
+        ]
         svd_calls = []
         svd = np.linalg.svd
 
@@ -207,15 +219,16 @@ class TestAssembleOmega:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            op = fh.assemble_omega(freqs, n)
-        assert svd_calls == [(65, 41)]
-        assert op.effective_rank == 2 * n + 1
-        assert op.s[0] / op.s[-1] > 1e3
-        kernel = self.kernel(freqs, n)
-        # entries of (K^+)^T reach 755 here
-        assert np.max(np.abs(op.pinv_t - np.linalg.pinv(kernel).T)) <= 1e-12
+        for freqs, n, shape in cases:
+            svd_calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                op = fh.assemble_omega(freqs, n)
+            assert svd_calls == [shape]
+            assert op.effective_rank == 2 * n + 1
+            assert op.s[0] / op.s[-1] > 100
+            kernel = self.kernel(freqs, n)
+            assert np.max(np.abs(op.pinv_t - np.linalg.pinv(kernel).T)) <= 1e-12
 
     def test_pseudo_inverse_consistency(self):
         # Omega = diag(phase) K diag(sign), so Omega^+ = diag(sign) K^+ diag(conj phase)
