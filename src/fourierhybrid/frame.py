@@ -47,10 +47,12 @@ product over +-l straight into the cosine and sine coefficients that the
 points read; a point then needs its cosines and sines, one (n+1)-deep
 product and R Chebyshev polynomials from numpy's chebvander.
 R follows from the largest |lambda| (24 at |lambda| <= m), so the paper's
-filter is reproduced to roundoff, not changed, at a cost of
-O(bands R m n + points R n) against O(points m n) for a weight row per
-point.  The points stream in fixed-size blocks, so memory is O(block n +
-R m), not O(points m); numpy allocates each band's arrays, and one block's
+filter is reproduced to roundoff, not changed.  A band side (the band's
+points on one side of one jump) holding more than _CROWD S q points is
+summed at S q Chebyshev nodes alone (_side_nodes) and its points
+interpolate them, at a cost of O(bands R m n + nodes R n + points q)
+against O(points m n) for a weight row per point.  The points stream in
+fixed-size blocks, so memory is O(block n + R m), not O(points m); numpy allocates each band's arrays, and one block's
 cos/sin table is the only array kept across bands and blocks.  The cosines
 and sines of 2 pi l x, l = 0..n, come from e^{2 pi i l x} built by angle
 doubling: ceil(log2(n+1)) exponentials and one complex product per mode,
@@ -59,6 +61,7 @@ not a sin and a cos per point and mode.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -66,6 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from .filters import ALPHA, KAPPA, _series_terms, adaptive_param_arrays, sigma_weight_matrix
+from .piecewise import nearest_jump
 from .sampling import FourierSamples, FrequencySet
 
 __all__ = [
@@ -79,6 +83,11 @@ __all__ = [
 # handles per block, (points x 2(n+1) + 3R), and how many rows of K are
 # built at once, (rows x 2n+1)
 _BLOCK_BYTES = 1 << 20
+
+# filter_reconstruct interpolates a band side only when it holds more than
+# _CROWD times its nodes: each node costs a point's direct sum, and an
+# interpolated point about a third of one, plus a call's fixed costs
+_CROWD = 4
 
 # smallest s_min / s_max of K for which assemble_omega skips the SVD and
 # takes the Gram route; that route's error grows like eps cond(K)^2, so
@@ -331,6 +340,25 @@ def _band_nodes(lam: np.ndarray, m: int) -> int:
     return _series_terms(sys.maxsize, 0.25 * dz)
 
 
+def _side_nodes(lam: np.ndarray, m: int, n: int) -> tuple[int, int]:
+    """(S, q): the sub-intervals of a band side in t, and the Chebyshev nodes on each.
+
+    A side's sum is the weight series in t times e^{2 pi i l x(t)}, l <= n,
+    of phase span omega = pi n / (KAPPA m): Chebyshev coefficients bounded by
+    (omega / 2)^k / k! (|J_k(omega)|) and (dz / 4)^k / k! (_band_nodes).  On S
+    sub-intervals both shrink by S, and q adds their _series_terms counts.
+    S = ceil(omega / 8) keeps q near 45 at any n / m (a point costs O(q), a
+    side O(S q R n)).  On f2, uniform m = 64, 32768 points, omega / 4 (S q =
+    420 nodes a side) was 7 % faster and omega / 16 (186) 12 % slower; the
+    270 nodes of omega / 8 let sides of a third fewer points be interpolated.
+    """
+    dz = ALPHA * float(np.max(lam * lam)) / (2.0 * KAPPA * m * m)
+    omega = np.pi * n / (KAPPA * m)
+    pieces = max(1, math.ceil(omega / 8.0))
+    terms = _series_terms(sys.maxsize, dz / (4.0 * pieces))
+    return pieces, terms + _series_terms(sys.maxsize, omega / (2.0 * pieces))
+
+
 def _chebyshev_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     """(t, D): the first-kind Chebyshev nodes t_r = cos(pi (2r + 1) / (2 count))
     and the DCT-II matrix D that maps values at them to the coefficients c = D v
@@ -372,17 +400,23 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     [p, p+1) / (KAPPA m) by sigma_weight_matrix, mapped to Chebyshev
     coefficients by the DCT-II, and contracted with psi and (K^+)^T once
     (one (2R, 2m+1) x (2m+1, 2n+1) product), which _fold turns straight
-    into the Chebyshev coefficients of a_l and b_l.  A point then costs the
-    cosines and sines of _unit_powers, built by angle doubling, one
+    into the Chebyshev coefficients of a_l and b_l.  A point summed
+    directly (_mode_sums) costs the cosines and sines of _unit_powers, one
     (n+1)-deep product against those coefficients and R Chebyshev
     polynomials T_k(t(d)) from numpy's chebvander.  R comes from
     _band_nodes, so the interpolated weights reproduce the paper's filter
-    to roundoff; the filter-then-solve ordering is unchanged.  The cost is
-    O(bands R m n + points R n), against O(points m n) for a weight row per
-    point.  A band's arrays are allocated by numpy as it goes; the complex
-    (block, n+1) cos/sin table alone is allocated once per call and reused
-    by every block.  The band intervals are fixed, so a point's value does
-    not depend on the other points of the call.  The tests check it against
+    to roundoff; the filter-then-solve ordering is unchanged.
+
+    On a band side, side 2k left of jumps[k] or 2k + 1 right of it,
+    x = xi -+ d(t) makes the sum entire in t.  A side with more than
+    _CROWD S q points is summed at the S q nodes of _side_nodes, which the
+    DCT-II maps to a q-term series per sub-interval that its points
+    evaluate; the other points, and the no-filter mode, are summed directly.
+    The cost is O(bands R m n + nodes R n + points q).  The sides are found
+    block by block, so no per-point array is added; the complex (block, n+1)
+    cos/sin table is allocated once per call and reused by every block.  A point's value depends on the other points of the
+    call only through whether its side is interpolated, and the two paths
+    agree within 1e-13.  The tests check it against
     oracles.frame_filtered_sum, which shares none of this code.
     """
     xs = np.asarray(xs, dtype=float)
@@ -393,16 +427,21 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     op = recon.operator
     m, n = op.m, op.n
     lam = recon.samples.freqs.frequencies
+    jumps = recon.jumps
     psi = op.phase * recon.samples.values
-    _, ps, ds = adaptive_param_arrays(xs, m, recon.jumps)
-    # a point's place t in [-1, 1) within its band, KAPPA d m in [p, p+1);
-    # the no-filter mode (d = inf) takes the rule's d = 0
-    ts = np.where(np.isfinite(ds), 2.0 * (KAPPA * ds * m - ps) - 1.0, -1.0)
+    _, ps, ts = adaptive_param_arrays(xs, m, jumps)
+    # a point's place t in [-1, 1) within its band, KAPPA d m in [p, p+1),
+    # replaces its d; the no-filter mode (d = inf) takes the rule's d = 0
+    ts = np.where(np.isfinite(ts), 2.0 * (KAPPA * ts * m - ps) - 1.0, -1.0)
     nodes = _band_nodes(lam, m)
     node_t, dct = _chebyshev_nodes(nodes)
+    pieces, per_piece = _side_nodes(lam, m, n)
+    piece_t, piece_dct = _chebyshev_nodes(per_piece)
+    # the t of a side's S q nodes, sub-interval by sub-interval
+    side_t = ((2 * np.arange(pieces)[:, None] + 1 + piece_t) / pieces - 1.0).ravel()
     values = np.empty(xs.shape)
     imag_residual = np.empty(xs.shape)
-    block = _block_points(2 * (n + 1) + 3 * nodes)
+    block = _block_points(max(2 * (n + 1) + 3 * nodes, 3 * per_piece))
     # the cos/sin table of a block, the one array kept across bands and
     # blocks: allocated afresh per block it raised the paper-matrix peak RSS
     # by 1.3 MiB
@@ -418,13 +457,54 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
         # mode sum, against the columns cos(2 pi l x), sin(2 pi l x) interleaved
         coefficients = _fold(product, n).reshape(2 * nodes, -1)
         band = np.flatnonzero(ps == p)
+        crowded = np.zeros(2 * jumps.size, dtype=bool)
+        if jumps.size:
+            crowded = sum(
+                np.bincount(_sides(xs[band[i:i + block]], jumps), minlength=crowded.size)
+                for i in range(0, band.size, block)
+            ) > _CROWD * side_t.size
+        sides = np.flatnonzero(crowded)
+        if sides.size:
+            node_x = jumps[sides // 2, None] + (2 * (sides % 2) - 1)[:, None] * (
+                (p + 0.5 * (1.0 + side_t)) / (KAPPA * m))
+            node_x, node_ts = node_x.ravel(), np.tile(side_t, sides.size)
+            sums = np.concatenate([
+                _mode_sums(node_x[i:i + block], node_ts[i:i + block], coefficients, n, table_buf)
+                for i in range(0, node_x.size, block)
+            ], axis=1)
+            # (real, imag) x (crowded side, sub-interval) x q coefficients
+            series = sums.reshape(2, -1, per_piece) @ piece_dct.T
+            slot = np.cumsum(crowded) - 1
         for start in range(0, band.size, block):
             rows = band[start:start + block]
-            table = table_buf[:rows.size]
-            _unit_powers(xs[rows], n, table.T)
-            sums = (table.view(float) @ coefficients.T).reshape(rows.size, 2, nodes)
-            cheb = np.polynomial.chebyshev.chebvander(ts[rows], nodes - 1)
-            real, imag = np.einsum("kir,kr->ik", sums, cheb)
+            if sides.size:
+                side = _sides(xs[rows], jumps)
+                inside = crowded[side]
+                scaled = pieces * (ts[rows[inside]] + 1.0)
+                piece = np.minimum(np.floor(0.5 * scaled), pieces - 1)
+                cheb = np.polynomial.chebyshev.chebvander(scaled - 2.0 * piece - 1.0, per_piece - 1)
+                real, imag = np.einsum(
+                    "ik,jik->ji", cheb, series[:, slot[side[inside]] * pieces + piece.astype(int)])
+                values[rows[inside]] = real
+                imag_residual[rows[inside]] = np.abs(imag)
+                rows = rows[~inside]
+            real, imag = _mode_sums(xs[rows], ts[rows], coefficients, n, table_buf)
             values[rows] = real
             imag_residual[rows] = np.abs(imag)
     return values, imag_residual
+
+
+def _sides(xs: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """The band side of each point: 2k left of its nearest jump jumps[k], 2k + 1 right of it."""
+    near = nearest_jump(xs, jumps)[1]
+    return 2 * near + (xs > jumps[near])
+
+
+def _mode_sums(xs, ts, coefficients, n, table_buf):
+    """(real, imag): a band's mode sum at up to one block of points xs, at band places ts."""
+    nodes = coefficients.shape[0] // 2
+    table = table_buf[:xs.size]
+    _unit_powers(xs, n, table.T)
+    sums = (table.view(float) @ coefficients.T).reshape(xs.size, 2, nodes)
+    cheb = np.polynomial.chebyshev.chebvander(ts, nodes - 1)
+    return np.einsum("kir,kr->ik", sums, cheb)

@@ -103,14 +103,28 @@ def evaluate(f: PiecewiseFunction, x):
     return out
 
 
+def nearest_jump(x: np.ndarray, jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, k): d = min |x - xi| over the sorted, non-empty jumps, and jumps[k] at distance d.
+
+    fl(x - xi) is monotone in xi, so the two neighbours from np.searchsorted
+    give the minimum over all jumps bit for bit; a tie takes the left jump.
+    """
+    right = np.minimum(np.searchsorted(jumps, x), jumps.size - 1)
+    left = np.maximum(right - 1, 0)
+    k = np.where(np.abs(x - jumps[right]) < np.abs(x - jumps[left]), right, left)
+    return np.abs(x - jumps[k]), k
+
+
 def distance_to_set(x, jumps) -> np.ndarray | float:
     """min over the given jump set of |x - xi|; +inf sentinel when empty."""
     x_arr = np.asarray(x, dtype=float)
-    jumps = np.asarray(jumps, dtype=float)
+    jumps = np.sort(np.asarray(jumps, dtype=float))
     if jumps.size == 0:
         d = np.full_like(x_arr, np.inf)
     else:
-        d = np.min(np.abs(x_arr[..., None] - jumps), axis=-1)
+        d, _ = nearest_jump(x_arr, jumps)
+        if np.isnan(jumps[-1]):  # np.sort puts a NaN jump last; the minimum over it is NaN
+            d = np.full_like(x_arr, np.nan)
     return float(d) if x_arr.ndim == 0 else d
 
 

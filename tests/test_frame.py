@@ -20,9 +20,10 @@ import fourierhybrid as fh
 from fourierhybrid import frame
 from fourierhybrid.filters import ALPHA, KAPPA
 from fourierhybrid.frame import (
-    _GRAM_MIN_RATIO, _REL_TOL, _band_nodes, _block_points, _fold, _omega_factors,
-    _omega_matrix, _unit_powers,
+    _CROWD, _GRAM_MIN_RATIO, _REL_TOL, _band_nodes, _block_points, _fold, _omega_factors,
+    _omega_matrix, _side_nodes, _unit_powers,
 )
+from fourierhybrid.piecewise import nearest_jump
 from fourierhybrid.oracles import frame_filtered_sum
 from helpers import GRID_1024, far_frequency_recon, frequency_set, pipeline
 
@@ -458,7 +459,8 @@ class TestChooseN:
 def loop_block(pipe) -> int:
     """Points per block of filter_reconstruct's loop for pipe's operator."""
     nodes = _band_nodes(pipe.freqs.frequencies, pipe.m)
-    return _block_points(2 * (pipe.n + 1) + 3 * nodes)
+    _, per_piece = _side_nodes(pipe.freqs.frequencies, pipe.m, pipe.n)
+    return _block_points(max(2 * (pipe.n + 1) + 3 * nodes, 3 * per_piece))
 
 
 class TestFilterReconstruct:
@@ -674,15 +676,17 @@ class TestFilterReconstruct:
     def test_far_frequency_returns_and_matches_oracle(self):
         # one frequency at 20.6 m puts the node rule's z at 798, where
         # z^l / l! overflows in floats: the series-length count then never
-        # stopped, so the call runs in a fresh interpreter with a deadline
+        # stopped, so the calls run in a fresh interpreter with a deadline
         xs = np.linspace(0.05, 0.95, 5)
         probe = (
             "import json, numpy as np, fourierhybrid as fh\n"
-            "from fourierhybrid.frame import _band_nodes\n"
+            "from fourierhybrid.frame import _band_nodes, _side_nodes\n"
             "from helpers import far_frequency_recon\n"
             "recon = far_frequency_recon()\n"
             f"values, imag = fh.filter_reconstruct(recon, np.array({xs.tolist()}))\n"
+            "fh.filter_reconstruct(recon, (np.arange(4096) + 0.5) / 4096)\n"
             "print(json.dumps([_band_nodes(recon.samples.freqs.frequencies, 16),"
+            " _side_nodes(recon.samples.freqs.frequencies, 16, 9),"
             " values.tolist(), imag.tolist()]))\n"
         )
         paths = [str(Path(fh.__file__).resolve().parents[1]), str(Path(__file__).parent)]
@@ -690,8 +694,11 @@ class TestFilterReconstruct:
             filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True, timeout=60)
-        nodes, values, imag = json.loads(done.stdout)
+        nodes, (pieces, per_piece), values, imag = json.loads(done.stdout)
         assert nodes == 2201
+        # q = 605 nodes per sub-interval: a side would need more points than
+        # the whole 4096-point grid to be interpolated, so it is summed directly
+        assert _CROWD * pieces * per_piece > 4096
         recon = far_frequency_recon()
         for k, x in enumerate(xs):
             v, r = oracle_value(recon, float(x))
@@ -715,8 +722,10 @@ class TestFilterReconstruct:
             assert abs(imag[k] - r) <= tol
 
     def test_one_point_calls_match_the_batched_call(self):
-        # the band intervals are fixed, so a point's value does not depend
-        # on the other points of the call
+        # the band intervals are fixed, so a point's value depends on the
+        # other points of the call only through whether its band side is
+        # crowded enough to be interpolated, and the two paths agree within
+        # 1e-13
         pipe = pipeline("f2", "log", 256)
         xs = np.concatenate([GRID_1024[::37], pipe.jumps, [0.3 + 1e-9, 0.7 - 1e-9]])
         values, imag = fh.filter_reconstruct(pipe.recon, xs)
@@ -724,6 +733,49 @@ class TestFilterReconstruct:
             one, one_imag = fh.filter_reconstruct(pipe.recon, np.array([x]))
             assert abs(one[0] - values[k]) <= 1e-13
             assert abs(one_imag[0] - imag[k]) <= 1e-13
+
+    @pytest.mark.parametrize("pipe_args, jumps, size, extra", [
+        # the 32768-point grid, the jumps, the tie between 0.3 and 0.7 and
+        # points where KAPPA d m lies within an ulp of an integer
+        (("f2", "uniform", 128), None, 32768,
+         np.concatenate([[0.0, 0.3, 0.5, 0.7, 1.0],
+                         np.add.outer([0.3, 0.7], 15.0 * np.arange(-4, 5) / 128).ravel()])),
+        # one jump: the right side's nodes run past x = 1
+        (("f2", "uniform", 32), np.array([0.5]), 4096, np.array([0.5])),
+    ], ids=["f2-uniform-128", "one-jump"])
+    def test_interpolated_sides_match_direct_calls_and_oracle(self, pipe_args, jumps, size, extra):
+        pipe = pipeline(*pipe_args)
+        recon = pipe.recon if jumps is None else fh.FilterReconstruction(
+            operator=pipe.operator, samples=pipe.samples, jumps=jumps)
+        xs = np.concatenate([(np.arange(size) + 0.5) / size, extra[(extra >= 0.0) & (extra <= 1.0)]])
+        pieces, per_piece = _side_nodes(pipe.freqs.frequencies, pipe.m, pipe.n)
+        crowd = _CROWD * pieces * per_piece
+        # some band side is interpolated in the whole call, none in a chunk
+        _, ps, _ = fh.adaptive_param_arrays(xs, pipe.m, recon.jumps)
+        near = nearest_jump(xs, recon.jumps)[1]
+        side = 2 * near + (xs > recon.jumps[near])
+        assert np.bincount(ps * 2 * recon.jumps.size + side).max() > crowd
+        values, imag = fh.filter_reconstruct(recon, xs)
+        chunk = crowd // 2
+        direct = [fh.filter_reconstruct(recon, xs[i:i + chunk]) for i in range(0, xs.size, chunk)]
+        np.testing.assert_allclose(values, np.concatenate([v for v, _ in direct]), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(imag, np.concatenate([r for _, r in direct]), rtol=0, atol=1e-13)
+        for k in range(0, size, size // 50):
+            v, r = oracle_value(recon, float(xs[k]))
+            assert abs(values[k] - v) <= 1e-12
+            assert abs(imag[k] - r) <= 1e-12
+
+    @pytest.mark.parametrize("scheme, rule", [
+        ("uniform", {64: (6, 45), 128: (6, 45), 256: (6, 45), 512: (6, 45), 1024: (6, 45)}),
+        ("jittered", {64: (4, 46), 128: (4, 46), 256: (4, 46), 512: (4, 46), 1024: (4, 46)}),
+        ("log", {64: (3, 44), 128: (2, 48), 256: (2, 45), 512: (1, 56), 1024: (1, 52)}),
+    ])
+    def test_side_node_rule_is_pinned(self, scheme, rule):
+        # (S, q): S = ceil(omega / 8) sub-intervals of q nodes each, with
+        # omega = pi n / (KAPPA m) fixed by choose_n's n / m
+        for m, expected in rule.items():
+            lams = frequency_set(scheme, m).frequencies
+            assert _side_nodes(lams, m, fh.choose_n(scheme, m)) == expected
 
     @pytest.mark.parametrize("scheme", ["jittered", "log", "uniform"])
     def test_node_rule_gives_24_nodes_at_max_frequency_m(self, scheme):

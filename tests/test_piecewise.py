@@ -13,7 +13,7 @@ from fourierhybrid import (
     parse_expression,
     piecewise_from_expressions,
 )
-from fourierhybrid.piecewise import distance_to_set
+from fourierhybrid.piecewise import distance_to_set, nearest_jump
 
 
 def test_evaluate_f1_spot_values():
@@ -199,3 +199,21 @@ def test_piecewise_from_expressions_matches_builtin():
     np.testing.assert_allclose(
         evaluate(custom, xs), evaluate(builtin_f1(), xs), atol=1e-14
     )
+
+
+def test_nearest_jump_is_bitwise_the_broadcast_minimum():
+    # duplicates, points on jumps, midpoints and their float neighbours
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        jumps = np.sort(rng.choice(rng.uniform(0.0, 1.0, 6), size=rng.integers(1, 8)))
+        mids = 0.5 * (jumps[:-1] + jumps[1:])
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 40), jumps, mids,
+                             np.nextafter(mids, 0.0), np.nextafter(mids, 1.0), [0.0, 1.0]])
+        d, k = nearest_jump(xs, jumps)
+        full = np.abs(xs[:, None] - jumps)
+        assert np.array_equal(d, full.min(axis=1))
+        assert np.array_equal(full[np.arange(xs.size), k], d)
+        assert np.array_equal(distance_to_set(xs, jumps[::-1]), d)
+    # a NaN jump makes every distance NaN, as the broadcast minimum does
+    assert np.isnan(distance_to_set(np.array([0.1, 0.9]), [0.2, math.nan, 0.8])).all()
+    assert math.isnan(distance_to_set(0.1, [math.nan]))

@@ -5,7 +5,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from same_outputs import differences  # noqa: E402
+from same_outputs import column_moves, differences  # noqa: E402
 
 
 def test_toy_run_against_its_own_checkout_exits_zero():
@@ -32,3 +32,15 @@ def test_differences_names_every_mismatch(tmp_path):
         f"differs: {Path('run/changed.csv')}",
     ]
     assert differences(left / "run", left / "run") == []
+
+
+def test_column_moves_gives_each_moved_numeric_column(tmp_path):
+    left, right = tmp_path / "left.csv", tmp_path / "right.csv"
+    left.write_text("# seed=1\nx,value,error,note\n0.5,1.0,2e-3,a\n0.75,2.0,4e-3,b\n")
+    right.write_text("# seed=2\nx,value,error,note\n0.5,1.25,2e-3,a\n0.75,2.0,3.5e-3,c\n")
+    assert column_moves(left, right) == [
+        "  value: max |diff| 0.25",
+        "  error: max |diff| 0.0005",
+    ]
+    right.write_text("x,value,error,note\n0.5,1.0,2e-3,a\n")
+    assert column_moves(left, right) == ["  column lines or row counts differ"]

@@ -11,7 +11,8 @@ bytecode. --toy shrinks m and the grid as perfbench's --toy does.
 
 Exit codes: 0 when every file is byte-identical and present on both sides,
 1 when a file differs or exists on one side only (each is named), 2 when a
-tree cannot write its outputs.
+tree cannot write its outputs. A CSV that differs is followed by the largest
+absolute difference of each numeric column, so a move shows its size.
 """
 
 from __future__ import annotations
@@ -59,6 +60,33 @@ def differences(left: Path, right: Path, names=("left", "right")) -> list[str]:
     return lines
 
 
+def _csv_rows(path: Path) -> list[list[str]]:
+    """The column line and the rows of a CSV, without its '#' preamble."""
+    lines = path.read_text().splitlines()
+    return [line.split(",") for line in lines if not line.startswith("#")]
+
+
+def column_moves(left: Path, right: Path) -> list[str]:
+    """One line per numeric column of two CSVs: its largest |left - right|.
+
+    A column is numeric where every cell of both files parses as a float; a
+    file whose column lines or row counts disagree gets one line saying so.
+    """
+    a, b = _csv_rows(left), _csv_rows(right)
+    if not a or not b or a[0] != b[0] or len(a) != len(b):
+        return ["  column lines or row counts differ"]
+    lines = []
+    for k, name in enumerate(a[0]):
+        try:
+            moved = max((abs(float(x[k]) - float(y[k])) for x, y in zip(a[1:], b[1:])),
+                        default=0.0)
+        except (ValueError, IndexError):
+            continue
+        if moved:
+            lines.append(f"  {name}: max |diff| {moved:.3g}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_tree", type=Path)
@@ -84,8 +112,12 @@ def main(argv=None) -> int:
             outs.append(out)
         lines = differences(*outs, names=(str(ROOT), str(other)))
         count = sum(1 for p in outs[0].rglob("*") if p.is_file())
-    for line in lines:
-        print(line)
+        for line in lines:
+            print(line)
+            if line.startswith("differs: ") and line.endswith(".csv"):
+                name = line.removeprefix("differs: ")
+                for move in column_moves(outs[0] / name, outs[1] / name):
+                    print(move)
     if lines:
         print(f"same_outputs: {len(lines)} file(s) not byte-identical between {ROOT} and {other}")
         return 1
