@@ -47,21 +47,19 @@ product over +-l straight into the cosine and sine coefficients that the
 points read; a point then needs its cosines and sines, one (n+1)-deep
 product and R Chebyshev polynomials from numpy's chebvander.
 R follows from the largest |lambda| (24 at |lambda| <= m), so the paper's
-filter is reproduced to roundoff, not changed.  A band side (the band's
-points on one side of one jump) holding more than _CROWD S q points is
-summed at S q Chebyshev nodes alone (_side_nodes) and its points
-interpolate them, at a cost of O(bands R m n + nodes R n + points q)
-against O(points m n) for a weight row per point.  The points stream in
-fixed-size blocks, so memory is O(block n + R m), not O(points m); numpy allocates each band's arrays, and one block's
-cos/sin table is the only array kept across bands and blocks.  The cosines
-and sines of 2 pi l x, l = 0..n, come from e^{2 pi i l x} built by angle
-doubling: ceil(log2(n+1)) exponentials and one complex product per mode,
-not a sin and a cos per point and mode.
+filter is reproduced to roundoff, not changed, at a cost of
+O(bands R m n + points R n) against O(points m n) for a weight row per
+point; crowded band sides cost less (_side_nodes).  The points stream in
+fixed-size blocks, so memory is O(block n + R m), not O(points m); numpy
+allocates each band's arrays, and one block's cos/sin table is the only
+array kept across bands and blocks.  The cosines and sines of 2 pi l x,
+l = 0..n, come from e^{2 pi i l x} built by angle doubling:
+ceil(log2(n+1)) exponentials and one complex product per mode, not a sin
+and a cos per point and mode.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -84,9 +82,8 @@ __all__ = [
 # built at once, (rows x 2n+1)
 _BLOCK_BYTES = 1 << 20
 
-# filter_reconstruct interpolates a band side only when it holds more than
-# _CROWD times its nodes: each node costs a point's direct sum, and an
-# interpolated point about a third of one, plus a call's fixed costs
+# filter_reconstruct interpolates a band side that holds more than _CROWD
+# times its nodes (_side_nodes)
 _CROWD = 4
 
 # smallest s_min / s_max of K for which assemble_omega skips the SVD and
@@ -347,14 +344,17 @@ def _side_nodes(lam: np.ndarray, m: int, n: int) -> tuple[int, int]:
     of phase span omega = pi n / (KAPPA m): Chebyshev coefficients bounded by
     (omega / 2)^k / k! (|J_k(omega)|) and (dz / 4)^k / k! (_band_nodes).  On S
     sub-intervals both shrink by S, and q adds their _series_terms counts.
-    S = ceil(omega / 8) keeps q near 45 at any n / m (a point costs O(q), a
-    side O(S q R n)).  On f2, uniform m = 64, 32768 points, omega / 4 (S q =
-    420 nodes a side) was 7 % faster and omega / 16 (186) 12 % slower; the
-    270 nodes of omega / 8 let sides of a third fewer points be interpolated.
+    S = ceil(omega / 8) keeps q near 45 at any n / m.  On f2, uniform m = 64,
+    32768 points, omega / 4 (S q = 420 nodes a side) was 7 % faster and
+    omega / 16 (186) 12 % slower; the 270 of omega / 8 let smaller sides be
+    interpolated.  A side past _CROWD S q points is interpolated, at a cost
+    of O(bands R m n + nodes R n + points q): _CROWD = 1 or 2 ran that grid
+    at most 5 % faster than 4, and at 4 no side of a 1024-point grid at
+    m = 128-512 is crowded, so those grids keep the direct path.
     """
     dz = ALPHA * float(np.max(lam * lam)) / (2.0 * KAPPA * m * m)
     omega = np.pi * n / (KAPPA * m)
-    pieces = max(1, math.ceil(omega / 8.0))
+    pieces = max(1, int(np.ceil(omega / 8.0)))
     terms = _series_terms(sys.maxsize, dz / (4.0 * pieces))
     return pieces, terms + _series_terms(sys.maxsize, omega / (2.0 * pieces))
 
@@ -400,23 +400,19 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     [p, p+1) / (KAPPA m) by sigma_weight_matrix, mapped to Chebyshev
     coefficients by the DCT-II, and contracted with psi and (K^+)^T once
     (one (2R, 2m+1) x (2m+1, 2n+1) product), which _fold turns straight
-    into the Chebyshev coefficients of a_l and b_l.  A point summed
-    directly (_mode_sums) costs the cosines and sines of _unit_powers, one
+    into the Chebyshev coefficients of a_l and b_l.  A point then costs the
+    cosines and sines of _unit_powers, built by angle doubling, one
     (n+1)-deep product against those coefficients and R Chebyshev
     polynomials T_k(t(d)) from numpy's chebvander.  R comes from
     _band_nodes, so the interpolated weights reproduce the paper's filter
-    to roundoff; the filter-then-solve ordering is unchanged.
-
-    On a band side, side 2k left of jumps[k] or 2k + 1 right of it,
-    x = xi -+ d(t) makes the sum entire in t.  A side with more than
-    _CROWD S q points is summed at the S q nodes of _side_nodes, which the
-    DCT-II maps to a q-term series per sub-interval that its points
-    evaluate; the other points, and the no-filter mode, are summed directly.
-    The cost is O(bands R m n + nodes R n + points q).  The sides are found
-    block by block, so no per-point array is added; the complex (block, n+1)
-    cos/sin table is allocated once per call and reused by every block.  A point's value depends on the other points of the
-    call only through whether its side is interpolated, and the two paths
-    agree within 1e-13.  The tests check it against
+    to roundoff; the filter-then-solve ordering is unchanged.  The cost is
+    O(bands R m n + points R n), against O(points m n) for a weight row per
+    point.  A crowded band side interpolates sums at its nodes (_side_nodes),
+    so a point's value depends on the other points of the call only through
+    whether its side is crowded; the two paths agree within 1e-13.  A band's
+    arrays are allocated by numpy as it goes; the complex (block, n+1)
+    cos/sin table alone is allocated once per call and reused by every
+    block.  The tests check it against
     oracles.frame_filtered_sum, which shares none of this code.
     """
     xs = np.asarray(xs, dtype=float)
@@ -458,7 +454,7 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
         coefficients = _fold(product, n).reshape(2 * nodes, -1)
         band = np.flatnonzero(ps == p)
         crowded = np.zeros(2 * jumps.size, dtype=bool)
-        if jumps.size:
+        if jumps.size and band.size > _CROWD * side_t.size:
             crowded = sum(
                 np.bincount(_sides(xs[band[i:i + block]], jumps), minlength=crowded.size)
                 for i in range(0, band.size, block)
@@ -474,7 +470,7 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
             ], axis=1)
             # (real, imag) x (crowded side, sub-interval) x q coefficients
             series = sums.reshape(2, -1, per_piece) @ piece_dct.T
-            slot = np.cumsum(crowded) - 1
+            slot = (np.cumsum(crowded) - 1) * pieces
         for start in range(0, band.size, block):
             rows = band[start:start + block]
             if sides.size:
@@ -482,15 +478,14 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
                 inside = crowded[side]
                 scaled = pieces * (ts[rows[inside]] + 1.0)
                 piece = np.minimum(np.floor(0.5 * scaled), pieces - 1)
-                cheb = np.polynomial.chebyshev.chebvander(scaled - 2.0 * piece - 1.0, per_piece - 1)
+                cheb = np.polynomial.chebyshev.chebvander(scaled - 2 * piece - 1, per_piece - 1)
                 real, imag = np.einsum(
-                    "ik,jik->ji", cheb, series[:, slot[side[inside]] * pieces + piece.astype(int)])
-                values[rows[inside]] = real
-                imag_residual[rows[inside]] = np.abs(imag)
+                    "ik,jik->ji", cheb, series[:, slot[side[inside]] + piece.astype(int)])
+                values[rows[inside]], imag_residual[rows[inside]] = real, np.abs(imag)
                 rows = rows[~inside]
-            real, imag = _mode_sums(xs[rows], ts[rows], coefficients, n, table_buf)
-            values[rows] = real
-            imag_residual[rows] = np.abs(imag)
+            if rows.size:
+                real, imag = _mode_sums(xs[rows], ts[rows], coefficients, n, table_buf)
+                values[rows], imag_residual[rows] = real, np.abs(imag)
     return values, imag_residual
 
 
