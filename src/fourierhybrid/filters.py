@@ -125,19 +125,28 @@ def sigma_weight_matrix(p: np.ndarray, gamma: np.ndarray, lam: np.ndarray, m: in
     return _sigma(p[:, None], z, out=z)
 
 
+def _order(d, m: int) -> np.ndarray:
+    """The filter order p = floor(KAPPA d m) at jump distances d, as integers."""
+    return np.floor(KAPPA * d * m).astype(int)
+
+
+def _gamma(d, m: int) -> np.ndarray:
+    """The filter scale gamma = sqrt(ALPHA d m) at jump distances d."""
+    return np.sqrt(ALPHA * d * m)
+
+
 def adaptive_param_arrays(xs, m: int, jumps):
     """Arrays (gamma, p, d) of the adaptive rule at points xs; d is the jump distance.
 
-    This is the only implementation of the rule.  An empty jump set
-    (d = +inf, reported as such) is the no-filter diagnostic mode: gamma = 0
-    and p = 0, so all weights degenerate to 1.  d = 0 likewise yields
-    identity weights; the hybrid never uses filter values at a jump.
+    _order and _gamma, which the frame calls too, are the only
+    implementation of the rule.  An empty jump set (d = +inf, reported as
+    such) is the no-filter diagnostic mode: gamma = 0 and p = 0, so all
+    weights degenerate to 1.  d = 0 likewise yields identity weights; the
+    hybrid never uses filter values at a jump.
     """
     d = distance_to_set(xs, jumps)
     d_rule = np.where(np.isfinite(d), d, 0.0)
-    gamma = np.sqrt(ALPHA * d_rule * m)
-    p = np.floor(KAPPA * d_rule * m).astype(int)
-    return gamma, p, d
+    return _gamma(d_rule, m), _order(d_rule, m), d
 
 
 def tail_bound_l2(n: int, m: int, p: int, gamma: float, f_sup: float) -> float:

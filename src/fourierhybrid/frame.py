@@ -25,37 +25,28 @@ values come from the eigenvalues of the (2n+1)^2 Gram matrix G = K^T K, and
 and nothing else; the rules that choose them live with the caller.
 
 The operator depends on the sampling pattern and n, not on the function
-sampled, so assemble_omega builds it once per frequency set: a bounded
-in-process memo (functools.lru_cache) keeps the 8 operators returned most
-recently, keyed on the bitwise frequencies and n.  Two functions sampled at
-one jitter draw share one assembly, and a hit returns the very object a
-cold assembly built, so every output is unchanged.  Each entry retains
-mainly its (K^+)^T, 8 (2m+1)(2n+1) bytes, 5.0 MB at m = 512 with the
-jittered scheme's n; an operator above 8 MiB (20 MB at m = 1024, 80 MB at
-m = 2048) is built and returned but not kept, so the memo pins at most
-64 MiB.  A refused frame is never kept.  A single CLI invocation, one
-function over one m list, assembles each frame once either way.
+sampled, so assemble_omega keeps the 8 operators it returned most recently
+(functools.lru_cache, keyed on the bitwise frequencies and n): two
+functions sampled at one jitter draw share one assembly, and a hit returns
+the very object a cold assembly built.  An operator whose (K^+)^T,
+8 (2m+1)(2n+1) bytes, exceeds 8 MiB (20 MB at m = 1024) is built but not
+kept, so the memo pins at most 64 MiB; a refused frame is never kept.
 
 Reconstruction applies the pseudo-inverse of Omega to the filtered sample
 vector and sums the resulting 2n+1 Fourier modes.  filter_reconstruct, the
-one evaluation path, works band by band: the points of equal filter order
-p = floor(KAPPA d m) form a band, in which d spans 1/(KAPPA m) and every
-filter weight is an entire function of d.  A band forms its weights at R
-first-kind Chebyshev nodes in d, maps them to Chebyshev coefficients by the
-DCT-II, contracts them with the samples and (K^+)^T once and folds the
-product over +-l straight into the cosine and sine coefficients that the
-points read; a point then needs its cosines and sines, one (n+1)-deep
-product and R Chebyshev polynomials from numpy's chebvander.
-R follows from the largest |lambda| (24 at |lambda| <= m), so the paper's
-filter is reproduced to roundoff, not changed, at a cost of
-O(bands R m n + points R n) against O(points m n) for a weight row per
-point; crowded band sides cost less (_side_nodes).  The points stream in
-fixed-size blocks, so memory is O(block n + R m), not O(points m); numpy
-allocates each band's arrays, and one block's cos/sin table is the only
-array kept across bands and blocks.  The cosines and sines of 2 pi l x,
-l = 0..n, come from e^{2 pi i l x} built by angle doubling:
-ceil(log2(n+1)) exponentials and one complex product per mode, not a sin
-and a cos per point and mode.
+one evaluation path, sorts the points once: one nearest-jump search gives
+each point's band, the points of equal filter order p (filters._order), its
+place in the band and its band side, left or right of its nearest jump.  A
+band's weights are entire in the jump distance d, so it forms them at R
+Chebyshev nodes in d (_node_rule; 24 at |lambda| <= m, which reproduces the
+paper's filter to roundoff) and folds them with the samples and (K^+)^T
+into the cosine and sine coefficients that its points read: a cost of
+O(bands R m n + points R n), not O(points m n), and a crowded band side is
+interpolated from nodes of its own.  The points stream in fixed-size
+blocks, so beside a band, a place and a side per point, memory is
+O(block n + R m).  The cosines and sines of 2 pi l x, l = 0..n, come from
+e^{2 pi i l x} by angle doubling: ceil(log2(n+1)) exponentials and one
+complex product per mode, not a sin and a cos per point and mode.
 """
 
 from __future__ import annotations
@@ -66,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .filters import ALPHA, KAPPA, _series_terms, adaptive_param_arrays, sigma_weight_matrix
+from .filters import ALPHA, KAPPA, _gamma, _order, _series_terms, sigma_weight_matrix
 from .piecewise import nearest_jump
 from .sampling import FourierSamples, FrequencySet
 
@@ -78,12 +69,12 @@ __all__ = [
 ]
 
 # size of one real block array: it sets how many points filter_reconstruct
-# handles per block, (points x 2(n+1) + 3R), and how many rows of K are
-# built at once, (rows x 2n+1)
+# handles per block (_loop_block) and how many rows of K are built at once,
+# (rows x 2n+1)
 _BLOCK_BYTES = 1 << 20
 
 # filter_reconstruct interpolates a band side that holds more than _CROWD
-# times its nodes (_side_nodes)
+# times its nodes (_node_rule)
 _CROWD = 4
 
 # smallest s_min / s_max of K for which assemble_omega skips the SVD and
@@ -322,28 +313,20 @@ def _unit_powers(xs: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_nodes(lam: np.ndarray, m: int) -> int:
-    """R, the Chebyshev node count per band of equal filter order p.
+def _node_rule(lam: np.ndarray, m: int, n: int) -> tuple[int, int, int]:
+    """(R, S, q): the Chebyshev nodes of a band, and a band side's sub-intervals and nodes on each.
 
-    In a band, KAPPA d m runs over [p, p+1), so the jump distance d spans
-    1/(KAPPA m) and z = (lambda/m)^2 gamma^2 / 2 = ALPHA lambda^2 d / (2m)
-    spans at most dz = ALPHA max lambda^2 / (2 KAPPA m^2), 7.5 at
-    max |lambda| = m.  On that interval a weight is exp(-z) times a
-    polynomial in z, whose Chebyshev coefficients in d fall like
-    (dz/4)^k / k!; R is where the series of those bounds stops, the rule
-    by which the sigma series itself stops (24 at max |lambda| = m).
-    """
-    dz = ALPHA * float(np.max(lam * lam)) / (2.0 * KAPPA * m * m)
-    return _series_terms(sys.maxsize, 0.25 * dz)
-
-
-def _side_nodes(lam: np.ndarray, m: int, n: int) -> tuple[int, int]:
-    """(S, q): the sub-intervals of a band side in t, and the Chebyshev nodes on each.
+    In a band, KAPPA d m runs over [p, p+1), so d spans 1/(KAPPA m) and
+    z = (lambda/m)^2 gamma^2 / 2 = ALPHA lambda^2 d / (2m) spans at most
+    dz = ALPHA max lambda^2 / (2 KAPPA m^2), 7.5 at max |lambda| = m.  There
+    a weight is exp(-z) times a polynomial in z, whose Chebyshev
+    coefficients in d fall like (dz/4)^k / k!; R is where the series of
+    those bounds stops, as the sigma series does (24 at max |lambda| = m).
 
     A side's sum is the weight series in t times e^{2 pi i l x(t)}, l <= n,
     of phase span omega = pi n / (KAPPA m): Chebyshev coefficients bounded by
-    (omega / 2)^k / k! (|J_k(omega)|) and (dz / 4)^k / k! (_band_nodes).  On S
-    sub-intervals both shrink by S, and q adds their _series_terms counts.
+    (omega / 2)^k / k! (|J_k(omega)|) and (dz / 4)^k / k!.  On S sub-intervals
+    both shrink by S, and q adds their _series_terms counts.
     S = ceil(omega / 8) keeps q near 45 at any n / m.  On f2, uniform m = 64,
     32768 points, omega / 4 (S q = 420 nodes a side) was 7 % faster and
     omega / 16 (186) 12 % slower; the 270 of omega / 8 let smaller sides be
@@ -356,7 +339,27 @@ def _side_nodes(lam: np.ndarray, m: int, n: int) -> tuple[int, int]:
     omega = np.pi * n / (KAPPA * m)
     pieces = max(1, int(np.ceil(omega / 8.0)))
     terms = _series_terms(sys.maxsize, dz / (4.0 * pieces))
-    return pieces, terms + _series_terms(sys.maxsize, omega / (2.0 * pieces))
+    return (_series_terms(sys.maxsize, 0.25 * dz), pieces,
+            terms + _series_terms(sys.maxsize, omega / (2.0 * pieces)))
+
+
+def _loop_block(n: int, nodes: int, per_piece: int) -> int:
+    """Points per block of filter_reconstruct: 2(n+1) table and 3R or 3q Chebyshev reals each."""
+    return _block_points(max(2 * (n + 1) + 3 * nodes, 3 * per_piece))
+
+
+def _bands(xs: np.ndarray, jumps: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, t, side) per point, from one nearest-jump search: the band p, the
+    place t in [-1, 1) with KAPPA d m = p + (1 + t) / 2, and the band side,
+    2k left of the nearest jump jumps[k] and 2k + 1 right of it.  The
+    no-filter mode (no jumps) is d = 0: band 0, t = -1 and side 0."""
+    if jumps.size:
+        d, near = nearest_jump(xs, jumps)
+        side = 2 * near + (xs > jumps[near])
+    else:
+        d, side = np.zeros(xs.size), np.zeros(xs.size, dtype=int)
+    p = _order(d, m)
+    return p, 2.0 * (KAPPA * d * m - p) - 1.0, side
 
 
 def _chebyshev_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -395,25 +398,23 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
 
     The weights depend on x only through the filter order p and the jump
     distance d, and in a band of equal p each weight is an entire function
-    of d.  So the points are taken band by band.  A band's weights are
-    formed at the R first-kind Chebyshev nodes of its d interval
-    [p, p+1) / (KAPPA m) by sigma_weight_matrix, mapped to Chebyshev
-    coefficients by the DCT-II, and contracted with psi and (K^+)^T once
-    (one (2R, 2m+1) x (2m+1, 2n+1) product), which _fold turns straight
-    into the Chebyshev coefficients of a_l and b_l.  A point then costs the
-    cosines and sines of _unit_powers, built by angle doubling, one
-    (n+1)-deep product against those coefficients and R Chebyshev
-    polynomials T_k(t(d)) from numpy's chebvander.  R comes from
-    _band_nodes, so the interpolated weights reproduce the paper's filter
-    to roundoff; the filter-then-solve ordering is unchanged.  The cost is
-    O(bands R m n + points R n), against O(points m n) for a weight row per
-    point.  A crowded band side interpolates sums at its nodes (_side_nodes),
-    so a point's value depends on the other points of the call only through
-    whether its side is crowded; the two paths agree within 1e-13.  A band's
-    arrays are allocated by numpy as it goes; the complex (block, n+1)
-    cos/sin table alone is allocated once per call and reused by every
-    block.  The tests check it against
-    oracles.frame_filtered_sum, which shares none of this code.
+    of d.  So _bands sorts the points, by one nearest-jump search, into
+    bands, places t in a band and band sides, and the points are taken band
+    by band.  A band's weights are formed at the R first-kind Chebyshev
+    nodes of its d interval [p, p+1) / (KAPPA m) by sigma_weight_matrix,
+    mapped to Chebyshev coefficients by the DCT-II, and contracted with psi
+    and (K^+)^T once (one (2R, 2m+1) x (2m+1, 2n+1) product), which _fold
+    turns straight into the Chebyshev coefficients of a_l and b_l.  A point
+    then costs the cosines and sines of _unit_powers, one (n+1)-deep
+    product against those coefficients and R Chebyshev polynomials T_k(t)
+    from numpy's chebvander.  R comes from _node_rule, so the interpolated
+    weights reproduce the paper's filter to roundoff; the filter-then-solve
+    ordering is unchanged.  One bincount over (band, side) finds the
+    crowded band sides, whose points interpolate sums at the side's own
+    nodes (_node_rule): a point's value depends on the other points of the
+    call only through whether its side is crowded, and the two paths agree
+    within 1e-13.  The tests check it against oracles.frame_filtered_sum,
+    which shares none of this code.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
@@ -425,41 +426,32 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
     lam = recon.samples.freqs.frequencies
     jumps = recon.jumps
     psi = op.phase * recon.samples.values
-    _, ps, ts = adaptive_param_arrays(xs, m, jumps)
-    # a point's place t in [-1, 1) within its band, KAPPA d m in [p, p+1),
-    # replaces its d; the no-filter mode (d = inf) takes the rule's d = 0
-    ts = np.where(np.isfinite(ts), 2.0 * (KAPPA * ts * m - ps) - 1.0, -1.0)
-    nodes = _band_nodes(lam, m)
+    ps, ts, side = _bands(xs, jumps, m)
+    nodes, pieces, per_piece = _node_rule(lam, m, n)
     node_t, dct = _chebyshev_nodes(nodes)
-    pieces, per_piece = _side_nodes(lam, m, n)
     piece_t, piece_dct = _chebyshev_nodes(per_piece)
     # the t of a side's S q nodes, sub-interval by sub-interval
     side_t = ((2 * np.arange(pieces)[:, None] + 1 + piece_t) / pieces - 1.0).ravel()
-    values = np.empty(xs.shape)
-    imag_residual = np.empty(xs.shape)
-    block = _block_points(max(2 * (n + 1) + 3 * nodes, 3 * per_piece))
-    # the cos/sin table of a block, the one array kept across bands and
-    # blocks: allocated afresh per block it raised the paper-matrix peak RSS
-    # by 1.3 MiB
+    # side s of band p is entry p 2J + s, crowded past _CROWD S q points
+    width = 2 * jumps.size
+    crowded = np.bincount(ps * width + side) > _CROWD * side_t.size
+    values, imag_residual = np.empty(xs.shape), np.empty(xs.shape)
+    block = _loop_block(n, nodes, per_piece)
+    # the complex cos/sin table of a block, allocated once per call and
+    # reused by every block: allocated afresh per block it raised the
+    # paper-matrix peak RSS by 1.3 MiB
     table_buf = np.empty((min(block, xs.size), n + 1), dtype=complex)
     for p in np.flatnonzero(np.bincount(ps)):
         node_d = (p + 0.5 * (1.0 + node_t)) / (KAPPA * m)
-        weights = dct @ sigma_weight_matrix(
-            np.full(nodes, p), np.sqrt(ALPHA * node_d * m), lam, m
-        )
+        weights = dct @ sigma_weight_matrix(np.full(nodes, p), _gamma(node_d, m), lam, m)
         # rows [C Re psi; C Im psi], C the Chebyshev coefficients of the weights
         product = np.concatenate([weights * psi.real, weights * psi.imag]) @ op.pinv_t
         # rows: the coefficients of the real and the imaginary part of the
         # mode sum, against the columns cos(2 pi l x), sin(2 pi l x) interleaved
         coefficients = _fold(product, n).reshape(2 * nodes, -1)
         band = np.flatnonzero(ps == p)
-        crowded = np.zeros(2 * jumps.size, dtype=bool)
-        if jumps.size and band.size > _CROWD * side_t.size:
-            crowded = sum(
-                np.bincount(_sides(xs[band[i:i + block]], jumps), minlength=crowded.size)
-                for i in range(0, band.size, block)
-            ) > _CROWD * side_t.size
-        sides = np.flatnonzero(crowded)
+        band_crowded = crowded[p * width:(p + 1) * width]  # holds every side in the band
+        sides = np.flatnonzero(band_crowded)
         if sides.size:
             node_x = jumps[sides // 2, None] + (2 * (sides % 2) - 1)[:, None] * (
                 (p + 0.5 * (1.0 + side_t)) / (KAPPA * m))
@@ -470,29 +462,22 @@ def filter_reconstruct(recon: FilterReconstruction, xs) -> tuple[np.ndarray, np.
             ], axis=1)
             # (real, imag) x (crowded side, sub-interval) x q coefficients
             series = sums.reshape(2, -1, per_piece) @ piece_dct.T
-            slot = (np.cumsum(crowded) - 1) * pieces
+            slot = (np.cumsum(band_crowded) - 1) * pieces
         for start in range(0, band.size, block):
             rows = band[start:start + block]
             if sides.size:
-                side = _sides(xs[rows], jumps)
-                inside = crowded[side]
+                inside = band_crowded[side[rows]]
                 scaled = pieces * (ts[rows[inside]] + 1.0)
                 piece = np.minimum(np.floor(0.5 * scaled), pieces - 1)
                 cheb = np.polynomial.chebyshev.chebvander(scaled - 2 * piece - 1, per_piece - 1)
                 real, imag = np.einsum(
-                    "ik,jik->ji", cheb, series[:, slot[side[inside]] + piece.astype(int)])
+                    "ik,jik->ji", cheb, series[:, slot[side[rows[inside]]] + piece.astype(int)])
                 values[rows[inside]], imag_residual[rows[inside]] = real, np.abs(imag)
                 rows = rows[~inside]
             if rows.size:
                 real, imag = _mode_sums(xs[rows], ts[rows], coefficients, n, table_buf)
                 values[rows], imag_residual[rows] = real, np.abs(imag)
     return values, imag_residual
-
-
-def _sides(xs: np.ndarray, jumps: np.ndarray) -> np.ndarray:
-    """The band side of each point: 2k left of its nearest jump jumps[k], 2k + 1 right of it."""
-    near = nearest_jump(xs, jumps)[1]
-    return 2 * near + (xs > jumps[near])
 
 
 def _mode_sums(xs, ts, coefficients, n, table_buf):

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebfit import ChebyshevFit, chebyshev_fit, evaluate_fit, extrapolation_params_bounded
+from .chebfit import (ChebyshevFit, _node_count, chebyshev_fit, evaluate_fit,
+                      extrapolation_amplification, extrapolation_params_bounded)
 from .frame import FilterReconstruction, filter_reconstruct
 
 __all__ = [
@@ -90,13 +91,16 @@ def hybrid_reconstruct(
     if grid.ndim != 1:
         raise ValueError(f"grid must be 1-d, got shape {grid.shape}")
 
-    degree, big_n, amplification = extrapolation_params_bounded(
-        filter_recon.operator.m, delta, np.diff(jumps)
-    )
-
-    # row l holds the fit nodes of [xi_l, xi_{l+1}]; one filter evaluation
-    # covers the grid and every node
+    widths, m = np.diff(jumps), filter_recon.operator.m
+    degree, big_n, amplification = extrapolation_params_bounded(m, delta, widths)
+    # row l holds the fit nodes of [xi_l, xi_{l+1}], which one filter call
+    # evaluates with the grid; where a fit interval is too few ulps wide for
+    # N + 1 distinct nodes, M drops, at the latest to 0: its nodes, the ends
     nodes = np.linspace(jumps[:-1] + delta, jumps[1:] - delta, big_n + 1, axis=1)
+    while np.any(np.diff(nodes) <= 0):
+        degree -= 1
+        amplification = max(extrapolation_amplification(w, delta, degree) for w in widths)
+        nodes = np.linspace(nodes[:, 0], nodes[:, -1], _node_count(degree) + 1, axis=1)
     points = np.concatenate([grid, nodes.ravel()])
     all_values, all_imag = filter_reconstruct(filter_recon, points)
     filter_values, imag_residual = all_values[:grid.size], all_imag[:grid.size]
@@ -120,7 +124,7 @@ def hybrid_reconstruct(
         filter_values=filter_values,
         imag_residual=imag_residual,
         degree=degree,
-        fit_sample_count=big_n + 1,
+        fit_sample_count=nodes.shape[1],
         amplification=amplification,
     )
 

@@ -20,10 +20,10 @@ import fourierhybrid as fh
 from fourierhybrid import frame
 from fourierhybrid.filters import ALPHA, KAPPA
 from fourierhybrid.frame import (
-    _CROWD, _GRAM_MIN_RATIO, _REL_TOL, _band_nodes, _block_points, _fold, _omega_factors,
-    _omega_matrix, _side_nodes, _unit_powers,
+    _CROWD, _GRAM_MIN_RATIO, _REL_TOL, _bands, _fold, _loop_block, _node_rule, _omega_factors,
+    _omega_matrix, _unit_powers,
 )
-from fourierhybrid.piecewise import nearest_jump
+from fourierhybrid import piecewise
 from fourierhybrid.oracles import frame_filtered_sum
 from helpers import GRID_1024, far_frequency_recon, frequency_set, pipeline
 
@@ -458,9 +458,8 @@ class TestChooseN:
 
 def loop_block(pipe) -> int:
     """Points per block of filter_reconstruct's loop for pipe's operator."""
-    nodes = _band_nodes(pipe.freqs.frequencies, pipe.m)
-    _, per_piece = _side_nodes(pipe.freqs.frequencies, pipe.m, pipe.n)
-    return _block_points(max(2 * (pipe.n + 1) + 3 * nodes, 3 * per_piece))
+    nodes, _, per_piece = _node_rule(pipe.freqs.frequencies, pipe.m, pipe.n)
+    return _loop_block(pipe.n, nodes, per_piece)
 
 
 class TestFilterReconstruct:
@@ -499,11 +498,12 @@ class TestFilterReconstruct:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_point_params_match_adaptive_params(self, seed):
-        # the streamed path takes (gamma, p) from adaptive_param_arrays, the
-        # oracle checks from rule_params.  At x = xi +- 15 k / m, KAPPA d m
-        # lies within an ulp of the integer k, so a reordered product would
-        # floor differently at some of them (at m = 105, 1/7 is one).  The
-        # points include the jumps of f2 and a point next to one
+        # the streamed path takes p from _bands, adaptive_param_arrays gives
+        # (gamma, p), both by filters' one rule; the oracle checks from
+        # rule_params.  At x = xi +- 15 k / m, KAPPA d m lies within an ulp
+        # of the integer k, so a reordered product would floor differently
+        # at some of them (at m = 105, 1/7 is one).  The points include the
+        # jumps of f2 and a point next to one
         m = 105
         f2_jumps = fh.builtin_f2().breakpoints
         near_integer = np.add.outer(f2_jumps, 15.0 * np.arange(-7, 8) / m).ravel()
@@ -515,6 +515,7 @@ class TestFilterReconstruct:
         for jumps in (f2_jumps, np.array([])):
             gammas, ps, ds = fh.adaptive_param_arrays(xs, m, jumps)
             assert ps.dtype.kind == "i"
+            assert np.array_equal(_bands(xs, jumps, m)[0], ps)
             for k, x in enumerate(xs):
                 assert (gammas[k], ps[k], ds[k]) == rule_params(float(x), m, jumps)  # bitwise
 
@@ -660,7 +661,7 @@ class TestFilterReconstruct:
         lams = np.arange(-m, m + 1, dtype=float)
         lams[[0, 1, -2, -1]] = [-3.0 * m, -2.2 * m, 2.5 * m, 3.0 * m]
         freqs = fh.FrequencySet(m=m, frequencies=lams)
-        assert _band_nodes(lams, m) == 74
+        assert _node_rule(lams, m, n)[0] == 74
         f = fh.builtin_f2()
         recon = fh.FilterReconstruction(
             operator=fh.assemble_omega(freqs, n), samples=fh.fourier_samples(f, freqs),
@@ -680,13 +681,12 @@ class TestFilterReconstruct:
         xs = np.linspace(0.05, 0.95, 5)
         probe = (
             "import json, numpy as np, fourierhybrid as fh\n"
-            "from fourierhybrid.frame import _band_nodes, _side_nodes\n"
+            "from fourierhybrid.frame import _node_rule\n"
             "from helpers import far_frequency_recon\n"
             "recon = far_frequency_recon()\n"
             f"values, imag = fh.filter_reconstruct(recon, np.array({xs.tolist()}))\n"
             "fh.filter_reconstruct(recon, (np.arange(4096) + 0.5) / 4096)\n"
-            "print(json.dumps([_band_nodes(recon.samples.freqs.frequencies, 16),"
-            " _side_nodes(recon.samples.freqs.frequencies, 16, 9),"
+            "print(json.dumps([_node_rule(recon.samples.freqs.frequencies, 16, 9),"
             " values.tolist(), imag.tolist()]))\n"
         )
         paths = [str(Path(fh.__file__).resolve().parents[1]), str(Path(__file__).parent)]
@@ -694,7 +694,7 @@ class TestFilterReconstruct:
             filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True, timeout=60)
-        nodes, (pieces, per_piece), values, imag = json.loads(done.stdout)
+        (nodes, pieces, per_piece), values, imag = json.loads(done.stdout)
         assert nodes == 2201
         # q = 605 nodes per sub-interval: a side would need more points than
         # the whole 4096-point grid to be interpolated, so it is summed directly
@@ -748,12 +748,10 @@ class TestFilterReconstruct:
         recon = pipe.recon if jumps is None else fh.FilterReconstruction(
             operator=pipe.operator, samples=pipe.samples, jumps=jumps)
         xs = np.concatenate([(np.arange(size) + 0.5) / size, extra[(extra >= 0.0) & (extra <= 1.0)]])
-        pieces, per_piece = _side_nodes(pipe.freqs.frequencies, pipe.m, pipe.n)
+        _, pieces, per_piece = _node_rule(pipe.freqs.frequencies, pipe.m, pipe.n)
         crowd = _CROWD * pieces * per_piece
         # some band side is interpolated in the whole call, none in a chunk
-        _, ps, _ = fh.adaptive_param_arrays(xs, pipe.m, recon.jumps)
-        near = nearest_jump(xs, recon.jumps)[1]
-        side = 2 * near + (xs > recon.jumps[near])
+        ps, _, side = _bands(xs, recon.jumps, pipe.m)
         assert np.bincount(ps * 2 * recon.jumps.size + side).max() > crowd
         values, imag = fh.filter_reconstruct(recon, xs)
         chunk = crowd // 2
@@ -765,6 +763,42 @@ class TestFilterReconstruct:
             assert abs(values[k] - v) <= 1e-12
             assert abs(imag[k] - r) <= 1e-12
 
+    @pytest.mark.parametrize("pipe_args, xs", [
+        (("f2", "uniform", 128), (np.arange(32768) + 0.5) / 32768),
+        (("f1", "jittered", 512), GRID_1024),
+    ], ids=["f2-uniform-128-32768", "f1-jittered-512-1024"])
+    def test_one_nearest_jump_search_per_call(self, monkeypatch, pipe_args, xs):
+        # the bands, band places and band sides all come from one search;
+        # the counter also wraps the search behind piecewise.distance_to_set
+        pipe = pipeline(*pipe_args)
+        search, calls = piecewise.nearest_jump, []
+
+        def counted(x, jumps):
+            calls.append(x.size)
+            return search(x, jumps)
+
+        monkeypatch.setattr(frame, "nearest_jump", counted)
+        monkeypatch.setattr(piecewise, "nearest_jump", counted)
+        fh.filter_reconstruct(pipe.recon, xs)
+        assert calls == [xs.size]
+
+    @pytest.mark.parametrize("jumps", [np.array([0.5]), np.array([])], ids=["crowded", "no-filter"])
+    def test_block_split_does_not_change_values(self, monkeypatch, jumps):
+        # blocks of 59 points cut through the band, its two crowded sides
+        # (2048 points each, past _CROWD S q = 1080) and their 2 S q = 540
+        # node sums; the no-filter mode is one band summed directly
+        pipe = pipeline("f2", "uniform", 32)
+        recon = fh.FilterReconstruction(operator=pipe.operator, samples=pipe.samples, jumps=jumps)
+        xs = (np.arange(4096) + 0.5) / 4096
+        values, imag = fh.filter_reconstruct(recon, xs)
+        monkeypatch.setattr(frame, "_BLOCK_BYTES", 1 << 16)
+        _, pieces, per_piece = _node_rule(pipe.freqs.frequencies, pipe.m, pipe.n)
+        assert loop_block(pipe) == 59
+        assert 2 * pieces * per_piece % 59 and 2048 % 59
+        small, small_imag = fh.filter_reconstruct(recon, xs)
+        np.testing.assert_allclose(small, values, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(small_imag, imag, rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("scheme, rule", [
         ("uniform", {64: (6, 45), 128: (6, 45), 256: (6, 45), 512: (6, 45), 1024: (6, 45)}),
         ("jittered", {64: (4, 46), 128: (4, 46), 256: (4, 46), 512: (4, 46), 1024: (4, 46)}),
@@ -775,12 +809,13 @@ class TestFilterReconstruct:
         # omega = pi n / (KAPPA m) fixed by choose_n's n / m
         for m, expected in rule.items():
             lams = frequency_set(scheme, m).frequencies
-            assert _side_nodes(lams, m, fh.choose_n(scheme, m)) == expected
+            assert _node_rule(lams, m, fh.choose_n(scheme, m))[1:] == expected
 
     @pytest.mark.parametrize("scheme", ["jittered", "log", "uniform"])
     def test_node_rule_gives_24_nodes_at_max_frequency_m(self, scheme):
         for m in (64, 128, 256, 512, 1024):
-            assert _band_nodes(frequency_set(scheme, m).frequencies, m) == 24
+            lams = frequency_set(scheme, m).frequencies
+            assert _node_rule(lams, m, fh.choose_n(scheme, m))[0] == 24
 
     def test_non_finite_or_outside_jumps_rejected(self):
         # a NaN jump once gave p = floor(NaN), cast to INT_MIN, and finite

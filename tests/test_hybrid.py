@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fourierhybrid as fh
-from fourierhybrid.chebfit import A_MAX, extrapolation_amplification
+from fourierhybrid.chebfit import A_MAX, extrapolation_amplification, extrapolation_params_bounded
 from fourierhybrid.hybrid import delta_objective
 from helpers import DELTA, GRID_1024, hybrid_run, pipeline
 
@@ -177,6 +177,21 @@ class TestValidation:
         assert hyb.amplification <= A_MAX
         assert np.all(np.isfinite(hyb.values))
         assert np.any(hyb.extrapolated[(GRID_1024 > 0.449) & (GRID_1024 < 0.5)])
+
+    def test_fit_interval_a_few_ulps_wide_lowers_the_degree(self):
+        # [0.5, 0.5 + 4 ulp] less delta = ulp / 10 at each end rounds back to
+        # itself: five floats, which hold the 5 nodes of M = 1 but not the 65
+        # of the degree rule's M = 4, once refused as "sample points must be
+        # distinct"; every fit then takes M = 1
+        u = math.ulp(0.5)
+        jumps = np.array([0.0, 0.5, 0.5 + 4 * u, 1.0])
+        assert extrapolation_params_bounded(32, u / 10, np.diff(jumps))[0] == 4
+        hyb = fh.hybrid_reconstruct(self.recon_with_jumps(jumps), GRID_1024, u / 10)
+        assert (hyb.degree, hyb.fit_sample_count) == (1, 5)
+        assert (hyb.fits[1].a, hyb.fits[1].b) == (0.5, 0.5 + 4 * u)
+        assert hyb.amplification == max(
+            extrapolation_amplification(w, u / 10, 1) for w in np.diff(jumps))
+        assert np.all(np.isfinite(hyb.values))
 
     def test_narrow_subinterval_named_in_error(self):
         recon = self.recon_with_jumps([0.0, 0.48, 0.5, 1.0])

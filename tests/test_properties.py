@@ -1,17 +1,20 @@
-"""Property tests of the grid formatter and the filtered reconstruction.
+"""Property tests of the grid formatter, the filtered reconstruction and the buffer rule.
 
 The settings profile (derandomized, no example database, no deadline, a
 fixed example count) is registered in conftest.py, so these tests draw the
 same examples on every run.
 """
 
+import math
+
 import numpy as np
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import fourierhybrid as fh
 from fourierhybrid.experiments import _e17_text
-from helpers import frequency_set
+from fourierhybrid.hybrid import check_buffer
+from helpers import frequency_set, pipeline
 
 EPS = np.finfo(float).eps
 
@@ -58,3 +61,38 @@ def test_filter_is_linear_and_ignores_point_order(case, a, b):
     assert np.max(np.abs(combined - (a * v1 + b * v2))) <= tol
     shuffled = filter_values(operator, jumps, a * s1 + b * s2, xs[order])
     assert np.max(np.abs(shuffled - combined[order])) <= tol
+
+
+@st.composite
+def buffers(draw):
+    """A jump set holding 0 and 1, some jumps a few ulps past another, and a
+    delta: up to half the narrowest subinterval, a few ulps below it, or any."""
+    interior = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    twins = [min(x + k * math.ulp(x), 1.0)
+             for x, k in zip(interior, draw(st.lists(st.integers(1, 64), max_size=2)))]
+    jumps = np.unique([0.0, 1.0, *interior, *twins])
+    half = float(np.min(np.diff(jumps))) / 2
+    delta = draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True).map(lambda u: u * half),
+        st.integers(1, 4).map(lambda k: half - k * math.ulp(half)),
+        st.floats(0.0, 0.5, exclude_min=True),
+    ))
+    return jumps, delta
+
+
+@given(buffers())
+@example((np.array([0.0, 0.5, 1.0]), math.nextafter(0.25, 0.0)))
+@example((np.array([0.0, 0.3, 0.7, 1.0]), 0.15 - math.ulp(0.15)))
+@example((np.array([0.0, 0.5, 0.5 + 3 * math.ulp(0.5), 1.0]), 0.1 * math.ulp(0.5)))
+def test_hybrid_accepts_every_buffer_check_buffer_accepts(case):
+    # at m = 8, any refusal after check_buffer fails, such as chebyshev_fit's
+    # "sample points must be distinct" on a fit interval a few ulps wide
+    jumps, delta = case
+    try:
+        check_buffer(jumps, delta)
+    except ValueError:
+        assume(False)
+    pipe = pipeline("f2", "uniform", 8)
+    recon = fh.FilterReconstruction(operator=pipe.operator, samples=pipe.samples, jumps=jumps)
+    hyb = fh.hybrid_reconstruct(recon, np.linspace(0.0, 1.0, 17), delta)
+    assert np.all(np.isfinite(hyb.values))
