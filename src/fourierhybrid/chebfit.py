@@ -10,7 +10,8 @@ the node values to the fit's values at the subinterval's ends, grows with M
 much faster than the data error falls (Demanet & Townsend, "Stable
 extrapolation of analytic functions", FoCM 2019).  So the degree is not the
 paper's practical M = round(4 + m delta) but the largest M below it with
-A(k) <= A_MAX for every k <= M (extrapolation_params_bounded).
+A(k) <= A_MAX for every k <= M; extrapolation_params_bounded returns that
+degree with its fit nodes and its A, the hybrid's whole fit plan.
 """
 
 from __future__ import annotations
@@ -121,8 +122,9 @@ def extrapolation_amplification(width: float, delta: float, degree: int) -> floa
     The infinity-norm of the linear map from the N + 1 equispaced node
     values, N from the degree as in extrapolation_params_bounded, to the
     degree-M least-squares fit's values at 0 and width, the two jump ends
-    of the buffer zones.  It depends only on width / delta and M;
-    A(0) = 1.  width must exceed 2 delta.
+    of the buffer zones.  It depends only on width / delta and M.  A(0) = 1,
+    which extrapolation_params_bounded reports without this pseudo-inverse
+    (it gives 1 - 3 ulps).  width must exceed 2 delta.
     """
     t_end = width / (width - 2.0 * delta)
     nodes = np.linspace(-1.0, 1.0, _node_count(degree) + 1)
@@ -131,23 +133,27 @@ def extrapolation_amplification(width: float, delta: float, degree: int) -> floa
     return float(np.max(np.sum(np.abs(rows), axis=1)))
 
 
-def extrapolation_params_bounded(m: int, delta: float, widths) -> tuple[int, int, float]:
-    """(M, N, A): the degree rule of the hybrid's fits.
+def extrapolation_params_bounded(m: int, delta: float, jumps) -> tuple[int, np.ndarray, float]:
+    """(M, nodes, A): the hybrid's fit plan on sorted jumps that pass hybrid.check_buffer.
 
-    M is the largest degree up to the practical rule's round(4 + m delta)
-    for which A(k) <= A_MAX holds for every k <= M on every subinterval
-    width, and A is the largest A(M) over the widths.  The search runs
-    upward from M = 0, where A = 1, so it costs one small pseudo-inverse per
-    degree and distinct width up to the first that fails; a repeated width
-    is a hit of extrapolation_amplification's cache.  N = 4 M^2 (N = 1 at
-    M = 0).
+    Row l of nodes holds the N + 1 equispaced fit nodes of [xi_l + delta,
+    xi_{l+1} - delta], N = 4 M^2 (N = 1 at M = 0: the interval's ends).
+    The search runs upward from M = 0, where A = 1, up to the practical
+    rule's round(4 + m delta), and stops at the first degree that fails
+    on some subinterval: A(M) > A_MAX, or N + 1 nodes that repeat on a fit
+    interval a few ulps wide.  A is the largest A(M) over the widths.  Each
+    degree costs one small pseudo-inverse per distinct width; a repeated
+    width is a hit of extrapolation_amplification's cache.
     """
     cap, _ = extrapolation_params_practical(m, delta)
-    widths = np.asarray(widths, dtype=float)
-    degree, amplification = 0, 1.0
+    jumps = np.asarray(jumps, dtype=float)
+    plan = 0, np.stack([jumps[:-1] + delta, jumps[1:] - delta], axis=1), 1.0
     for trial in range(1, cap + 1):
-        worst = max(extrapolation_amplification(w, delta, trial) for w in widths)
+        nodes = np.linspace(jumps[:-1] + delta, jumps[1:] - delta, _node_count(trial) + 1, axis=1)
+        if np.any(np.diff(nodes) <= 0):
+            break
+        worst = max(extrapolation_amplification(w, delta, trial) for w in np.diff(jumps))
         if worst > A_MAX:
             break
-        degree, amplification = trial, worst
-    return degree, _node_count(degree), amplification
+        plan = trial, nodes, worst
+    return plan

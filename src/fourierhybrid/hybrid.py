@@ -5,13 +5,10 @@ hybrid_reconstruct takes a FilterReconstruction, which already fixes the
 samples, the jump set and the frame operator, and the buffer width delta.
 Each subinterval [xi_l, xi_{l+1}] gets one Chebyshev fit on
 [xi_l + delta, xi_{l+1} - delta] that serves both of its buffer zones.
-All fits share one degree M and node count N + 1 from
-extrapolation_params_bounded: the largest M up to the paper's practical
-round(4 + m delta) whose extrapolation amplifies node errors at most
-A_MAX = 100-fold on every subinterval, with N = 4 M^2, so neither grows
-with m once A_MAX binds.
-Buffer zones are open: a grid point at distance exactly delta from its
-bounding jumps keeps the filter value.
+The fit plan, one degree M, the N + 1 nodes of every fit and their
+amplification, is extrapolation_params_bounded's, used as returned.
+A grid point is in a buffer zone when its distance d to the nearest jump
+is below delta, so one at d = delta exactly keeps the filter value.
 """
 
 from __future__ import annotations
@@ -21,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebfit import (ChebyshevFit, _node_count, chebyshev_fit, evaluate_fit,
-                      extrapolation_amplification, extrapolation_params_bounded)
+from .chebfit import ChebyshevFit, chebyshev_fit, evaluate_fit, extrapolation_params_bounded
 from .frame import FilterReconstruction, filter_reconstruct
+from .piecewise import nearest_jump
 
 __all__ = [
     "HybridReconstruction",
@@ -91,36 +88,30 @@ def hybrid_reconstruct(
     if grid.ndim != 1:
         raise ValueError(f"grid must be 1-d, got shape {grid.shape}")
 
-    widths, m = np.diff(jumps), filter_recon.operator.m
-    degree, big_n, amplification = extrapolation_params_bounded(m, delta, widths)
-    # row l holds the fit nodes of [xi_l, xi_{l+1}], which one filter call
-    # evaluates with the grid; where a fit interval is too few ulps wide for
-    # N + 1 distinct nodes, M drops, at the latest to 0: its nodes, the ends
-    nodes = np.linspace(jumps[:-1] + delta, jumps[1:] - delta, big_n + 1, axis=1)
-    while np.any(np.diff(nodes) <= 0):
-        degree -= 1
-        amplification = max(extrapolation_amplification(w, delta, degree) for w in widths)
-        nodes = np.linspace(nodes[:, 0], nodes[:, -1], _node_count(degree) + 1, axis=1)
+    degree, nodes, amplification = extrapolation_params_bounded(
+        filter_recon.operator.m, delta, jumps)
+    # one filter call evaluates the grid and every subinterval's fit nodes
     points = np.concatenate([grid, nodes.ravel()])
     all_values, all_imag = filter_reconstruct(filter_recon, points)
     filter_values, imag_residual = all_values[:grid.size], all_imag[:grid.size]
     node_values = all_values[grid.size:].reshape(nodes.shape)
+    fits = tuple(chebyshev_fit(x, y, degree) for x, y in zip(nodes, node_values))
+    d, near = nearest_jump(grid, jumps)
+    extrapolated = d < delta
+    buffer = np.flatnonzero(extrapolated)
+    # a buffer point takes the fit of the subinterval [xi_l, xi_{l+1}) that
+    # holds it; the last subinterval also holds 1
+    near = near[buffer]
+    owner = np.minimum(near - (grid[buffer] < jumps[near]), len(fits) - 1)
     values = filter_values.copy()
-    extrapolated = np.zeros(grid.shape, dtype=bool)
-    fits = []
-    for left, right, sub_nodes, sub_values in zip(jumps[:-1], jumps[1:], nodes, node_values):
-        fit = chebyshev_fit(sub_nodes, sub_values, degree)
-        fits.append(fit)
-        # half-open ownership [left, right); the last subinterval also owns 1
-        in_sub = (grid >= left) & ((grid < right) | (right == 1.0))
-        buffer = in_sub & (np.minimum(grid - left, right - grid) < delta)
-        if np.any(buffer):
-            values[buffer] = evaluate_fit(fit, grid[buffer])
-            extrapolated |= buffer
+    for k, fit in enumerate(fits):
+        mine = buffer[owner == k]
+        if mine.size:
+            values[mine] = evaluate_fit(fit, grid[mine])
     return HybridReconstruction(
         values=values,
         extrapolated=extrapolated,
-        fits=tuple(fits),
+        fits=fits,
         filter_values=filter_values,
         imag_residual=imag_residual,
         degree=degree,

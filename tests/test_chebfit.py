@@ -81,6 +81,9 @@ class TestFit:
             chebyshev_fit(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4), 2)
         with pytest.raises(ValueError):
             chebyshev_fit(xs, xs[:4], 2)
+        # distinct nodes that t = 2(x - a)/(b - a) - 1 cannot tell apart
+        with pytest.raises(RuntimeError, match=r"rank-deficient .* \(rank 2 < 3\)"):
+            chebyshev_fit([0.0, 1e-20, 1.0], [1.0, 2.0, 3.0], 2)
 
     def test_non_finite_samples_rejected(self):
         # they used to give NaN coefficients and a NaN residual_norm

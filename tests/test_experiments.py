@@ -297,6 +297,15 @@ def test_write_line_svg_log_scale(tmp_path):
     assert "log10|y|" in text
 
 
+def test_write_line_svg_flat_series(tmp_path):
+    # ymax == ymin would divide by zero; the y range widens to [y, y + 1]
+    path = tmp_path / "flat.svg"
+    write_line_svg(path, np.linspace(0, 1, 50), [("f", np.full(50, 2.0))])
+    text = path.read_text()
+    assert "y: [2, 3]" in text and "nan" not in text
+    assert ET.parse(path).getroot().tag.endswith("svg")
+
+
 def e17_strings(values) -> list[str]:
     """Each row of _e17_text's output as text: the row with its NULs removed."""
     chars = _e17_text(np.asarray(values, dtype=float))
@@ -723,7 +732,8 @@ class TestCli:
     def test_custom_pieces_via_cli(self, tmp_path):
         code = main([
             "--function", "custom",
-            "--pieces", "0:0.5:sin(4*pi*x); 0.5:1:sin(2*pi*x)",
+            # the trailing ';' leaves an empty chunk, which is skipped
+            "--pieces", "0:0.5:sin(4*pi*x); 0.5:1:sin(2*pi*x);",
             "--m", "16", "--grid", "64", "--out", str(tmp_path),
             "--formats", "csv",
         ])

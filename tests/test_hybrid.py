@@ -180,18 +180,32 @@ class TestValidation:
 
     def test_fit_interval_a_few_ulps_wide_lowers_the_degree(self):
         # [0.5, 0.5 + 4 ulp] less delta = ulp / 10 at each end rounds back to
-        # itself: five floats, which hold the 5 nodes of M = 1 but not the 65
-        # of the degree rule's M = 4, once refused as "sample points must be
-        # distinct"; every fit then takes M = 1
+        # itself: five floats, which hold the 5 nodes of M = 1 but not the 17
+        # of M = 2, so the plan stops at M = 1 although A alone admits the
+        # practical cap M = 4; every fit then takes M = 1
         u = math.ulp(0.5)
         jumps = np.array([0.0, 0.5, 0.5 + 4 * u, 1.0])
-        assert extrapolation_params_bounded(32, u / 10, np.diff(jumps))[0] == 4
+        assert max(extrapolation_amplification(w, u / 10, 4) for w in np.diff(jumps)) <= A_MAX
+        degree, nodes, _ = extrapolation_params_bounded(32, u / 10, jumps)
+        assert (degree, nodes.shape) == (1, (3, 5))
         hyb = fh.hybrid_reconstruct(self.recon_with_jumps(jumps), GRID_1024, u / 10)
         assert (hyb.degree, hyb.fit_sample_count) == (1, 5)
         assert (hyb.fits[1].a, hyb.fits[1].b) == (0.5, 0.5 + 4 * u)
         assert hyb.amplification == max(
             extrapolation_amplification(w, u / 10, 1) for w in np.diff(jumps))
         assert np.all(np.isfinite(hyb.values))
+
+    def test_fit_interval_of_four_floats_takes_degree_0_with_amplification_1(self):
+        # [0.5, 0.5 + 3 ulp] holds 4 floats, too few for M = 1's 5 nodes, so
+        # M = 0 fits through the interval's two ends, whose A is 1 exactly;
+        # once reported as 0.9999999999999997 by a second route to A(0)
+        u = math.ulp(0.5)
+        pipe = pipeline("f2", "uniform", 32)
+        recon = fh.FilterReconstruction(operator=pipe.operator, samples=pipe.samples,
+                                        jumps=np.array([0.0, 0.5, 0.5 + 3 * u, 1.0]))
+        hyb = fh.hybrid_reconstruct(recon, np.linspace(0.0, 1.0, 17), u / 10)
+        assert (hyb.degree, hyb.fit_sample_count) == (0, 2)
+        assert hyb.amplification == 1.0
 
     def test_narrow_subinterval_named_in_error(self):
         recon = self.recon_with_jumps([0.0, 0.48, 0.5, 1.0])
@@ -242,6 +256,9 @@ class TestOptimizeDelta:
             fh.optimize_delta(xi=0.5, m=64, rho=2.0, eta=0.0, C=1.0)
         with pytest.raises(ValueError, match="undefined"):
             fh.optimize_delta(xi=0.5, m=64, rho=0.25, eta=1.0, C=1.0)
+        # xi below twice the search's margin from 0 and from xi
+        with pytest.raises(ValueError, match="search interval is empty"):
+            fh.optimize_delta(xi=1.5e-4, m=64, rho=2.0, eta=1.0, C=1.0)
         # NaN constants are named, not reported as an undefined objective
         for name in ("rho", "eta", "C"):
             args = {**dict(xi=0.5, m=64, rho=2.0, eta=1.0, C=1.0), name: math.nan}

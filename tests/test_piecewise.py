@@ -175,11 +175,16 @@ def test_parse_expression_basics():
     h = parse_expression("exp(-5*x^2)")
     np.testing.assert_allclose(h(xs), np.exp(-5 * xs**2), atol=1e-15)
     assert parse_expression("1/2 + cos(0)")(0.0) == pytest.approx(1.5)
+    assert parse_expression("+x")(0.25) == 0.25
 
 
 def test_parse_expression_rejects_unsafe_input():
     for bad in ("__import__('os')", "x.real", "open('x')", "lambda y: y", "tan(x)", "y"):
         with pytest.raises(ValueError):
+            parse_expression(bad)
+    for bad, message in (("sin(x, x)", "^sin takes exactly one positional argument$"),
+                         ("sin(", "^cannot parse expression 'sin\\('")):
+        with pytest.raises(ValueError, match=message):
             parse_expression(bad)
 
 
