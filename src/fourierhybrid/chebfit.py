@@ -143,17 +143,26 @@ def extrapolation_params_bounded(m: int, delta: float, jumps) -> tuple[int, np.n
     on some subinterval: A(M) > A_MAX, or N + 1 nodes that repeat on a fit
     interval a few ulps wide.  A is the largest A(M) over the widths.  Each
     degree costs one small pseudo-inverse per distinct width; a repeated
-    width is a hit of extrapolation_amplification's cache.
+    width is a hit of extrapolation_amplification's cache.  Node rows are
+    built for the degree returned, and for a trial degree only when some
+    fit interval's spacing w / N is at most 8 ulps of its larger end:
+    np.linspace's rounding moves two neighbouring nodes closer by at most
+    2 ulps, so wider spacings cannot repeat a node.
     """
     cap, _ = extrapolation_params_practical(m, delta)
     jumps = np.asarray(jumps, dtype=float)
-    plan = 0, np.stack([jumps[:-1] + delta, jumps[1:] - delta], axis=1), 1.0
+    starts, stops = jumps[:-1] + delta, jumps[1:] - delta
+    widths = stops - starts
+    # a spacing above this keeps a fit interval's nodes distinct, with a margin of 4
+    floor = 8.0 * np.spacing(np.maximum(np.abs(starts), np.abs(stops)))
+    degree, amplification = 0, 1.0
     for trial in range(1, cap + 1):
-        nodes = np.linspace(jumps[:-1] + delta, jumps[1:] - delta, _node_count(trial) + 1, axis=1)
-        if np.any(np.diff(nodes) <= 0):
+        count = _node_count(trial)
+        if np.any(widths / count <= floor) and np.any(
+                np.diff(np.linspace(starts, stops, count + 1, axis=1)) <= 0):
             break
         worst = max(extrapolation_amplification(w, delta, trial) for w in np.diff(jumps))
         if worst > A_MAX:
             break
-        plan = trial, nodes, worst
-    return plan
+        degree, amplification = trial, worst
+    return degree, np.linspace(starts, stops, _node_count(degree) + 1, axis=1), amplification

@@ -15,7 +15,9 @@ from fourierhybrid.experiments import (
     ExperimentConfig,
     RunRecord,
     RunReport,
+    _CSV_BLOCK_ROWS,
     _e17_text,
+    _f2_text,
     _fmt,
     _m4_points,
     _write_grid_csv,
@@ -366,6 +368,71 @@ def test_grid_csv_matches_per_row_format(tmp_path):
     echo, body = path.read_bytes().decode().split(header)
     assert body == rows
     assert echo.splitlines()[-1] == "# m=16 n=9 M=3 N=4 freq_hash=0123"
+
+
+def test_grid_csv_formats_the_hybrid_only_where_its_bits_differ(tmp_path, monkeypatch):
+    # f_hybrid and err_hybrid copy the filter's text where the bits agree:
+    # 0.0 against -0.0 and NaN payloads must still get their own text
+    rng = np.random.default_rng(7)
+    size = 2 * _CSV_BLOCK_ROWS + 300  # three blocks, the last one short
+    grid = midpoint_grid(size)
+    truth, filt, err_f = (rng.standard_normal(size) for _ in range(3))
+    hyb, err_h = filt.copy(), err_f.copy()
+    quiet_nan, payload_nan, negative_nan = np.array(
+        [0x7FF8000000000000, 0x7FF8000000000123, -0x0008000000000000], dtype=np.int64
+    ).view(float)
+    filt[[3, 4]] = hyb[[3, 4]] = 0.0
+    hyb[3] = -0.0
+    err_f[[5, 6]], err_h[[5, 6]] = [-0.0, 0.0], [0.0, -0.0]
+    filt[[10, 11]] = quiet_nan
+    hyb[[10, 11]] = payload_nan, negative_nan
+    err_f[12], err_h[12] = negative_nan, quiet_nan
+    edges = [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, size - 1]
+    hyb[edges] = np.nextafter(hyb[edges], np.inf)
+    err_h[_CSV_BLOCK_ROWS] = 2.5
+    extrapolated = np.zeros(size, dtype=bool)
+    extrapolated[[3, 4, 10, 20, 21, *edges]] = True  # 4, 20 and 21 equal the filter
+    differing = (hyb.view(np.int64) != filt.view(np.int64)).sum() + (
+        err_h.view(np.int64) != err_f.view(np.int64)).sum()
+    assert differing == 10
+
+    formatted = []
+    monkeypatch.setattr(
+        "fourierhybrid.experiments._e17_text",
+        lambda values: formatted.append(len(values)) or _e17_text(values),
+    )
+    record = RunRecord(m=16, n=9, degree=3, fit_samples=5, cond=1.5,
+                       imag_residual=0.0, fit_residual=0.0, amplification=1.0,
+                       sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
+                       sup_err_hybrid_global=0.0, sup_err_hybrid_buffers=0.0,
+                       wall_time=0.0, freq_hash="0123")
+    path = tmp_path / "grid.csv"
+    _write_grid_csv(path, ExperimentConfig(), record, grid, truth, filt, hyb, err_f, err_h,
+                    extrapolated)
+    header = "x,f_true,f_filter,f_hybrid,err_filter,err_hybrid,tag\n"
+    tags = ["extrapolated" if e else "filter" for e in extrapolated.tolist()]
+    rows = "".join(
+        "%.17e,%.17e,%.17e,%.17e,%.17e,%.17e,%s\n" % row
+        for row in zip(*(c.tolist() for c in (grid, truth, filt, hyb, err_f, err_h)), tags)
+    )
+    assert path.read_bytes().decode().split(header)[1] == rows
+    assert "-0.00000000000000000e+00" in rows.splitlines()[3].split(",")[3]
+    assert len(formatted) == 3 and sum(formatted) == 4 * size + differing
+
+
+def test_f2_text_matches_format():
+    rng = np.random.default_rng(2)
+    plot_range = rng.uniform(-50.0, 850.0, 20_000)
+    hundredths = rng.integers(-10**8, 10**8, 20_000) / 100.0
+    ties = [60.125, 60.375, -0.125, 0.005, 2.675, 999999.995]
+    signed_zeros = [-0.001, -0.0, 0.0, -0.004999, 5e-324, -5e-324]
+    special = [math.nan, -math.nan, math.inf, -math.inf, 1e6, -1e6, 123456789.125, 1e300,
+               -1.7976931348623157e308]
+    for values in (plot_range, hundredths, ties, signed_zeros, special):
+        rows = _f2_text(np.asarray(values, dtype=float))
+        assert [row.tobytes().replace(b"\0", b"").decode() for row in rows] == [
+            "{:.2f}".format(v) for v in np.asarray(values, dtype=float).tolist()]
+    assert "{:.2f}".format(-0.001) == "-0.00" and "{:.2f}".format(60.125) == "60.12"
 
 
 def reference_line_svg(path, x, series, title="", ylog=False):

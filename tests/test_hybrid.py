@@ -195,6 +195,23 @@ class TestValidation:
             extrapolation_amplification(w, u / 10, 1) for w in np.diff(jumps))
         assert np.all(np.isfinite(hyb.values))
 
+    @pytest.mark.parametrize("jumps, delta, degree, rows_built", [
+        # wide fit intervals: only the returned degree's rows are built
+        ([0.0, 0.3, 0.7, 1.0], DELTA, 7, 1),
+        # trials M = 1, 2 look at the rows of [0.5, 0.5 + 4 ulp], then M = 1's
+        ([0.0, 0.5, 0.5 + 4 * math.ulp(0.5), 1.0], math.ulp(0.5) / 10, 1, 3),
+    ])
+    def test_plan_builds_node_rows_only_where_they_could_repeat(
+            self, monkeypatch, jumps, delta, degree, rows_built):
+        expect = extrapolation_params_bounded(512, delta, jumps)
+        calls = []
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
+        plan = extrapolation_params_bounded(512, delta, jumps)
+        assert (plan[0], plan[2]) == (expect[0], expect[2])
+        assert plan[1].tobytes() == expect[1].tobytes()
+        assert (plan[0], len(calls)) == (degree, rows_built)
+
     def test_fit_interval_of_four_floats_takes_degree_0_with_amplification_1(self):
         # [0.5, 0.5 + 3 ulp] holds 4 floats, too few for M = 1's 5 nodes, so
         # M = 0 fits through the interval's two ends, whose A is 1 exactly;
