@@ -220,10 +220,12 @@ def parse_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     """Compile an expression string (x, pi, sin/cos/exp, + - * / ^) to a callable."""
     source = text.replace("^", "**")
     try:
-        tree = ast.parse(source, mode="eval")
+        return _compile_node(ast.parse(source, mode="eval"))
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression {text!r}: {exc}") from exc
-    return _compile_node(tree)
+    except (RecursionError, MemoryError):
+        # ast.parse and _compile_node recurse once per nesting level
+        raise ValueError(f"expression {text!r} is nested too deeply") from None
 
 
 def piecewise_from_expressions(specs: Sequence[tuple[float, float, str]]) -> PiecewiseFunction:

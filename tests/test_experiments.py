@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,7 +18,6 @@ from fourierhybrid.experiments import (
     RunReport,
     _CSV_BLOCK_ROWS,
     _e17_text,
-    _f2_text,
     _fmt,
     _m4_points,
     _write_grid_csv,
@@ -95,6 +95,31 @@ class TestConfigValidation:
     def test_grid_floor(self):
         with pytest.raises(ValueError, match="grid_size"):
             small_config(grid_size=32).validate()
+
+    @pytest.mark.parametrize("overrides, message", [
+        # a 65-point grid would end on the jump x = 1.0
+        ({"grid_size": 64.5}, "grid_size must be an integer, got 64.5"),
+        ({"grid_size": "64"}, "grid_size must be an integer, got '64'"),
+        ({"m_list": (16, 24.0)}, "m must be an integer, got 24.0"),
+        ({"m_list": (True, 24)}, "m must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"delta": "0.025"}, "delta must be a real number, got '0.025'"),
+        ({"delta": True}, "delta must be a real number, got True"),
+    ])
+    def test_field_types(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**overrides).validate()
+
+    def test_numpy_integers_run_as_python_integers(self, tmp_path):
+        numpy_ints = dict(m_list=(np.int64(16), np.int32(24)), seed=np.int64(42),
+                          grid_size=np.int16(64))
+        for name, cfg in (("py", small_config()), ("np", small_config(**numpy_ints))):
+            run_experiment(replace(cfg, output_dir=str(tmp_path / name)))
+        files = sorted(p.name for p in (tmp_path / "py").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "np").iterdir())
+        for name in files:
+            assert (tmp_path / "py" / name).read_bytes() == (tmp_path / "np" / name).read_bytes()
 
     @pytest.mark.parametrize("key", ["delta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -420,21 +445,6 @@ def test_grid_csv_formats_the_hybrid_only_where_its_bits_differ(tmp_path, monkey
     assert len(formatted) == 3 and sum(formatted) == 4 * size + differing
 
 
-def test_f2_text_matches_format():
-    rng = np.random.default_rng(2)
-    plot_range = rng.uniform(-50.0, 850.0, 20_000)
-    hundredths = rng.integers(-10**8, 10**8, 20_000) / 100.0
-    ties = [60.125, 60.375, -0.125, 0.005, 2.675, 999999.995]
-    signed_zeros = [-0.001, -0.0, 0.0, -0.004999, 5e-324, -5e-324]
-    special = [math.nan, -math.nan, math.inf, -math.inf, 1e6, -1e6, 123456789.125, 1e300,
-               -1.7976931348623157e308]
-    for values in (plot_range, hundredths, ties, signed_zeros, special):
-        rows = _f2_text(np.asarray(values, dtype=float))
-        assert [row.tobytes().replace(b"\0", b"").decode() for row in rows] == [
-            "{:.2f}".format(v) for v in np.asarray(values, dtype=float).tolist()]
-    assert "{:.2f}".format(-0.001) == "-0.00" and "{:.2f}".format(60.125) == "60.12"
-
-
 def reference_line_svg(path, x, series, title="", ylog=False):
     """write_line_svg as it was before M4: every point of every series."""
     x = np.asarray(x, dtype=float)
@@ -480,6 +490,27 @@ def plot_series(size):
     err = np.abs(noisy - truth)
     err[::97] = 0.0  # clipped to the log floor
     return x, [("f_true", truth), ("f_noisy", noisy)], [("err", err), ("err2", err**2)]
+
+
+@pytest.mark.parametrize("size", [256, 257, 513])
+def test_polylines_written_as_by_format(tmp_path, size):
+    # polylines of one, just over one and just over two formatting blocks;
+    # y spans [0, 380], one unit per pixel, so these values land on the
+    # binary ties 60.125, 60.375 and 439.875 on screen, where '{:.2f}'
+    # rounds half to even
+    x = midpoint_grid(size)
+    ties = [60.125, 60.375, 439.875]
+    at = [3, 100, size - 2]
+    y = np.linspace(0.0, 380.0, size)
+    y[at] = [440.0 - t for t in ties]
+    assert (440 - y / 380.0 * 380)[at].tolist() == ties  # write_line_svg's sy
+    series = [("ties", y), ("wave", 190 + 150 * np.sin(7 * x)), ("nan", np.full(size, np.nan))]
+    write_line_svg(tmp_path / "svg.svg", x, series, title="t")
+    reference_line_svg(tmp_path / "ref.svg", x, series, title="t")
+    text = (tmp_path / "svg.svg").read_bytes()
+    assert text == (tmp_path / "ref.svg").read_bytes()
+    assert all(f",{t} ".encode() in text for t in ("60.12", "60.38", "439.88"))
+    assert text.count(b",nan") == size
 
 
 class TestM4:
@@ -720,6 +751,17 @@ class TestCli:
             err = capsys.readouterr().err
             assert "configuration error" in err and message in err
             assert not any(tmp_path.iterdir())
+
+    def test_deeply_nested_pieces_exit_two(self, tmp_path, capsys):
+        args = ["--function", "custom", "--m", "8", "--grid", "64", "--formats", "csv"]
+        # refused while compiling, not reported as a numerical failure
+        code = main([*args, "--pieces", "0:1:" + "-" * 1200 + "x", "--out", str(tmp_path / "deep")])
+        assert code == 2
+        assert capsys.readouterr().err.endswith("-x' is nested too deeply\n")
+        assert not any(tmp_path.iterdir())
+        code = main([*args, "--pieces", "0:1:" + "-" * 500 + "x", "--out", str(tmp_path / "ok")])
+        assert code == 0
+        assert (tmp_path / "ok" / "custom_jit_m8.csv").exists()
 
     def test_repeated_m_exits_two(self, tmp_path, capsys):
         code = main(["--m", "128,128", "--out", str(tmp_path)])

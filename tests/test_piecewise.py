@@ -188,6 +188,15 @@ def test_parse_expression_rejects_unsafe_input():
             parse_expression(bad)
 
 
+@pytest.mark.parametrize("depth", [1200, 7000], ids=["recursion", "parser-memory"])
+def test_parse_expression_refuses_deep_nesting(depth):
+    # 1200 levels exhaust _compile_node's recursion; at 7000 ast.parse
+    # itself raises MemoryError
+    with pytest.raises(ValueError, match="^expression '-+x' is nested too deeply$"):
+        parse_expression("-" * depth + "x")
+    assert parse_expression("-" * 500 + "x")(0.25) == 0.25
+
+
 def test_parse_expression_rejects_booleans():
     # bool is an int subclass; True once evaluated to 1.0 and x*False to 0
     for bad, literal in (("True", "True"), ("x*False", "False"), ("2 + True", "True")):
