@@ -136,27 +136,29 @@ class ExperimentConfig:
         return builtin_function(self.function)
 
     def echo_lines(self) -> list[str]:
+        # float(): a numpy delta or piece bound echoes as the Python float does
         lines = [
             f"# function={self.function}",
             f"# scheme={self.scheme}",
             f"# m_list={','.join(str(m) for m in self.m_list)}",
             f"# seed={self.seed}",
-            f"# delta={self.delta!r}",
+            f"# delta={float(self.delta)!r}",
             f"# alpha={self.alpha!r}",
             f"# kappa={self.kappa!r}",
             f"# grid_size={self.grid_size}",
         ]
         for a, b, expr in self.pieces:
-            lines.append(f"# piece={a!r}:{b!r}:{expr}")
+            lines.append(f"# piece={float(a)!r}:{float(b)!r}:{expr}")
         return lines
 
 
 @dataclass(frozen=True)
 class RunRecord:
+    """A row of summary.csv: each field but wall_time is a column, in order."""
     m: int
     n: int
-    degree: int
-    fit_samples: int
+    M: int  # the fit degree
+    N: int  # N + 1 fit samples per subinterval
     cond: float
     imag_residual: float
     fit_residual: float
@@ -165,8 +167,8 @@ class RunRecord:
     sup_err_filter_global: float
     sup_err_hybrid_global: float
     sup_err_hybrid_buffers: float
-    wall_time: float
     freq_hash: str
+    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -214,8 +216,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         record = RunRecord(
             m=m,
             n=n,
-            degree=hyb.degree,
-            fit_samples=hyb.fit_sample_count,
+            M=hyb.degree,
+            N=hyb.fit_sample_count - 1,
             cond=float(operator.s[0] / operator.s[-1]),
             imag_residual=float(np.max(hyb.imag_residual)),
             fit_residual=float(max(fit.residual_norm for fit in hyb.fits)),
@@ -224,8 +226,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             sup_err_filter_global=err_filter.sup,
             sup_err_hybrid_global=err_hybrid.sup,
             sup_err_hybrid_buffers=sup_hyb_buf,
-            wall_time=time.perf_counter() - started,
             freq_hash=freq_hash,
+            wall_time=time.perf_counter() - started,
         )
         records.append(record)
 
@@ -258,12 +260,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(config=cfg, records=tuple(records), files=tuple(files))
     if "csv" in cfg.formats:
         summary = out_dir / "summary.csv"
-        _write_table(summary, cfg, _SUMMARY_COLUMNS, [
-            (str(r.m), str(r.n), str(r.degree), str(r.fit_samples - 1),
-             *map(_fmt, (r.cond, r.imag_residual, r.fit_residual, r.amplification,
-                         r.sup_err_filter_interior, r.sup_err_filter_global,
-                         r.sup_err_hybrid_global, r.sup_err_hybrid_buffers)),
-             r.freq_hash)
+        columns = [f.name for f in fields(RunRecord) if f.name != "wall_time"]
+        _write_table(summary, cfg, ",".join(columns), [
+            [_fmt(v) if isinstance(v, float) else str(v)
+             for v in (getattr(r, name) for name in columns)]
             for r in report.records
         ])
         convergence = out_dir / "convergence.csv"
@@ -448,8 +448,7 @@ def _write_grid_csv(path, cfg, record, grid, truth, filt, hyb, err_f, err_h, ext
     """
     header = _preamble(
         cfg,
-        f"# m={record.m} n={record.n} M={record.degree} "
-        f"N={record.fit_samples - 1} freq_hash={record.freq_hash}",
+        f"# m={record.m} n={record.n} M={record.M} N={record.N} freq_hash={record.freq_hash}",
         "x,f_true,f_filter,f_hybrid,err_filter,err_hybrid,tag",
     )
     x, truth, filt, hyb, err_f, err_h = (
@@ -486,12 +485,6 @@ def _write_grid_csv(path, cfg, record, grid, truth, filt, hyb, err_f, err_h, ext
             numbers[:, :, -1] = ord(",")
             line[:, width:] = tag
             fh.write(line.tobytes().translate(None, b"\0"))
-
-
-_SUMMARY_COLUMNS = (
-    "m,n,M,N,cond,imag_residual,fit_residual,amplification,sup_err_filter_interior,"
-    "sup_err_filter_global,sup_err_hybrid_global,sup_err_hybrid_buffers,freq_hash"
-)
 
 
 def _write_table(path, cfg, columns, rows):
@@ -542,14 +535,19 @@ def write_line_svg(path, x, series, title="", ylog=False):
     """
     x = np.asarray(x, dtype=float)
     prepared = []
+    # the y range spans all series' finite values; NaN and inf are drawn, not ranged
+    ymin, ymax = math.inf, -math.inf
     for name, y in series:
         y = np.asarray(y, dtype=float)
         if ylog:
             y = np.log10(np.maximum(np.abs(y), _LOG_FLOOR))
         prepared.append((name, y))
-    ymin = min(float(np.min(y)) for _, y in prepared)
-    ymax = max(float(np.max(y)) for _, y in prepared)
-    if ymax == ymin:
+        finite = np.isfinite(y)
+        ymin = min(ymin, float(np.min(y, where=finite, initial=math.inf)))
+        ymax = max(ymax, float(np.max(y, where=finite, initial=-math.inf)))
+    if ymin > ymax:  # no finite value
+        ymin, ymax = 0.0, 1.0
+    elif ymax == ymin:
         ymax = ymin + 1.0
     xmin, xmax = float(np.min(x)), float(np.max(x))
     sx = _MARGIN + (x - xmin) / (xmax - xmin) * (_SVG_W - 2 * _MARGIN)
@@ -677,7 +675,7 @@ def main(argv=None) -> int:
         return 4
     for rec in report.records:
         print(
-            f"m={rec.m} n={rec.n} M={rec.degree} "
+            f"m={rec.m} n={rec.n} M={rec.M} "
             f"sup_err_filter={rec.sup_err_filter_global:.3e} "
             f"sup_err_hybrid={rec.sup_err_hybrid_global:.3e} "
             f"({rec.wall_time:.2f}s)"

@@ -66,6 +66,16 @@ def buffer_outcomes(cfg):
     return tuple(outcomes)
 
 
+def assert_writes_same_files(tmp_path, cfg, other):
+    """cfg and other, run into tmp_path/a and tmp_path/b, write the same files byte for byte."""
+    for name, c in (("a", cfg), ("b", other)):
+        run_experiment(replace(c, output_dir=str(tmp_path / name)))
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_midpoint_grid():
     grid = midpoint_grid(8)
     np.testing.assert_allclose(grid, (np.arange(8) + 0.5) / 8)
@@ -114,12 +124,19 @@ class TestConfigValidation:
     def test_numpy_integers_run_as_python_integers(self, tmp_path):
         numpy_ints = dict(m_list=(np.int64(16), np.int32(24)), seed=np.int64(42),
                           grid_size=np.int16(64))
-        for name, cfg in (("py", small_config()), ("np", small_config(**numpy_ints))):
-            run_experiment(replace(cfg, output_dir=str(tmp_path / name)))
-        files = sorted(p.name for p in (tmp_path / "py").iterdir())
-        assert files == sorted(p.name for p in (tmp_path / "np").iterdir())
-        for name in files:
-            assert (tmp_path / "py" / name).read_bytes() == (tmp_path / "np" / name).read_bytes()
+        assert_writes_same_files(tmp_path, small_config(), small_config(**numpy_ints))
+
+    def test_numpy_floats_echo_as_python_floats(self, tmp_path):
+        # delta and the piece bounds are echoed into every file; a numpy
+        # float must not echo as 'np.float64(...)'
+        def config(real):
+            return small_config(
+                function="custom", delta=real(0.025),
+                pieces=((real(0.0), real(0.5), "sin(4*pi*x)"), (real(0.5), real(1.0), "x")),
+            )
+
+        assert_writes_same_files(tmp_path, config(float), config(np.float64))
+        assert "# delta=0.025\n" in (tmp_path / "b" / "summary.csv").read_text()
 
     @pytest.mark.parametrize("key", ["delta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -229,6 +246,26 @@ class TestRunExperiment:
         assert rows[0].startswith("m,n,M,N,")
         assert [row.split(",")[0] for row in rows[1:]] == ["16", "24"]
 
+    def test_summary_rows_are_the_records(self, tmp_path):
+        # the columns are RunRecord's fields in order, wall_time left out,
+        # and each row parses back to its record bit for bit
+        report = run_experiment(small_config(output_dir=str(tmp_path)))
+        lines = [
+            line for line in (tmp_path / "summary.csv").read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        names = [f.name for f in fields(RunRecord)]
+        assert names[-1] == "wall_time"
+        assert lines[0].split(",") == names[:-1]
+        assert len(lines) == 1 + len(report.records)
+        for line, rec in zip(lines[1:], report.records):
+            for f, text in zip(fields(RunRecord), line.split(",")):
+                value = getattr(rec, f.name)
+                if f.type == "float":
+                    assert np.float64(text).view(np.int64) == np.float64(value).view(np.int64)
+                else:
+                    assert type(value)(text) == value
+
     def test_summary_reports_frame_health(self, tmp_path):
         # the log frame of m = 7 has cond(K) ~ 204, past the Gram route's
         # bound, so the SVD route factors it and keeps all 13 singular values
@@ -262,9 +299,10 @@ class TestRunExperiment:
             assert rec.fit_residual == max(fit.residual_norm for fit in hyb.fits)
             # the largest A(M) over the fits, at the degree the row reports
             assert float(columns["amplification"]) == rec.amplification == hyb.amplification
-            assert int(columns["M"]) == rec.degree == hyb.degree
+            assert int(columns["M"]) == rec.M == hyb.degree
+            assert int(columns["N"]) == rec.N == hyb.fit_sample_count - 1
             assert rec.amplification == max(
-                extrapolation_amplification(w, cfg.delta, rec.degree)
+                extrapolation_amplification(w, cfg.delta, rec.M)
                 for w in np.diff(f.breakpoints)
             )
 
@@ -291,7 +329,7 @@ class TestRunExperiment:
 class TestConvergenceTable:
     def test_ratio_arithmetic(self):
         records = tuple(
-            RunRecord(m=m, n=0, degree=0, fit_samples=1, cond=1.0,
+            RunRecord(m=m, n=0, M=0, N=0, cond=1.0,
                       imag_residual=0.0, fit_residual=0.0, amplification=1.0, sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
                       sup_err_hybrid_global=err, sup_err_hybrid_buffers=0.0,
                       wall_time=0.0, freq_hash="")
@@ -305,7 +343,7 @@ class TestConvergenceTable:
 
     def test_single_record_has_empty_ratio(self):
         records = (
-            RunRecord(m=64, n=0, degree=0, fit_samples=1, cond=1.0,
+            RunRecord(m=64, n=0, M=0, N=0, cond=1.0,
                       imag_residual=0.0, fit_residual=0.0, amplification=1.0, sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
                       sup_err_hybrid_global=5e-3, sup_err_hybrid_buffers=0.0,
                       wall_time=0.0, freq_hash=""),
@@ -330,6 +368,35 @@ def test_write_line_svg_flat_series(tmp_path):
     write_line_svg(path, np.linspace(0, 1, 50), [("f", np.full(50, 2.0))])
     text = path.read_text()
     assert "y: [2, 3]" in text and "nan" not in text
+    assert ET.parse(path).getroot().tag.endswith("svg")
+
+
+def test_write_line_svg_range_ignores_series_order(tmp_path):
+    # one NaN must not blank the plot, whichever series holds it: the y
+    # range spans the finite values of every series
+    x = np.linspace(0, 1, 16)
+    a = np.linspace(0.0, 7.5, 16)
+    b = np.linspace(1.0, 2.0, 16)
+    b[5] = np.nan
+    plots = {}
+    for order in ([("a", a), ("b", b)], [("b", b), ("a", a)]):
+        path = tmp_path / f"{order[0][0]}.svg"
+        write_line_svg(path, x, order)
+        root = ET.parse(path).getroot()
+        label = [el.text for el in root.iter() if el.tag.endswith("text")][1]
+        lines = [el.get("points") for el in root.iter() if el.tag.endswith("polyline")]
+        plots[order[0][0]] = label, lines[[name for name, _ in order].index("a")]
+        assert path.read_text().count("nan") == 1
+    assert plots["a"] == plots["b"]
+    assert plots["a"][0].endswith("y: [0, 7.5]")
+
+
+def test_write_line_svg_without_finite_values(tmp_path):
+    path = tmp_path / "nan.svg"
+    write_line_svg(path, np.linspace(0, 1, 8), [("f", np.full(8, np.nan)),
+                                                ("g", np.array([np.inf, -np.inf] * 4))])
+    text = path.read_text()
+    assert "y: [0, 1]" in text
     assert ET.parse(path).getroot().tag.endswith("svg")
 
 
@@ -379,7 +446,7 @@ def test_grid_csv_matches_per_row_format(tmp_path):
     columns[3][-4:] = [-5e-324, 2.2e-310, math.nan, -math.inf]
     extrapolated = rng.random(size) < 0.3
     tags = ["extrapolated" if e else "filter" for e in extrapolated.tolist()]
-    record = RunRecord(m=16, n=9, degree=3, fit_samples=5, cond=1.5,
+    record = RunRecord(m=16, n=9, M=3, N=4, cond=1.5,
                        imag_residual=0.0, fit_residual=0.0, amplification=1.0, sup_err_filter_interior=0.0,
                        sup_err_filter_global=0.0, sup_err_hybrid_global=0.0,
                        sup_err_hybrid_buffers=0.0, wall_time=0.0, freq_hash="0123")
@@ -426,7 +493,7 @@ def test_grid_csv_formats_the_hybrid_only_where_its_bits_differ(tmp_path, monkey
         "fourierhybrid.experiments._e17_text",
         lambda values: formatted.append(len(values)) or _e17_text(values),
     )
-    record = RunRecord(m=16, n=9, degree=3, fit_samples=5, cond=1.5,
+    record = RunRecord(m=16, n=9, M=3, N=4, cond=1.5,
                        imag_residual=0.0, fit_residual=0.0, amplification=1.0,
                        sup_err_filter_interior=0.0, sup_err_filter_global=0.0,
                        sup_err_hybrid_global=0.0, sup_err_hybrid_buffers=0.0,

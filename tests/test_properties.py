@@ -1,6 +1,6 @@
 """Property tests of the grid formatter, the frame and its filtered
 reconstruction, the buffer rule, the public API's refusals and the
-expression grammar.
+expression grammar, and a check that a failing property fails alone.
 
 The settings profile (derandomized, no example database, no deadline, a
 fixed example count) is registered in conftest.py, so these tests draw the
@@ -8,6 +8,9 @@ same examples on every run.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,3 +271,25 @@ def test_hybrid_accepts_every_buffer_check_buffer_accepts(case):
     recon = fh.FilterReconstruction(operator=pipe.operator, samples=pipe.samples, jumps=jumps)
     hyb = fh.hybrid_reconstruct(recon, np.linspace(0.0, 1.0, 17), delta)
     assert np.all(np.isfinite(hyb.values))
+
+
+def test_failing_property_does_not_hide_later_tests(tmp_path):
+    # under filterwarnings = error, the DeprecationWarning that hypothesis's
+    # failure report raises when it imports libcst ended the whole run in an
+    # INTERNALERROR; pyproject.toml's filter lets the run go on
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
